@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: kk | gauss | deform | order | verify, with --format and --out.
-Exit codes: 0 success, 1 a check failed or a cochain is not flat, 2 bad
-parameters or parse errors.
+Exit codes: 0 success, 1 a check failed, a cochain is not flat or an exact
+computation failed (ArithmeticError), 2 bad parameters or parse errors.
 """
 
 from __future__ import annotations
@@ -225,6 +225,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f'error: {exc}', file=sys.stderr)
+        return 1
 
 
 if __name__ == '__main__':

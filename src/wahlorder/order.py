@@ -7,6 +7,11 @@ algebra over Z[t] whose t = 0 fiber is R_{n^2, nq-1} on the nose, whose
 fibers at t != 0 are full matrix algebras, and whose t = infinity fiber is
 again R_{n^2, nq-1} after the index flip k -> -k.
 
+The constants are solved exactly in Z[t] (solve_in_basis): the sparse
+monomial coefficient matrix peels into a triangular system, back-substitution
+divides exactly by t^e, a nonzero remainder below t^e proves non-closure, and
+exact recombination of every cell certifies the result.
+
 Two conventions are frozen here after exhaustive fit against the reference
 matrices (see order_entry and structure_constants).
 """
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from .resarith import SingularityParams, WahlParams, bracket
 from .polyring import (Poly, T, S, tsub, solve_in_span_many, is_polynomial,
-                       _to_uni, _from_uni)
+                       _to_uni, _from_uni, _uadd, _umul)
 from .kkalg import AlgebraTable, kk_table
 from .deform import CochainSpec
 
@@ -78,6 +83,7 @@ class OrderTable:
     cells: list  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
 
     _constants: dict = field(default=None, repr=False)
+    solver: str = field(default=None, repr=False)  # 'triangular' | 'bareiss'
 
     @property
     def r(self) -> int:
@@ -98,19 +104,6 @@ class OrderTable:
                         out[i][j] = out[i][j] + Poly.var(T, exp, sign)
         return out
 
-    def general_matrix(self):
-        """Cells as Poly in t and the symbolic coefficients a_k."""
-        from .polyring import acoef
-        n = self.n
-        out = [[Poly.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                p = Poly.zero()
-                for (sign, exp, k) in self.cells[i][j]:
-                    p = p + Poly.var(T, exp, sign) * Poly.var(acoef(k))
-                out[i][j] = p
-        return out
-
 
 def build_order(n: int, q: int) -> OrderTable:
     WahlParams(n, q)  # validate
@@ -119,8 +112,12 @@ def build_order(n: int, q: int) -> OrderTable:
     for i in range(n):
         for j in range(n):
             for (sign, exp, k) in cells[i][j]:
-                assert 0 <= exp <= n and 0 <= k < n * n
-                assert (i, j, exp, k) not in seen
+                if not (0 <= exp <= n and 0 <= k < n * n):
+                    raise ValueError(f'({n},{q}) cell ({i+1},{j+1}): term '
+                                     f't^{exp} a_{k} out of range')
+                if (i, j, exp, k) in seen:
+                    raise ValueError(f'({n},{q}) cell ({i+1},{j+1}): term '
+                                     f't^{exp} a_{k} repeated')
                 seen.add((i, j, exp, k))
     return OrderTable(n, q, cells)
 
@@ -155,207 +152,105 @@ def structure_constants(order: OrderTable) -> dict:
     algebra, and no diagonal sign change repairs it (its w_1^2 is nonzero
     when a = 2, b = 5, r = 9; R_{9,2} has w_1^2 = 0).
 
-    Closure is certified pairwise by exact recombination in Z[t]; a fast
-    evaluation solver produces candidates and polyring.solve_in_span is the
-    fallback on any anomaly.
+    The coordinates come from solve_in_basis: back-substitution in Z[t]
+    along monomial pivots, with Bareiss elimination as the fallback.  The
+    path taken is recorded in order.solver.
     """
     if order._constants is not None:
         return order._constants
     n, r = order.n, order.r
     a = order.params.a
     basis = [order.basis_matrix(bracket(-a * k, r)) for k in range(r)]
-    pairs = [(j, i) for j in range(r) for i in range(r)]
-    targets = {}
-    for (j, i) in pairs:
-        targets[(j, i)] = _matmul(basis[i], basis[j], n)
-
-    consts = _solve_by_evaluation(basis, targets, n, r)
-    if consts is None:
-        coords_all = solve_in_span_many([targets[p] for p in pairs], basis)
-        consts = {}
-        for p, coords in zip(pairs, coords_all):
-            ok, cleared = is_polynomial(coords)
-            if not ok:
-                bad = [k for k, c in enumerate(cleared) if c is None]
-                raise ArithmeticError(
-                    f"product w_{p[0]} w_{p[1]}: non-polynomial coordinates at {bad}")
-            consts[p] = {k: c for k, c in enumerate(cleared) if not c.is_zero()}
-    order._constants = consts
-    return consts
+    targets = {(j, i): _matmul(basis[i], basis[j], n)
+               for j in range(r) for i in range(r)}
+    order._constants, order.solver = solve_in_basis(basis, targets)
+    return order._constants
 
 
-_PRIME = (1 << 61) - 1
+def solve_in_basis(basis, targets):
+    """Coordinates in Z[t] of each target matrix over the basis matrices.
 
+    targets maps a label to a matrix; returns ({label: {k: Poly}}, path),
+    each coordinate dict in ascending k, path 'triangular' or 'bareiss'.
 
-def _solve_by_evaluation(basis, targets, n, r):
-    """Candidate constants by modular evaluation + interpolation, verified by
-    exact recombination over Z[t]; returns None if anything fails."""
-    deg_bound = 3 * n + 2
-    npts = deg_bound + 1
-    pts = list(range(1, npts + 1))
-    p = _PRIME
-    ubasis = [[_to_uni(cell) for row in M for cell in row] for M in basis]
-    lus = []
-    for tau in pts:
-        mat = [[_ueval_mod(ubasis[k][c], tau, p) for k in range(r)]
-               for c in range(n * n)]
-        lu = _lu_mod(mat, p)
-        if lu is None:
-            return None
-        lus.append(lu)
-    lagr = _lagrange_basis_mod(pts, p)
+    The cells x basis coefficient matrix of a matrix order is a sparse set of
+    monomials +-t^e.  Peeling repeatedly picks a cell with exactly one
+    unsolved unknown whose coefficient there is +-t^e; when every unknown is
+    picked this way the system is triangular with monomial pivots and each
+    target is solved by back-substitution: acc = b[cell] - (known terms),
+    x_k = +-acc / t^e.  The solution over Q(t) is unique, so a nonzero
+    coefficient of acc below t^e proves the target is not in the Z[t]-span
+    and raises ArithmeticError.  Every cell is then certified by exact
+    recombination in Z[t].  If peeling stalls, solve_in_span_many (Bareiss)
+    solves the system instead.
+    """
+    ucells = [[_to_uni(cell) for row in M for cell in row] for M in basis]
+    rows = [{k: ub[c] for k, ub in enumerate(ucells) if ub[c]}
+            for c in range(len(ucells[0]))]
+    steps = _peel(rows, len(basis))
+    if steps is None:
+        return _solve_bareiss(basis, targets), 'bareiss'
     consts = {}
-    for (j, i), P in targets.items():
-        tcells = [_to_uni(P[x][y]) for x in range(n) for y in range(n)]
-        values = []
-        for idx, tau in enumerate(pts):
-            rhs = [_ueval_mod(c, tau, p) for c in tcells]
-            values.append(_lu_solve_mod(lus[idx], rhs, p))
-        cell = {}
-        for k in range(r):
-            coeffs = [0] * npts
-            for idx in range(npts):
-                y = values[idx][k]
-                if y:
-                    lb = lagr[idx]
-                    for d in range(npts):
-                        coeffs[d] = (coeffs[d] + y * lb[d]) % p
-            lifted = [_symlift(c, p) for c in coeffs]
-            while lifted and lifted[-1] == 0:
-                lifted.pop()
-            if lifted:
-                cell[k] = lifted
-        # exact recombination certificate in Z[t]
-        for c in range(n * n):
+    for label, P in targets.items():
+        b = [_to_uni(cell) for row in P for cell in row]
+        x = [[] for _ in basis]
+        for c, k, e, sign, known in steps:
+            acc = b[c]
+            for kk, neg in known:
+                if x[kk]:
+                    acc = _uadd(acc, _umul(neg, x[kk]))
+            if any(acc[:e]):
+                raise ArithmeticError(
+                    f'product {label}: coordinate {k} is not in Z[t] '
+                    f'(nonzero remainder below t^{e})')
+            x[k] = [sign * v for v in acc[e:]]
+        for c, row in enumerate(rows):
             acc = []
-            for k, coeffs in cell.items():
-                if ubasis[k][c]:
-                    acc = _uadd_list(acc, _umul_list(ubasis[k][c], coeffs))
-            if acc != tcells[c]:
-                return None
-        consts[(j, i)] = {k: _from_uni(cs) for k, cs in cell.items()}
-    return consts
+            for k, coeff in row.items():
+                if x[k]:
+                    acc = _uadd(acc, _umul(coeff, x[k]))
+            if acc != b[c]:
+                raise ArithmeticError(
+                    f'product {label}: exact recombination fails in cell {c}')
+        consts[label] = {k: _from_uni(xk) for k, xk in enumerate(x) if xk}
+    return consts, 'triangular'
 
 
-def _ueval_mod(coeffs, tau, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * tau + c) % p
-    return acc
-
-
-def _lu_mod(mat, p):
-    """In-place LU with partial pivoting mod p; returns (mat, perm) or None."""
-    m = len(mat)
-    perm = list(range(m))
-    for col in range(m):
-        piv = None
-        for row in range(col, m):
-            if mat[row][col] % p:
-                piv = row
-                break
-        if piv is None:
+def _peel(rows, nunknowns):
+    """Solve order [(cell, k, e, sign, known)]: unknown k is pivoted in cell
+    with coefficient sign * t^e, and known lists (k', -coefficient) of the
+    cell's unknowns solved before it.  None when no cell has a single
+    unsolved unknown with a monomial coefficient."""
+    pending = [set(row) for row in rows]
+    steps = []
+    while len(steps) < nunknowns:
+        step = next(((c, k) for c, ks in enumerate(pending) if len(ks) == 1
+                     for k in ks
+                     if rows[c][k][-1] in (1, -1) and not any(rows[c][k][:-1])),
+                    None)
+        if step is None:
             return None
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            perm[col], perm[piv] = perm[piv], perm[col]
-        inv = pow(mat[col][col], p - 2, p)
-        for row in range(col + 1, m):
-            f = (mat[row][col] * inv) % p
-            mat[row][col] = f
-            if f:
-                mrow, crow = mat[row], mat[col]
-                for cc in range(col + 1, m):
-                    mrow[cc] = (mrow[cc] - f * crow[cc]) % p
-    return (mat, perm)
+        c, k = step
+        known = [(kk, [-v for v in coeff]) for kk, coeff in rows[c].items()
+                 if kk != k]
+        steps.append((c, k, len(rows[c][k]) - 1, rows[c][k][-1], known))
+        for ks in pending:
+            ks.discard(k)
+    return steps
 
 
-def _lu_solve_mod(lu, rhs, p):
-    mat, perm = lu
-    m = len(mat)
-    y = [rhs[perm[i]] % p for i in range(m)]
-    for i in range(m):
-        acc = y[i]
-        row = mat[i]
-        for j in range(i):
-            acc -= row[j] * y[j]
-        y[i] = acc % p
-    x = [0] * m
-    for i in range(m - 1, -1, -1):
-        acc = y[i]
-        row = mat[i]
-        for j in range(i + 1, m):
-            acc -= row[j] * x[j]
-        x[i] = (acc * pow(row[i], p - 2, p)) % p
-    return x
-
-
-def _lagrange_basis_mod(pts, p):
-    """Coefficient lists of the Lagrange basis polynomials mod p."""
-    npts = len(pts)
-    full = [1]
-    for x in pts:
-        full = _polmul_mod(full, [-x % p, 1], p)
-    out = []
-    for i, xi in enumerate(pts):
-        quot = _poldiv_linear_mod(full, xi, p)
-        den = 1
-        for j, xj in enumerate(pts):
-            if j != i:
-                den = (den * (xi - xj)) % p
-        inv = pow(den, p - 2, p)
-        out.append([(c * inv) % p for c in quot])
-    return out
-
-
-def _polmul_mod(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poldiv_linear_mod(poly, root, p):
-    """poly / (x - root) mod p, exact."""
-    out = [0] * (len(poly) - 1)
-    acc = 0
-    for d in range(len(poly) - 1, 0, -1):
-        acc = (acc + poly[d]) % p
-        out[d - 1] = acc
-        acc = (acc * root) % p
-    return out
-
-
-def _symlift(c, p):
-    c %= p
-    return c - p if c > p // 2 else c
-
-
-def _uadd_list(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, v in enumerate(b):
-        out[i] += v
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _umul_list(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _solve_bareiss(basis, targets):
+    labels = list(targets)
+    coords_all = solve_in_span_many([targets[p] for p in labels], basis)
+    consts = {}
+    for p, coords in zip(labels, coords_all):
+        ok, cleared = is_polynomial(coords)
+        if not ok:
+            bad = [k for k, c in enumerate(cleared) if c is None]
+            raise ArithmeticError(
+                f"product {p}: non-polynomial coordinates at {bad}")
+        consts[p] = {k: c for k, c in enumerate(cleared) if not c.is_zero()}
+    return consts
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +347,9 @@ def diagonal_sign_match(t1: AlgebraTable, t2: AlgebraTable):
     if sol is None:
         return None
     signs = [1 if not x else -1 for x in sol]
-    assert t1 == t2.rescale(signs)
+    if t1 != t2.rescale(signs):
+        raise ArithmeticError('diagonal signs solve the sign system but do '
+                              'not rescale one table into the other')
     return signs
 
 

@@ -70,6 +70,8 @@ def _timed(report: VerifyReport, name: str, fn):
                                 detail if isinstance(detail, str) else ''))
     except AssertionError as exc:
         passed, detail = False, str(exc)
+    except Exception as exc:  # an error fails this check, not the suite
+        passed, detail = False, f'{type(exc).__name__}: {exc}'
     report.checks.append(VerifyCheck(name, passed, detail,
                                      time.perf_counter() - start))
 

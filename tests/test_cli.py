@@ -137,3 +137,17 @@ def test_main_entry_in_process(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert 'Gauss word: 4, 3, 2, 1, 4, 3, 2, 1' in out
+
+
+def test_arithmetic_error_exits_1(monkeypatch, capsys):
+    import wahlorder.order as order_mod
+
+    def not_closed(basis, targets):
+        raise ArithmeticError('product (1, 1): coordinate 2 is not in Z[t]')
+
+    monkeypatch.setattr(order_mod, 'solve_in_basis', not_closed)
+    rc = main(['order', '--n', '2', '--q', '1', '--fiber', 'zero'])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: product (1, 1): coordinate 2 is not in Z[t]\n'

@@ -1,16 +1,18 @@
-import os
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from wahlorder.resarith import SingularityParams
+import wahlorder.order as order_mod
+from wahlorder.resarith import SingularityParams, bracket
 from wahlorder.polyring import Poly, T, tsub, S, format_poly
 from wahlorder.kkalg import kk_table
 from wahlorder.order import (order_entry, build_order, structure_constants,
-                             constants_table, fiber_at, fiber_zero_report,
-                             certify_full_matrix_fiber, infinity_fiber,
-                             wahl_cochain, cross_check, format_cell,
-                             format_order_matrix, diagonal_sign_match)
+                             solve_in_basis, constants_table, fiber_at,
+                             fiber_zero_report, certify_full_matrix_fiber,
+                             infinity_fiber, wahl_cochain, cross_check,
+                             format_cell, format_order_matrix,
+                             diagonal_sign_match)
 from wahlorder.goldens import GOLDEN_MATRICES
 from wahlorder.deform import check_point
 
@@ -155,10 +157,8 @@ def test_format_order_matrix_contains_rows():
     assert '-t^2 a_6 - t a_3 + a_0' in txt
 
 
-@pytest.mark.skipif(not os.environ.get('WAHL_ORDER_EXTENDED'),
-                    reason='set WAHL_ORDER_EXTENDED=1 for the n = 5, 6 sweep')
 def test_extended_orders_and_cross_checks():
-    """Internal consistency beyond the acceptance bounds (slow, ~1 min)."""
+    """Internal consistency beyond the acceptance bounds."""
     for (n, q) in ((5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 5)):
         rep = cross_check(n, q)
         assert rep.matched and rep.identical, (n, q)
@@ -167,3 +167,96 @@ def test_extended_orders_and_cross_checks():
         repi = infinity_fiber(ordr)
         assert repi.degree_bounds_ok and repi.matches_negated
         assert certify_full_matrix_fiber(ordr, 1)
+
+
+# ---------------------------------------------------------------------------
+# the triangular solver against the Bareiss oracle
+# ---------------------------------------------------------------------------
+
+def _wahl_pairs(max_n):
+    return [(n, q) for n in range(2, max_n + 1) for q in range(1, n)
+            if gcd(n, q) == 1]
+
+
+def _combination(basis, coords):
+    n = len(basis[0])
+    return [[sum((c * basis[k][i][j] for k, c in coords.items()), Poly.zero())
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize('n,q', _wahl_pairs(4))
+def test_triangular_constants_match_bareiss_oracle(n, q):
+    ordr = build_order(n, q)
+    consts = structure_constants(ordr)
+    assert ordr.solver == 'triangular'
+    r, a = ordr.r, ordr.params.a
+    basis = [ordr.basis_matrix(bracket(-a * k, r)) for k in range(r)]
+    targets = {(j, i): order_mod._matmul(basis[i], basis[j], n)
+               for j in range(r) for i in range(r)}
+    oracle = order_mod._solve_bareiss(basis, targets)
+    # equal as dicts and in key order, which the digests and output rely on
+    assert {p: list(c.items()) for p, c in consts.items()} == \
+        {p: list(c.items()) for p, c in oracle.items()}
+
+
+def test_triangular_path_up_to_n_6():
+    for (n, q) in _wahl_pairs(6):
+        ordr = build_order(n, q)
+        structure_constants(ordr)
+        assert ordr.solver == 'triangular', (n, q)
+
+
+def _e(i, j, p):
+    m = [[Poly.zero(), Poly.zero()], [Poly.zero(), Poly.zero()]]
+    m[i][j] = p
+    return m
+
+
+def test_unpeelable_basis_takes_bareiss_path():
+    t = Poly.var(T)
+    one = Poly.const(1)
+    # the (1,1) cell pivots on 1 + t, which is not a monomial
+    stalled = [[[one, Poly.zero()], [Poly.zero(), one]],
+               _e(0, 1, one), _e(1, 0, t), _e(0, 0, one + t)]
+    peelable = stalled[:3] + [_e(0, 0, t * t)]
+    want = {'u': {0: one, 3: t * t - one}, 'v': {1: -t, 2: one + t},
+            'w': {}, 'x': {3: one}}
+    for basis, path in ((stalled, 'bareiss'), (peelable, 'triangular')):
+        targets = {p: _combination(basis, c) for p, c in want.items()}
+        got, solver = solve_in_basis(basis, targets)
+        assert solver == path
+        assert got == want
+        assert got == order_mod._solve_bareiss(basis, targets)
+
+
+def test_target_outside_closure_raises():
+    ordr = build_order(2, 1)
+    r, a = ordr.r, ordr.params.a
+    basis = [ordr.basis_matrix(bracket(-a * k, r)) for k in range(r)]
+    # cell (1,2) is t a_3 alone, so E_12 = N / t is not in the Z[t]-span
+    target = _e(0, 1, Poly.const(1))
+    with pytest.raises(ArithmeticError, match='remainder'):
+        solve_in_basis(basis, {'E12': target})
+    # t E_12 is in the span, with coordinate 1 on the a_3 basis element
+    got, solver = solve_in_basis(basis, {'tE12': _e(0, 1, Poly.var(T))})
+    assert solver == 'triangular' and list(got['tE12'].values()) == [Poly.const(1)]
+
+
+def test_build_order_invariants_raise_value_error(monkeypatch):
+    real = order_mod.order_entry
+    monkeypatch.setattr(order_mod, 'order_entry',
+                        lambda n, q, i, j: real(n, q, i, j) * 2)
+    with pytest.raises(ValueError, match='repeated'):
+        build_order(3, 1)
+    monkeypatch.setattr(order_mod, 'order_entry',
+                        lambda n, q, i, j: [(1, n + 1, 0)])
+    with pytest.raises(ValueError, match='out of range'):
+        build_order(3, 1)
+
+
+def test_diagonal_sign_match_checks_its_solution(monkeypatch):
+    t = kk_table(SingularityParams(9, 2))
+    flipped = t.rescale([1, -1, 1, 1, 1, 1, 1, 1, 1])
+    monkeypatch.setattr(order_mod, '_gf2_solve', lambda rows, rhs, m: [0] * m)
+    with pytest.raises(ArithmeticError):
+        diagonal_sign_match(flipped, t)
