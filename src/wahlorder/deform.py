@@ -31,6 +31,18 @@ from .polyring import Poly, S, tsub, format_poly
 Generator = tuple  # (index in Z_r, degree 0 or 1)
 
 
+def _accumulate(table: dict, key, out: Generator, coeff: Poly):
+    """table[key][out] += coeff, dropping zero coefficients and empty cells."""
+    cell = table.setdefault(key, {})
+    new = cell.get(out, Poly.zero()) + coeff
+    if new.is_zero():
+        cell.pop(out, None)
+        if not cell:
+            table.pop(key, None)
+    else:
+        cell[out] = new
+
+
 class AinfTable:
     """Sparse m_1 / m_2 / m_3 with Poly coefficients.
 
@@ -44,50 +56,19 @@ class AinfTable:
         self.m2 = {}
         self.m3 = {}
 
-    def _add(self, table, key, out: Generator, coeff: Poly):
-        cell = table.setdefault(key, {})
-        new = cell.get(out, Poly.zero()) + coeff
-        if new.is_zero():
-            cell.pop(out, None)
-            if not cell:
-                table.pop(key, None)
-        else:
-            cell[out] = new
-
     def add_m1(self, x: Generator, out: Generator, coeff: Poly):
-        self._add(self.m1, x, out, coeff)
+        _accumulate(self.m1, x, out, coeff)
 
     def add_m2(self, a2: Generator, a1: Generator, out: Generator, coeff: Poly):
-        self._add(self.m2, (a2, a1), out, coeff)
+        _accumulate(self.m2, (a2, a1), out, coeff)
 
     def add_m3(self, a3: Generator, a2: Generator, a1: Generator,
                out: Generator, coeff: Poly):
-        self._add(self.m3, (a3, a2, a1), out, coeff)
-
-    def merged_with(self, other: 'AinfTable') -> 'AinfTable':
-        out = AinfTable()
-        for table, ours in ((other.m1, out.m1), (other.m2, out.m2), (other.m3, out.m3)):
-            for key, cell in table.items():
-                ours[key] = dict(cell)
-        for x, cell in self.m1.items():
-            for g, c in cell.items():
-                out._add(out.m1, x, g, c)
-        for key, cell in self.m2.items():
-            for g, c in cell.items():
-                out._add(out.m2, key, g, c)
-        for key, cell in self.m3.items():
-            for g, c in cell.items():
-                out._add(out.m3, key, g, c)
-        return out
+        _accumulate(self.m3, (a3, a2, a1), out, coeff)
 
     def degrees_present(self) -> set:
-        degs = set()
-        for key in self.m1:
-            degs.add(key[1])
-        for key in list(self.m2) + list(self.m3):
-            for g in key:
-                degs.add(g[1])
-        return degs
+        return ({x[1] for x in self.m1}
+                | {g[1] for key in (*self.m2, *self.m3) for g in key})
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +161,10 @@ def _permitted_rectangles(params: SingularityParams):
             interior_min = min(interior_min, tX)
 
 
-def visible_contributions(params: SingularityParams) -> AinfTable:
-    """m_1 / m_2 / m_3 entries from permitted rectangles.
-
-    Each rectangle is read once per choice of output corner.  Reading signs:
-    +1 throughout, except that a degree-1 insertion at the NE corner counts
-    with -1, and the reading with input at SE, output at NW carries a global
-    -1 when the NE corner is orange (equivalently, E-readings negate
-    D-readings, keeping the differential matrix skew).  Flipping either
-    exception breaks the reference component ideals of 1/15(1,4) and 1/19(1,7)
-    and the wahl_cochain vanishing; flipping both breaks skew-symmetry
-    against the a=1 lists.
-    """
+def _add_rectangles(params: SingularityParams, t: AinfTable):
+    """Add the readings of every permitted rectangle to t, with the sign
+    conventions documented at visible_contributions."""
     r, b = params.r, params.b
-    t = AinfTable()
     one = Poly.const(1)
     s = Poly.var(S)
     for (c, X, Y, ne_or) in _permitted_rectangles(params):
@@ -202,7 +173,8 @@ def visible_contributions(params: SingularityParams) -> AinfTable:
         gNW = bracket(c + Y, r)
         gNE = bracket(c + Y - b * X, r)
         sw_or = (gSW == 0)
-        assert gSE != 0 and gNW != 0 and (gNE == 0) == ne_or
+        if gSE == 0 or gNW == 0 or (gNE == 0) != ne_or:
+            raise ArithmeticError(f"rectangle {(c, X, Y)}: misread orange corner")
         wSE, wNW = (gSE, 0), (gNW, 0)
         # A: output w at NE (w_0 when NE is orange)
         out = (gNE, 0)
@@ -232,11 +204,30 @@ def visible_contributions(params: SingularityParams) -> AinfTable:
         else:
             t.add_m3((gNE, 1), wSE, (gSW, 1), (gNW, 1), one)
             t.add_m3((gSW, 1), wNW, (gNE, 1), (gSE, 1), Poly.const(-1))
-    return t
+
+
+def visible_contributions(params: SingularityParams) -> AinfTable:
+    """m_1 / m_2 / m_3 entries from permitted rectangles.
+
+    Each rectangle is read once per choice of output corner.  Reading signs:
+    +1 throughout, except that a degree-1 insertion at the NE corner counts
+    with -1, and the reading with input at SE, output at NW carries a global
+    -1 when the NE corner is orange (equivalently, E-readings negate
+    D-readings, keeping the differential matrix skew).  Flipping either
+    exception breaks the reference component ideals of 1/15(1,4) and 1/19(1,7)
+    and the wahl_cochain vanishing; flipping both breaks skew-symmetry
+    against the a=1 lists.
+    """
+    table = AinfTable()
+    _add_rectangles(params, table)
+    return table
 
 
 def full_ainf(params: SingularityParams) -> AinfTable:
-    return visible_contributions(params).merged_with(hidden_ainf(params))
+    """Hidden and visible operations, accumulated into one table."""
+    table = hidden_ainf(params)
+    _add_rectangles(params, table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -263,75 +254,40 @@ class DeformedOps:
 def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
     """Deform by the universal cochain b = sum_{i != 0} t_i wbar_i.
 
-    m_1^b(x) = m_1(x) + m_2(b,x) + m_2(x,b) + m_3(b,b,x) + m_3(b,x,b) + m_3(x,b,b)
-    m_2^b(x,y) = m_2(x,y) + m_3(b,x,y) + m_3(x,b,y) + m_3(x,y,b)
-
-    The Maurer-Cartan equation holds automatically: there are no degree-2
-    generators for its output to land in.
+    One rule reads every m_1, m_2, m_3 entry: each degree-1 slot wbar_i takes
+    t_i (wbar_0 drops the entry, as t_0 = 0), and the entry, times the t's in
+    slot order, goes to m_1^b(x) = differentials[x] if one degree-0 input x
+    remains and to m_2^b(x, y) = products[(x, y)] if two remain.  With no
+    inputs left it is a Maurer-Cartan term, vacuous as nothing lives in
+    degree 2; three inputs would need an output in degree -1.
     """
     if ainf.degrees_present() - {0, 1}:
         raise NotInsertableError("generators must live in degrees 0 and 1")
-    diffs = {i: {} for i in range(r)}
-    prods = {(j, i): {} for j in range(r) for i in range(r)}
-
-    def tvar(u):
-        return Poly.var(tsub(u))
-
-    def add(cell, out, coeff):
-        new = cell.get(out, Poly.zero()) + coeff
-        if new.is_zero():
-            cell.pop(out, None)
+    diffs, prods = {}, {}
+    entries = [((x,), cell) for x, cell in ainf.m1.items()]
+    for slots, cell in entries + list(ainf.m2.items()) + list(ainf.m3.items()):
+        inputs, weight = (), None
+        for index, degree in slots:
+            if degree == 0:
+                inputs += (index,)
+            elif index == 0:
+                break  # t_0 = 0: the entry contributes nothing
+            else:
+                t = Poly.var(tsub(index))
+                weight = t if weight is None else weight * t
         else:
-            cell[out] = new
-
-    for x, cell in ainf.m1.items():
-        if x[1] == 0:
+            if len(inputs) == 1:
+                target, key = diffs, inputs[0]
+            elif len(inputs) == 2:
+                target, key = prods, inputs
+            else:
+                continue  # a Maurer-Cartan term, or an output in degree -1
             for out, coeff in cell.items():
-                add(diffs[x[0]], out, coeff)
-
-    for (a2, a1), cell in ainf.m2.items():
-        if a2[1] == 0 and a1[1] == 0:
-            for out, coeff in cell.items():
-                add(prods[(a2[0], a1[0])], out, coeff)
-        elif a2[1] == 1 and a1[1] == 0 and a2[0] != 0:
-            for out, coeff in cell.items():          # m_2(b, x)
-                add(diffs[a1[0]], out, coeff * tvar(a2[0]))
-        elif a2[1] == 0 and a1[1] == 1 and a1[0] != 0:
-            for out, coeff in cell.items():          # m_2(x, b)
-                add(diffs[a2[0]], out, coeff * tvar(a1[0]))
-
-    for (a3, a2, a1), cell in ainf.m3.items():
-        degs = (a3[1], a2[1], a1[1])
-        if degs == (0, 0, 0):
-            continue  # would need a degree -1 output; none exist
-        if degs == (1, 1, 0):
-            if a3[0] and a2[0]:                      # m_3(b, b, x)
-                w = tvar(a3[0]) * tvar(a2[0])
-                for out, coeff in cell.items():
-                    add(diffs[a1[0]], out, coeff * w)
-        elif degs == (1, 0, 1):
-            if a3[0] and a1[0]:                      # m_3(b, x, b)
-                w = tvar(a3[0]) * tvar(a1[0])
-                for out, coeff in cell.items():
-                    add(diffs[a2[0]], out, coeff * w)
-        elif degs == (0, 1, 1):
-            if a2[0] and a1[0]:                      # m_3(x, b, b)
-                w = tvar(a2[0]) * tvar(a1[0])
-                for out, coeff in cell.items():
-                    add(diffs[a3[0]], out, coeff * w)
-        elif degs == (1, 0, 0):
-            if a3[0]:                                # m_3(b, x, y)
-                for out, coeff in cell.items():
-                    add(prods[(a2[0], a1[0])], out, coeff * tvar(a3[0]))
-        elif degs == (0, 1, 0):
-            if a2[0]:                                # m_3(x, b, y)
-                for out, coeff in cell.items():
-                    add(prods[(a3[0], a1[0])], out, coeff * tvar(a2[0]))
-        elif degs == (0, 0, 1):
-            if a1[0]:                                # m_3(x, y, b)
-                for out, coeff in cell.items():
-                    add(prods[(a3[0], a2[0])], out, coeff * tvar(a1[0]))
-    return DeformedOps(r, diffs, prods)
+                _accumulate(target, key, out,
+                            coeff if weight is None else coeff * weight)
+    return DeformedOps(
+        r, {i: diffs.get(i, {}) for i in range(r)},
+        {(j, i): prods.get((j, i), {}) for j in range(r) for i in range(r)})
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +323,12 @@ class DiffMatrix:
 def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> DiffMatrix:
     ops = ops or insert_cochain(full_ainf(params), params.r)
     entries = {}
-    assert not ops.differentials[0], "the unit must stay closed"
+    if ops.differentials[0]:
+        raise ArithmeticError("the unit must stay closed")
     for i in range(1, params.r):
         for out, coeff in ops.differentials[i].items():
-            assert out[1] == 1 and out[0] != 0, f"dw_{i} hit {out}"
+            if out[1] != 1 or out[0] == 0:
+                raise ArithmeticError(f"dw_{i} hit {out}")
             if not coeff.is_zero():
                 entries[(i, out[0])] = coeff
     return DiffMatrix(params, entries)
@@ -472,7 +430,8 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     for (j, i), cell in ops.products.items():
         newcell = {}
         for out, coeff in cell.items():
-            assert out[1] == 0, f"product w_{j} w_{i} hit degree-1 output {out}"
+            if out[1] != 0:
+                raise ArithmeticError(f"product w_{j} w_{i} hit degree-1 output {out}")
             c = coeff.substitute(sub)
             if not c.is_zero():
                 newcell[out[0]] = c

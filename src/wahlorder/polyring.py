@@ -211,31 +211,6 @@ def _mono_mul(m1, m2):
     return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
 
 
-# spec-level aliases
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def neg(p: Poly) -> Poly:
-    return -p
-
-
-def scale(c: int, p: Poly) -> Poly:
-    return p.scale(c)
-
-
-def substitute(p: Poly, sub: dict) -> Poly:
-    return p.substitute(sub)
-
-
-def eval_at(p: Poly, point: dict) -> Fraction:
-    return p.eval_at(point)
-
-
 # ---------------------------------------------------------------------------
 # printing / parsing
 # ---------------------------------------------------------------------------
@@ -469,26 +444,12 @@ def _udivexact(p: list, q: list) -> list:
 
 
 def _udivides(q: list, p: list):
-    """Quotient p/q in Z[t] if exact over Q with integer result, else None."""
-    if not p:
-        return []
-    if not q:
+    """Quotient p/q in Z[t], or None if there is none.  Integer long division
+    succeeds exactly when the quotient over Q lies in Z[t]."""
+    try:
+        return _udivexact(p, q)
+    except ArithmeticError:
         return None
-    rem = [Fraction(v) for v in p]
-    if len(p) < len(q):
-        return None
-    out = [Fraction(0)] * (len(p) - len(q) + 1)
-    for k in range(len(p) - len(q), -1, -1):
-        f = rem[k + len(q) - 1] / q[-1]
-        out[k] = f
-        if f:
-            for j, b in enumerate(q):
-                rem[k + j] -= f * b
-    if any(rem):
-        return None
-    if any(v.denominator != 1 for v in out):
-        return None
-    return _utrim([int(v) for v in out])
 
 
 def _ucontent(p: list) -> int:

@@ -8,7 +8,6 @@ smaller smoke runs are possible.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -61,13 +60,25 @@ class VerifyReport:
         return '\n'.join(lines) + '\n'
 
 
+class CheckFailed(AssertionError):
+    """An exact identity did not hold; unlike `assert`, survives `python -O`."""
+
+
+def _require(cond, msg=''):
+    if not cond:
+        raise CheckFailed(msg)
+
+
 def _timed(report: VerifyReport, name: str, fn):
+    """Run one check: fn returns None (pass) or (passed, detail), and fails
+    by raising; any exception is recorded as a FAIL of this check only."""
     start = time.perf_counter()
     try:
-        detail = fn()
-        passed, detail = (detail if isinstance(detail, tuple)
-                          else (detail is None or detail is True,
-                                detail if isinstance(detail, str) else ''))
+        result = fn()
+        if result is not None and not isinstance(result, tuple):
+            raise TypeError(f'check returned {result!r}, '
+                            f'not None or (passed, detail)')
+        passed, detail = (True, '') if result is None else result
     except AssertionError as exc:
         passed, detail = False, str(exc)
     except Exception as exc:  # an error fails this check, not the suite
@@ -83,55 +94,32 @@ def coprime_pairs(max_r: int, min_r: int = 2):
                 yield SingularityParams(r, a)
 
 
-def worker_count() -> int:
-    raw = os.environ.get('WAHL_ORDER_THREADS', '1')
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def _map(fn, items):
-    n = worker_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    from multiprocessing import Pool
-    with Pool(n) as pool:
-        return pool.map(fn, items)
-
-
 # ---------------------------------------------------------------------------
 # kk suite
 # ---------------------------------------------------------------------------
 
-def _kk_pair_check(args):
-    r, a = args
-    params = SingularityParams(r, a)
+def _kk_pair_check(params: SingularityParams):
+    r, a = params.r, params.a
     diag = young_diagram(params)
     for j in range(r):
         for i in range(r):
             c = kk_product_closed(params, j, i)
-            if c != kk_product_rect(params, j, i):
-                return f'({r},{a}): closed/rect disagree at ({j},{i})'
-            if c != diag.product(j, i):
-                return f'({r},{a}): closed/young disagree at ({j},{i})'
+            _require(c == kk_product_rect(params, j, i),
+                     f'({r},{a}): closed/rect disagree at ({j},{i})')
+            _require(c == diag.product(j, i),
+                     f'({r},{a}): closed/young disagree at ({j},{i})')
     table = kk_table(params)
-    if not table.is_unital():
-        return f'({r},{a}): not unital'
+    _require(table.is_unital(), f'({r},{a}): not unital')
     bad = table.associator_violation()
-    if bad:
-        return f'({r},{a}): associativity fails at {bad}'
-    return None
+    _require(not bad, f'({r},{a}): associativity fails at {bad}')
 
 
 def suite_kk(max_r: int = 32) -> VerifyReport:
     report = VerifyReport('kk')
 
     def oracle_equivalence():
-        pairs = [(p.r, p.a) for p in coprime_pairs(max_r)]
-        for err in _map(_kk_pair_check, pairs):
-            assert err is None, err
+        for params in coprime_pairs(max_r):
+            _kk_pair_check(params)
 
     _timed(report, f'oracle equivalence + associativity, r <= {max_r}',
            oracle_equivalence)
@@ -140,7 +128,7 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
         table = kk_table(SingularityParams(9, 2))
         want = {(4, 1): {5: 1}, (4, 2): {6: 1}, (4, 3): {7: 1}, (4, 4): {8: 1}}
         got = dict(table.nontrivial_products())
-        assert got == want, f'(9,2) nontrivial products {got}'
+        _require(got == want, f'(9,2) nontrivial products {got}')
 
     _timed(report, 'reference (9,2) table: w_4 w_i only', reference_9_2)
 
@@ -150,17 +138,17 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
             table = kk_table(params)
             commutative = all(table.product(j, i) == table.product(i, j)
                               for j in range(r) for i in range(r))
-            assert commutative == (a in (1, r - 1)), \
-                f'({r},{a}): commutative={commutative}'
+            _require(commutative == (a in (1, r - 1)),
+                     f'({r},{a}): commutative={commutative}')
             if a == r - 1:
                 for j in range(r):
                     for i in range(r):
                         want = {(j + i) % r: 1} if j + i < r else {}
-                        assert table.product(j, i) == want, \
-                            f'({r},{a}) truncated-polynomial rule fails at ({j},{i})'
+                        _require(table.product(j, i) == want,
+                                 f'({r},{a}) truncated-polynomial rule fails at ({j},{i})')
             if a == 1:
-                assert not table.nontrivial_products(), \
-                    f'({r},1) radical should square to zero'
+                _require(not table.nontrivial_products(),
+                         f'({r},1) radical should square to zero')
 
     _timed(report, 'commutativity iff a in {1, r-1}; truncated/square-zero forms',
            commutative_families)
@@ -169,7 +157,8 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
         for params in coprime_pairs(max_r):
             dual = SingularityParams(params.r, params.b)
             twisted = kk_table(dual).opposite().relabel(dual_relabel(params))
-            assert twisted == kk_table(params), f'duality fails at ({params.r},{params.a})'
+            _require(twisted == kk_table(params),
+                     f'duality fails at ({params.r},{params.a})')
 
     _timed(report, f'opposite duality with index twist k -> [-a k], r <= {max_r}',
            opposite_duality)
@@ -177,9 +166,9 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
     def word_shape():
         for params in coprime_pairs(min(max_r, 24)):
             w = gauss_word(params)
-            assert len(w) == 2 * (params.r - 1)
+            _require(len(w) == 2 * (params.r - 1))
             for lbl in range(1, params.r):
-                assert w.count(lbl) == 2, f'({params.r},{params.a}): label {lbl}'
+                _require(w.count(lbl) == 2, f'({params.r},{params.a}): label {lbl}')
 
     _timed(report, 'Gauss word: every nonzero label exactly twice', word_shape)
     return report
@@ -217,7 +206,7 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
     def skew():
         for params in coprime_pairs(max_r_skew):
             dm = diff_matrix(params)
-            assert dm.is_skew(), f'({params.r},{params.a}) not skew'
+            _require(dm.is_skew(), f'({params.r},{params.a}) not skew')
 
     _timed(report, f'differential matrix skew-symmetric, all (r,a), r <= {max_r_skew}',
            skew)
@@ -227,8 +216,8 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
             dm = diff_matrix(SingularityParams(r, 1))
             want = a1_diff_expected(r)
             for (i, j), p in want.items():
-                assert dm.entry(i, j) == p, \
-                    f'a=1 r={r}: entry ({i},{j}) = {dm.entry(i, j)} want {p}'
+                _require(dm.entry(i, j) == p,
+                         f'a=1 r={r}: entry ({i},{j}) = {dm.entry(i, j)} want {p}')
 
     _timed(report, f'a = 1 closed formula incl. +s in m_(1,r-1), r <= {max_r_a1}',
            a1_formula)
@@ -256,8 +245,8 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
                     if i == r - 1:
                         want[(1, 1)] = want.get((1, 1), Poly.zero()) - Poly.var(S)
                 want = {k: v for k, v in want.items() if not v.is_zero()}
-                assert ops.differentials[i] == want, \
-                    f'a=1 r={r}: visible dw_{i} = {ops.differentials[i]} want {want}'
+                _require(ops.differentials[i] == want,
+                         f'a=1 r={r}: visible dw_{i} = {ops.differentials[i]} want {want}')
             # products
             want_pr = {}
             for i in range(1, r):
@@ -272,8 +261,8 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
             cell[(0, 0)] = cell.get((0, 0), Poly.zero()) + Poly.var(S)
             for key, cell in ops.products.items():
                 want = {k: v for k, v in want_pr.get(key, {}).items() if not v.is_zero()}
-                assert cell == want, \
-                    f'a=1 r={r}: visible product {key} = {cell} want {want}'
+                _require(cell == want,
+                         f'a=1 r={r}: visible product {key} = {cell} want {want}')
 
     _timed(report, 'a = 1 visible contributions match the exact lists, r <= 7',
            a1_visible_lists)
@@ -282,8 +271,8 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
         from .kkalg import poly_table
         for params in coprime_pairs(12):
             table = deformed_table(params, _zero_spec(params.r))
-            assert table == poly_table(kk_table(params)), \
-                f'({params.r},{params.a}) zero-cochain table differs'
+            _require(table == poly_table(kk_table(params)),
+                     f'({params.r},{params.a}) zero-cochain table differs')
 
     _timed(report, 'all cochain variables and s to 0: table is the undeformed one',
            zero_cochain_limit)
@@ -293,8 +282,8 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
                               (SingularityParams(19, 7), component_specs_19_7())):
             dm = diff_matrix(params)
             for name, spec in specs.items():
-                assert check_point(params, spec, dm), \
-                    f'{params}: component {name} does not annihilate the ideal'
+                _require(check_point(params, spec, dm),
+                         f'{params}: component {name} does not annihilate the ideal')
 
     _timed(report, 'component parametrizations of 1/15(1,4), 1/19(1,7)',
            component_ideals)
@@ -306,7 +295,7 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
                     continue
                 params = SingularityParams(n * n, n * q - 1)
                 spec = wahl_cochain(n, q)
-                assert check_point(params, spec), f'({n},{q}) cochain not flat'
+                _require(check_point(params, spec), f'({n},{q}) cochain not flat')
 
     _timed(report, f'Q-Gorenstein cochain annihilates the matrix, n <= {max_n_wahl}',
            wahl_vanishing)
@@ -318,7 +307,7 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
         bad = CochainSpec(4, {tsub(2): Poly.var(T), S: Poly.var(T, 2)})
         dm = diff_matrix(params)
         sub = bad.substitution()
-        assert not all(p.substitute(sub).is_zero() for _, p in dm.upper_entries())
+        _require(not all(p.substitute(sub).is_zero() for _, p in dm.upper_entries()))
 
     _timed(report, 'companion: s = +t^n variant fails at n = 2 (sign is forced)',
            sign_of_s_is_forced)
@@ -328,7 +317,7 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
         spec = CochainSpec(2, {tsub(1): Poly.var(tsub(1))})
         table = deformed_table(params, spec)
         want = {0: Poly.var(S), 1: Poly.var(tsub(1), 1, -1)}
-        assert table.product(1, 1) == want, f'r=2: w_1^2 = {table.product(1, 1)}'
+        _require(table.product(1, 1) == want, f'r=2: w_1^2 = {table.product(1, 1)}')
 
     _timed(report, 'worked r = 2: w_1^2 = s w_0 - t_1 w_1', worked_r2)
 
@@ -353,13 +342,13 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
         for (j, i), cell in want.items():
             got = table.product(j, i)
             cell = {k: v for k, v in cell.items() if not v.is_zero()}
-            assert got == cell, f'r=4 second component ({j},{i}): {got} want {cell}'
-        assert table.associator_violation() is None
+            _require(got == cell, f'r=4 second component ({j},{i}): {got} want {cell}')
+        _require(table.associator_violation() is None)
         # tau-fiber at t_2 = 1 is a full 2x2 matrix algebra
         ordr = build_order(2, 1)
-        assert certify_full_matrix_fiber(ordr, 1), 'fiber at t=1 not Mat_2'
+        _require(certify_full_matrix_fiber(ordr, 1), 'fiber at t=1 not Mat_2')
         rep = cross_check(2, 1)
-        assert rep.matched and rep.identical
+        _require(rep.matched and rep.identical)
 
     _timed(report, 'worked r = 4 second component (displayed w_3 w_1 sign corrected) '
                    '+ Mat_2 fiber', worked_r4_second)
@@ -389,8 +378,9 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
                         want = {i: -tr}
                     else:
                         want = {}
-                    assert got == want, f'(r,1) r={r} first component ({j},{i}): {got}'
-            assert table.associator_violation() is None
+                    _require(got == want,
+                             f'(r,1) r={r} first component ({j},{i}): {got}')
+            _require(table.associator_violation() is None)
 
     _timed(report, f'(r,1) first-component presentation, r <= {max_r_first}',
            first_component)
@@ -398,7 +388,7 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
     def mc_vacuity():
         for params in coprime_pairs(32):
             degs = full_ainf(params).degrees_present()
-            assert degs <= {0, 1}, f'({params.r},{params.a}): degrees {degs}'
+            _require(degs <= {0, 1}, f'({params.r},{params.a}): degrees {degs}')
 
     _timed(report, 'no degree-2 generators (Maurer-Cartan vacuous), r <= 32',
            mc_vacuity)
@@ -475,8 +465,8 @@ def suite_order(max_n: int = 5) -> VerifyReport:
             for i in range(n):
                 for j in range(n):
                     got = format_cell(ordr.cells[i][j])
-                    assert got == rows[i][j], \
-                        f'(n={n},q={q}) cell ({i+1},{j+1}): {got!r} != {rows[i][j]!r}'
+                    _require(got == rows[i][j],
+                             f'(n={n},q={q}) cell ({i+1},{j+1}): {got!r} != {rows[i][j]!r}')
         ordr = build_order(2, 1)
         from .polyring import parse_poly
         for i in range(2):
@@ -490,7 +480,7 @@ def suite_order(max_n: int = 5) -> VerifyReport:
                             sgn *= EXAMPLE_2_1_SIGN_FLIPS[v[1]] ** e
                     flipped = flipped + Poly(dict([(m, sgn * c)]))
                 got = parse_poly(format_cell(ordr.cells[i][j]))
-                assert got == flipped, f'(2,1) cell ({i+1},{j+1})'
+                _require(got == flipped, f'(2,1) cell ({i+1},{j+1})')
 
     _timed(report, 'golden matrices n = 2..5 term-for-term '
                    '(2,1 via the documented sign substitution)', goldens)
@@ -502,18 +492,19 @@ def suite_order(max_n: int = 5) -> VerifyReport:
         def one_order(n=n, q=q):
             ordr = build_order(n, q)
             consts = structure_constants(ordr)  # closure + polynomiality
-            assert all(consts[(0, i)] == {i: _poly_one()} for i in range(ordr.r))
+            _require(all(consts[(0, i)] == {i: _poly_one()} for i in range(ordr.r)))
             rep0 = fiber_zero_report(ordr)
-            assert rep0.matches, f'({n},{q}) t=0 fiber is not the expected algebra'
+            _require(rep0.matches, f'({n},{q}) t=0 fiber is not the expected algebra')
             for tau in (1, 2):
-                assert certify_full_matrix_fiber(ordr, tau), \
-                    f'({n},{q}) fiber at t={tau} does not span Mat_n'
+                _require(certify_full_matrix_fiber(ordr, tau),
+                         f'({n},{q}) fiber at t={tau} does not span Mat_n')
             repi = infinity_fiber(ordr)
-            assert repi.degree_bounds_ok, f'({n},{q}) degree bounds: {repi.violations[:3]}'
-            assert repi.matches_negated, f'({n},{q}) infinity fiber mismatch'
+            _require(repi.degree_bounds_ok,
+                     f'({n},{q}) degree bounds: {repi.violations[:3]}')
+            _require(repi.matches_negated, f'({n},{q}) infinity fiber mismatch')
             from .kkalg import AlgebraTable
             table = AlgebraTable(ordr.r, {p: dict(c) for p, c in consts.items()})
-            assert table.associator_violation() is None
+            _require(table.associator_violation() is None)
 
         _timed(report, f'order ({n},{q}): closure, t=0 fiber, Mat_n fibers, '
                        f'infinity fiber', one_order)
@@ -537,7 +528,7 @@ def suite_cross(max_n: int = 4) -> VerifyReport:
 
             def one(n=n, q=q):
                 rep = cross_check(n, q)
-                assert rep.matched, f'({n},{q}) mismatch at {rep.first_mismatch}'
+                _require(rep.matched, f'({n},{q}) mismatch at {rep.first_mismatch}')
                 return (True, 'identical' if rep.identical else
                         'up to diagonal signs')
 

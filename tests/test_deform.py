@@ -1,12 +1,14 @@
 import pytest
 
+import wahlorder.deform as deform_mod
 from wahlorder.resarith import SingularityParams
 from wahlorder.polyring import Poly, S, tsub, parse_poly, format_poly
 from wahlorder.kkalg import kk_table, poly_table
 from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
                               insert_cochain, AinfTable, NotInsertableError,
                               diff_matrix, def0_generators, CochainSpec,
-                              check_point, deformed_table, SpecNotFlatError)
+                              check_point, deformed_table, SpecNotFlatError,
+                              DeformedOps)
 from wahlorder.verify import (a1_diff_expected, component_specs_15_4,
                               component_specs_19_7)
 from wahlorder.order import wahl_cochain
@@ -74,6 +76,115 @@ def test_visible_zero_limit_is_kk():
                         assert cz == Poly.const(1)
                         got[out[0]] = 1
                 assert got == table.product(a2[0], a1[0])
+
+
+def _entrywise_sum(*tables):
+    """{'m1': ..., 'm2': ..., 'm3': ...} of the tables added entry by entry,
+    zero coefficients and empty cells dropped."""
+    total = {}
+    for name in ('m1', 'm2', 'm3'):
+        acc = {}
+        for t in tables:
+            for key, cell in getattr(t, name).items():
+                for out, c in cell.items():
+                    acc[(key, out)] = acc.get((key, out), Poly.zero()) + c
+        nested = {}
+        for (key, out), c in acc.items():
+            if not c.is_zero():
+                nested.setdefault(key, {})[out] = c
+        total[name] = nested
+    return total
+
+
+@pytest.mark.parametrize('r,a', [(2, 1), (5, 2), (9, 2), (15, 4), (16, 3)])
+def test_full_ainf_is_hidden_plus_visible(r, a):
+    params = SingularityParams(r, a)
+    full = full_ainf(params)
+    want = _entrywise_sum(hidden_ainf(params), visible_contributions(params))
+    assert {'m1': full.m1, 'm2': full.m2, 'm3': full.m3} == want
+
+
+def _t(*indices):
+    w = ONE
+    for i in indices:
+        w = w * Poly.var(tsub(i))
+    return w
+
+
+# (input slots, highest first) -> (differential or product, its key, the
+# weight) or None when the insertion rule drops the entry
+INSERTION_CASES = [
+    (((1, 0),), ('d', 1, ONE)),                            # m_1(x)
+    (((1, 1),), None),                                     # degree-1 m_1 input
+    (((2, 0), (3, 0)), ('p', (2, 3), ONE)),                # m_2(x, y)
+    (((1, 1), (2, 0)), ('d', 2, _t(1))),                   # m_2(b, x)
+    (((3, 0), (2, 1)), ('d', 3, _t(2))),                   # m_2(x, b)
+    (((0, 1), (2, 0)), None),                              # t_0 slot
+    (((3, 0), (0, 1)), None),                              # t_0 slot
+    (((1, 1), (2, 1)), None),                              # m_2(b, b)
+    (((1, 1), (2, 1), (3, 0)), ('d', 3, _t(1, 2))),        # m_3(b, b, x)
+    (((1, 1), (2, 0), (3, 1)), ('d', 2, _t(1, 3))),        # m_3(b, x, b)
+    (((1, 0), (2, 1), (3, 1)), ('d', 1, _t(2, 3))),        # m_3(x, b, b)
+    (((2, 1), (2, 1), (1, 0)), ('d', 1, _t(2, 2))),        # repeated slot
+    (((1, 1), (2, 0), (3, 0)), ('p', (2, 3), _t(1))),      # m_3(b, x, y)
+    (((1, 0), (2, 1), (3, 0)), ('p', (1, 3), _t(2))),      # m_3(x, b, y)
+    (((3, 0), (2, 0), (1, 1)), ('p', (3, 2), _t(1))),      # m_3(x, y, b)
+    (((1, 0), (2, 0), (3, 0)), None),                      # three inputs
+    (((1, 1), (2, 1), (3, 1)), None),                      # m_3(b, b, b)
+    (((2, 1), (0, 1), (1, 0)), None),                      # t_0 slot
+    (((0, 1), (1, 0), (2, 0)), None),                      # t_0 slot
+]
+
+
+@pytest.mark.parametrize('slots,expected', INSERTION_CASES)
+def test_insertion_rule(slots, expected):
+    r, out, coeff = 4, (1, 1), Poly.var(S).scale(3)
+    table = AinfTable()
+    {1: table.add_m1, 2: table.add_m2, 3: table.add_m3}[len(slots)](*slots, out, coeff)
+    ops = insert_cochain(table, r)
+    assert list(ops.differentials) == list(range(r))
+    assert list(ops.products) == [(j, i) for j in range(r) for i in range(r)]
+    found = {('d', i): c for i, c in ops.differentials.items() if c}
+    found.update({('p', k): c for k, c in ops.products.items() if c})
+    if expected is None:
+        assert found == {}
+    else:
+        kind, key, weight = expected
+        assert found == {(kind, key): {out: coeff * weight}}
+
+
+def test_insertion_accumulates_across_arities():
+    # m_1, m_2 and m_3 entries landing in the same cell add up, and a sum
+    # that cancels leaves no coefficient behind
+    table = AinfTable()
+    table.add_m1((3, 0), (1, 1), -_t(1, 2))
+    table.add_m2((3, 0), (2, 1), (1, 1), ONE)
+    table.add_m3((1, 1), (2, 1), (3, 0), (1, 1), ONE)
+    table.add_m2((2, 0), (3, 0), (1, 0), ONE)
+    table.add_m3((1, 1), (2, 0), (3, 0), (1, 0), ONE)
+    ops = insert_cochain(table, 4)
+    assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {(1, 1): _t(2)}}
+    assert {k: c for k, c in ops.products.items() if c} == {
+        (2, 3): {(1, 0): ONE + _t(1)}}
+
+
+@pytest.mark.parametrize('differentials', [
+    {0: {(1, 1): ONE}, 1: {}, 2: {}},          # the unit is not closed
+    {0: {}, 1: {(2, 0): ONE}, 2: {}},          # dw_1 hits degree 0
+    {0: {}, 1: {(0, 1): ONE}, 2: {}},          # dw_1 hits wbar_0
+])
+def test_diff_matrix_invariants_raise_arithmetic_error(differentials):
+    with pytest.raises(ArithmeticError):
+        diff_matrix(SingularityParams(3, 1), DeformedOps(3, differentials, {}))
+
+
+def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
+    # (5,2) has b = 3: the rectangle [0,1] x [1,2] has its NE corner at
+    # label 4, so it cannot be an NE-orange rectangle
+    monkeypatch.setattr(deform_mod, '_permitted_rectangles',
+                        lambda params: iter([(1, 1, 1, True)]))
+    with pytest.raises(ArithmeticError):
+        full_ainf(SingularityParams(5, 2))
 
 
 def test_insert_cochain_zero_is_identity():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
                                 format_poly, solve_in_span, solve_in_span_many,
                                 is_polynomial, RationalCoord,
-                                DeficientBasisError, OutOfSpanError)
+                                DeficientBasisError, OutOfSpanError, _udivides)
 
 VARS = [S, T, tsub(1), tsub(2), tsub(14), acoef(8)]
 
@@ -242,3 +242,16 @@ def test_solve_in_span_random_vs_fraction_oracle():
                         acc += num.eval_at(pt) / dv * b[i][j].eval_at(pt)
                     else:
                         assert acc == target[i][j].eval_at(pt)
+
+
+@pytest.mark.parametrize('q,p,want', [
+    ([1, 2], [3, 5, -2], [3, -1]),      # (1 + 2t)(3 - t): non-monic, exact
+    ([0, -3], [0, 6, -3], [-2, 1]),     # negative leading coefficient
+    ([0, 2], [0, 1], None),             # t / 2t = 1/2 is not integral
+    ([2, 2], [1, 1], None),             # exact over Q, quotient 1/2
+    ([1, 1], [1, 0, 1], None),          # nonzero remainder
+    ([1, 0, 1], [1, 1], None),          # divisor of higher degree
+    ([1, 2], [], []),                   # zero dividend
+])
+def test_udivides(q, p, want):
+    assert _udivides(q, p) == want

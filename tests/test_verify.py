@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wahlorder
 import wahlorder.order as order_mod
-from wahlorder.verify import VerifyReport, _timed, suite_order
+from wahlorder.verify import CheckFailed, VerifyReport, _require, _timed, suite_order
 
 
 def test_timed_records_any_exception_as_fail():
@@ -35,3 +43,44 @@ def test_solver_error_fails_one_check_not_the_suite(monkeypatch):
     assert len(failed) == 3  # (2,1), (3,1) and (3,2)
     assert all(c.detail == 'ArithmeticError: not closed' for c in failed)
     assert 'suite order: FAIL' in report.render()
+
+
+def test_timed_accepts_only_none_or_a_pair():
+    report = VerifyReport('x')
+    _timed(report, 'str', lambda: 'ok')
+    _timed(report, 'true', lambda: True)
+    _timed(report, 'pair', lambda: (True, 'identical'))
+    _timed(report, 'require', lambda: _require(1 + 1 == 3, 'arithmetic'))
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ('str', False), ('true', False), ('pair', True), ('require', False)]
+    assert report.checks[0].detail.startswith('TypeError: ')
+    assert report.checks[3].detail == 'arithmetic'
+
+
+def test_require_raises_check_failed():
+    _require(True, 'fine')
+    with pytest.raises(CheckFailed, match='broken'):
+        _require(False, 'broken')
+    assert issubclass(CheckFailed, AssertionError)
+
+
+_SABOTAGE = """
+import wahlorder.verify as v
+from wahlorder.kkalg import AlgebraTable
+if {sabotage}:
+    v.kk_table = lambda p: AlgebraTable(p.r)
+print(v.suite_kk(max_r=8).render(), end='')
+"""
+
+
+@pytest.mark.parametrize('sabotage,verdict', [(True, 'FAIL'), (False, 'PASS')])
+def test_kk_verdict_survives_python_O(sabotage, verdict):
+    # an empty kk_table must fail the suite even with assert statements
+    # compiled out
+    src = Path(wahlorder.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, '-O', '-c', _SABOTAGE.format(sabotage=sabotage)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f'suite kk: {verdict}\n')
