@@ -26,15 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .resarith import SingularityParams, bracket
-from .polyring import Poly, S, tsub, format_poly
+from .polyring import Poly, S, tsub, format_poly, _mono_mul
 
 Generator = tuple  # (index in Z_r, degree 0 or 1)
 
 
 def _accumulate(table: dict, key, out: Generator, coeff: Poly):
-    """table[key][out] += coeff, dropping zero coefficients and empty cells."""
+    """table[key][out] += coeff, dropping zero coefficients and empty cells.
+
+    A coefficient landing in an empty slot is stored as it is, not copied:
+    Poly is immutable, so cells may share one object.  Only a collision
+    builds a new Poly."""
     cell = table.setdefault(key, {})
-    new = cell.get(out, Poly.zero()) + coeff
+    old = cell.get(out)
+    new = coeff if old is None else old + coeff
     if new.is_zero():
         cell.pop(out, None)
         if not cell:
@@ -86,7 +91,7 @@ def hidden_ainf(params: SingularityParams) -> AinfTable:
     the six Gauss-word families.  m_1 = 0 and m_k = 0 for k >= 4."""
     r = params.r
     t = AinfTable()
-    one = Poly.const(1)
+    one, minus = Poly.const(1), Poly.const(-1)
 
     # units and the pairing with the degree-1 partners
     for i in range(r):
@@ -94,15 +99,15 @@ def hidden_ainf(params: SingularityParams) -> AinfTable:
         if i != 0:
             t.m2[((0, 0), (i, 0))] = {(i, 0): one}
         t.m2[((i, 1), (0, 0))] = {(i, 1): one}
-        t.m2[((0, 0), (i, 1))] = {(i, 1): Poly.const(-1)}
+        t.m2[((0, 0), (i, 1))] = {(i, 1): minus}
         if i != 0:
             t.m2[((i, 1), (i, 0))] = {(0, 1): one}
-            t.m2[((i, 0), (i, 1))] = {(0, 1): Poly.const(-1)}
+            t.m2[((i, 0), (i, 1))] = {(0, 1): minus}
 
     # per-crossing triples
     for i in range(1, r):
-        t.add_m3((i, 1), (i, 0), (i, 1), (i, 1), Poly.const(-1))
-        t.add_m3((i, 1), (i, 0), (0, 1), (0, 1), Poly.const(-1))
+        t.add_m3((i, 1), (i, 0), (i, 1), (i, 1), minus)
+        t.add_m3((i, 1), (i, 0), (0, 1), (0, 1), minus)
         t.add_m3((i, 0), (i, 1), (0, 1), (0, 1), one)
 
     # Gauss-word families; (x, y) ranges over ordered occurrence pairs
@@ -112,14 +117,14 @@ def hidden_ainf(params: SingularityParams) -> AinfTable:
             if x != y and pos[x] < pos[y]:
                 # both occurrences in the second half
                 t.add_m3((y, 0), (x, 1), (x, 0), (y, 0), one)
-                t.add_m3((x, 1), (x, 0), (y, 1), (y, 1), Poly.const(-1))
+                t.add_m3((x, 1), (x, 0), (y, 1), (y, 1), minus)
             # x in the first half, y in the second: every pair, x = y allowed
             t.add_m3((x, 0), (x, 1), (y, 1), (y, 1), one)
-            t.add_m3((y, 0), (x, 0), (x, 1), (y, 0), Poly.const(-1))
+            t.add_m3((y, 0), (x, 0), (x, 1), (y, 0), minus)
             if x > y:
                 # both occurrences in the first half
-                t.add_m3((y, 1), (x, 0), (x, 1), (y, 1), Poly.const(-1))
-                t.add_m3((x, 0), (x, 1), (y, 0), (y, 0), Poly.const(-1))
+                t.add_m3((y, 1), (x, 0), (x, 1), (y, 1), minus)
+                t.add_m3((x, 0), (x, 1), (y, 0), (y, 0), minus)
     return t
 
 
@@ -165,8 +170,9 @@ def _add_rectangles(params: SingularityParams, t: AinfTable):
     """Add the readings of every permitted rectangle to t, with the sign
     conventions documented at visible_contributions."""
     r, b = params.r, params.b
-    one = Poly.const(1)
+    one, minus = Poly.const(1), Poly.const(-1)
     s = Poly.var(S)
+    minus_s = s.scale(-1)
     for (c, X, Y, ne_or) in _permitted_rectangles(params):
         gSW = c
         gSE = bracket(c - b * X, r)
@@ -187,23 +193,23 @@ def _add_rectangles(params: SingularityParams, t: AinfTable):
             if ne_or:
                 t.add_m2(wNW, wSE, (gSW, 0), s)
             else:
-                t.add_m3(wNW, (gNE, 1), wSE, (gSW, 0), Poly.const(-1))
+                t.add_m3(wNW, (gNE, 1), wSE, (gSW, 0), minus)
         # D: input at SE, output wbar at NW / E: input at NW, output wbar at SE
         if sw_or and ne_or:
-            t.add_m1(wSE, (gNW, 1), s.scale(-1))
+            t.add_m1(wSE, (gNW, 1), minus_s)
             t.add_m1(wNW, (gSE, 1), s)
             # Morse-maximum insertions at the smoothed corners
             t.add_m2((0, 1), wNW, (gSE, 1), s)
-            t.add_m2(wSE, (0, 1), (gNW, 1), s.scale(-1))
+            t.add_m2(wSE, (0, 1), (gNW, 1), minus_s)
         elif sw_or:
             t.add_m2((gNE, 1), wSE, (gNW, 1), one)
-            t.add_m2(wNW, (gNE, 1), (gSE, 1), Poly.const(-1))
+            t.add_m2(wNW, (gNE, 1), (gSE, 1), minus)
         elif ne_or:
-            t.add_m2(wSE, (gSW, 1), (gNW, 1), s.scale(-1))
+            t.add_m2(wSE, (gSW, 1), (gNW, 1), minus_s)
             t.add_m2((gSW, 1), wNW, (gSE, 1), s)
         else:
             t.add_m3((gNE, 1), wSE, (gSW, 1), (gNW, 1), one)
-            t.add_m3((gSW, 1), wNW, (gNE, 1), (gSE, 1), Poly.const(-1))
+            t.add_m3((gSW, 1), wNW, (gNE, 1), (gSE, 1), minus)
 
 
 def visible_contributions(params: SingularityParams) -> AinfTable:
@@ -235,7 +241,8 @@ def full_ainf(params: SingularityParams) -> AinfTable:
 # ---------------------------------------------------------------------------
 
 class NotInsertableError(ValueError):
-    """The table has operations above m_3, which insertion does not support."""
+    """The table cannot be deformed: it has generators outside degrees 0
+    and 1, or an entry whose input or slot indices are not in Z_r."""
 
 
 @dataclass
@@ -260,21 +267,29 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
     remains and to m_2^b(x, y) = products[(x, y)] if two remain.  With no
     inputs left it is a Maurer-Cartan term, vacuous as nothing lives in
     degree 2; three inputs would need an output in degree -1.
+
+    Cells accumulate as raw {monomial: int} terms, each product monomial is
+    formed once per (coefficient monomial, t-indices) pair, and a term or an
+    output is dropped as soon as it reaches zero, so every dict keeps the
+    order that Poly arithmetic gives it; each cell is wrapped into Polys
+    once, at the end.  An input or slot index outside Z_r raises
+    NotInsertableError, even where the entries at that key cancel.
     """
     if ainf.degrees_present() - {0, 1}:
         raise NotInsertableError("generators must live in degrees 0 and 1")
+    tvars = [((tsub(i), 1),) for i in range(r)]
+    monos = {}  # (coefficient monomial, t-indices) -> product monomial
     diffs, prods = {}, {}
     entries = [((x,), cell) for x, cell in ainf.m1.items()]
     for slots, cell in entries + list(ainf.m2.items()) + list(ainf.m3.items()):
-        inputs, weight = (), None
+        inputs, tidx = (), ()
         for index, degree in slots:
             if degree == 0:
                 inputs += (index,)
             elif index == 0:
                 break  # t_0 = 0: the entry contributes nothing
             else:
-                t = Poly.var(tsub(index))
-                weight = t if weight is None else weight * t
+                tidx += (index,)
         else:
             if len(inputs) == 1:
                 target, key = diffs, inputs[0]
@@ -282,12 +297,39 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
                 target, key = prods, inputs
             else:
                 continue  # a Maurer-Cartan term, or an output in degree -1
+            dest = target.setdefault(key, {})
             for out, coeff in cell.items():
-                _accumulate(target, key, out,
-                            coeff if weight is None else coeff * weight)
+                terms = dest.setdefault(out, {})
+                for m, c in coeff.terms.items():
+                    pm = monos.get((m, tidx))
+                    if pm is None:
+                        pm = m
+                        for i in tidx:
+                            if not 0 < i < r:
+                                raise NotInsertableError(
+                                    f"cochain slot index {i!r} is not in Z_{r}")
+                            pm = _mono_mul(pm, tvars[i])
+                        monos[(m, tidx)] = pm
+                    c = terms.get(pm, 0) + c
+                    if c:
+                        terms[pm] = c
+                    else:
+                        del terms[pm]
+                if not terms:
+                    del dest[out]
+    for key in diffs:
+        if key not in range(r):
+            raise NotInsertableError(f"differential key {key!r} is not in Z_{r}")
+    for key in prods:
+        if len(key) != 2 or not all(i in range(r) for i in key):
+            raise NotInsertableError(f"product key {key!r} is not a pair in Z_{r}")
+
+    def wrapped(cell):
+        return {out: Poly(terms) for out, terms in cell.items()}
+
     return DeformedOps(
-        r, {i: diffs.get(i, {}) for i in range(r)},
-        {(j, i): prods.get((j, i), {}) for j in range(r) for i in range(r)})
+        r, {i: wrapped(diffs.get(i, {})) for i in range(r)},
+        {(j, i): wrapped(prods.get((j, i), {})) for j in range(r) for i in range(r)})
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,10 @@ def _kk_pair_check(params: SingularityParams):
     for j in range(r):
         for i in range(r):
             c = kk_product_closed(params, j, i)
-            _require(c == kk_product_rect(params, j, i),
-                     f'({r},{a}): closed/rect disagree at ({j},{i})')
-            _require(c == diag.product(j, i),
-                     f'({r},{a}): closed/young disagree at ({j},{i})')
+            if c != kk_product_rect(params, j, i):
+                raise CheckFailed(f'({r},{a}): closed/rect disagree at ({j},{i})')
+            if c != diag.product(j, i):
+                raise CheckFailed(f'({r},{a}): closed/young disagree at ({j},{i})')
     table = kk_table(params)
     _require(table.is_unital(), f'({r},{a}): not unital')
     bad = table.associator_violation()

@@ -1,3 +1,6 @@
+import re
+from math import gcd
+
 import pytest
 
 import wahlorder.deform as deform_mod
@@ -166,6 +169,111 @@ def test_insertion_accumulates_across_arities():
     assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {(1, 1): _t(2)}}
     assert {k: c for k, c in ops.products.items() if c} == {
         (2, 3): {(1, 0): ONE + _t(1)}}
+
+
+def _reference_insertion(ainf, r):
+    """insert_cochain read entry by entry in Poly arithmetic: the weight is a
+    product of Poly.var factors, each contribution a Poly sum, and an output
+    or key is dropped as soon as it reaches zero."""
+    diffs, prods = {}, {}
+    for slots, cell in ([((x,), c) for x, c in ainf.m1.items()]
+                        + list(ainf.m2.items()) + list(ainf.m3.items())):
+        inputs = tuple(i for i, d in slots if d == 0)
+        ts = [i for i, d in slots if d == 1]
+        if 0 in ts or len(inputs) not in (1, 2):
+            continue
+        target, key = (diffs, inputs[0]) if len(inputs) == 1 else (prods, inputs)
+        weight = ONE
+        for i in ts:
+            weight = weight * Poly.var(tsub(i))
+        for out, coeff in cell.items():
+            cur = target.setdefault(key, {})
+            new = cur.get(out, Poly.zero()) + coeff * weight
+            if new.is_zero():
+                cur.pop(out, None)
+                if not cur:
+                    del target[key]
+            else:
+                cur[out] = new
+    return ({i: diffs.get(i, {}) for i in range(r)},
+            {(j, i): prods.get((j, i), {}) for j in range(r) for i in range(r)})
+
+
+def _ordered(cells):
+    """Cells as nested lists, so that comparing them compares key order at
+    every level: keys, outputs and the terms of each coefficient."""
+    return [(k, [(out, list(c.terms.items())) for out, c in cell.items()])
+            for k, cell in cells.items()]
+
+
+def _assert_matches_reference(table, r):
+    ops = insert_cochain(table, r)
+    diffs, prods = _reference_insertion(table, r)
+    assert _ordered(ops.differentials) == _ordered(diffs)
+    assert _ordered(ops.products) == _ordered(prods)
+    return ops
+
+
+@pytest.mark.parametrize('r', range(2, 13))
+def test_insertion_matches_poly_reference(r):
+    for a in range(1, r):
+        if gcd(a, r) == 1:
+            _assert_matches_reference(full_ainf(SingularityParams(r, a)), r)
+
+
+def test_insertion_drops_on_zero_and_reappends():
+    # entries that cancel to zero and come back: a dropped term or output
+    # returns at the end of its dict, exactly as in Poly arithmetic
+    x, A, B, C = (3, 0), (1, 1), (2, 1), (1, 0)
+    s = Poly.var(S)
+    table = AinfTable()
+    table.add_m1(x, A, _t(1))
+    table.add_m1(x, B, _t(2) + s)
+    table.add_m2((1, 1), x, A, -ONE)           # A cancels
+    table.add_m2((2, 1), x, B, -ONE)           # the t_2 term of B cancels
+    table.add_m2(x, (2, 1), B, ONE)            # ... and comes back last
+    table.add_m2(x, (2, 1), A, ONE)            # A comes back after B
+    table.add_m3((1, 1), (2, 0), x, C, ONE)
+    table.add_m3((2, 0), (1, 1), x, C, -ONE)   # products[(2, 3)] cancels
+    table.add_m3((2, 0), x, (2, 1), C, ONE)    # ... and comes back
+    ops = _assert_matches_reference(table, 4)
+    assert list(ops.differentials[3]) == [B, A]
+    assert ops.differentials[3] == {B: s + _t(2), A: _t(2)}
+    assert list(ops.differentials[3][B].terms) == [((S, 1),), ((tsub(2), 1),)]
+    assert {k: c for k, c in ops.products.items() if c} == {(2, 3): {C: _t(2)}}
+
+
+def test_accumulate_stores_once_and_leaves_no_empty_cell():
+    table, s = {}, Poly.var(S)
+    deform_mod._accumulate(table, 'k', (1, 0), Poly.zero())
+    assert table == {}
+    deform_mod._accumulate(table, 'k', (1, 0), s)
+    assert table['k'][(1, 0)] is s  # stored as it is, not copied
+    deform_mod._accumulate(table, 'k', (1, 0), -s)
+    assert table == {}
+
+
+@pytest.mark.parametrize('slots,key', [
+    (((4, 0), (1, 0)), '(4, 1)'),              # product key outside Z_4
+    (((1, 0), (-1, 0)), '(1, -1)'),
+    (((4, 0),), '4'),                          # differential key outside Z_4
+    (((2, 1), (-1, 0)), '-1'),
+    (((4, 1), (1, 0)), '4'),                   # cochain slot outside Z_4
+    (((-1, 1), (1, 0)), '-1'),
+])
+def test_insertion_rejects_indices_outside_z_r(slots, key):
+    table = AinfTable()
+    {1: table.add_m1, 2: table.add_m2}[len(slots)](*slots, (1, 1), ONE)
+    with pytest.raises(NotInsertableError, match=re.escape(key)):
+        insert_cochain(table, 4)
+
+
+def test_out_of_range_key_raises_even_when_it_cancels():
+    table = AinfTable()
+    table.add_m3((1, 1), (4, 0), (2, 0), (1, 0), ONE)
+    table.add_m3((4, 0), (1, 1), (2, 0), (1, 0), -ONE)
+    with pytest.raises(NotInsertableError, match=re.escape('(4, 2)')):
+        insert_cochain(table, 4)
 
 
 @pytest.mark.parametrize('differentials', [

@@ -7,6 +7,8 @@ import pytest
 
 import wahlorder
 import wahlorder.order as order_mod
+import wahlorder.verify as verify_mod
+from wahlorder.resarith import SingularityParams
 from wahlorder.verify import CheckFailed, VerifyReport, _require, _timed, suite_order
 
 
@@ -62,6 +64,13 @@ def test_require_raises_check_failed():
     with pytest.raises(CheckFailed, match='broken'):
         _require(False, 'broken')
     assert issubclass(CheckFailed, AssertionError)
+
+
+def test_kk_pair_check_names_the_disagreement(monkeypatch):
+    monkeypatch.setattr(verify_mod, 'kk_product_rect', lambda params, j, i: {})
+    with pytest.raises(CheckFailed) as info:
+        verify_mod._kk_pair_check(SingularityParams(5, 2))
+    assert str(info.value) == '(5,2): closed/rect disagree at (0,0)'
 
 
 _SABOTAGE = """
