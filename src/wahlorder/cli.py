@@ -2,7 +2,8 @@
 
 Subcommands: kk | gauss | deform | order | verify, with --format and --out.
 Exit codes: 0 success, 1 a check failed, a cochain is not flat or an exact
-computation failed (ArithmeticError), 2 bad parameters or parse errors.
+computation failed (ArithmeticError), 2 bad parameters, parse errors or a
+size over the budget of its command.
 """
 
 from __future__ import annotations
@@ -31,12 +32,33 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _params(args) -> SingularityParams:
+# Size budgets, one per cost class; a larger size exits 2 before anything is
+# built.  Each is set so that the slowest call measured at the budget, over a
+# (or q) and the output formats, stays under about 5 s and 200 MB peak RSS,
+# run as a fresh `python -m wahlorder` process on 2 CPUs with Python 3.11.7:
+#   kk      r = 500:    a = 499, --format svg       1.5 s, 192 MB (r^2 cells)
+#   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
+#   deform  r = 64:     a = 63,  --table --spec     4.8 s, 172 MB
+#   order   n = 10:     q = 3,   --fiber zero       4.2 s, 153 MB
+MAX_KK_R = 500
+MAX_GAUSS_R = 500_000
+MAX_DEFORM_R = 64
+MAX_ORDER_N = 10
+
+
+def _within_budget(command: str, name: str, value: int, budget: int):
+    if value > budget:
+        raise ValueError(f'{name} = {value} is over the size budget of '
+                         f'{command} ({name} <= {budget})')
+
+
+def _params(args, max_r: int) -> SingularityParams:
+    _within_budget(args.command, 'r', args.r, max_r)
     return SingularityParams(args.r, args.a)
 
 
 def cmd_kk(args) -> int:
-    params = _params(args)
+    params = _params(args, MAX_KK_R)
     table = kk_table(params)
     if args.format == 'svg':
         _write(args, render.lattice_svg(params))
@@ -54,7 +76,7 @@ def cmd_kk(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    params = _params(args)
+    params = _params(args, MAX_GAUSS_R)
     if args.format == 'json':
         _write(args, render.dumps(render.gauss_json(params)))
     else:
@@ -65,7 +87,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    params = _params(args)
+    params = _params(args, MAX_DEFORM_R)
     dm = diff_matrix(params)
     if args.table:
         if not args.spec:
@@ -98,6 +120,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_order(args) -> int:
+    _within_budget('order', 'n', args.n, MAX_ORDER_N)
     ordr = build_order(args.n, args.q)
     if args.fiber:
         if args.fiber == 'zero':

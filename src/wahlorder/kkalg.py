@@ -45,29 +45,52 @@ class AlgebraTable:
             self.products.pop((j, i), None)
 
     def is_unital(self) -> bool:
+        one = _one_like(self)
         for x in range(self.dim):
-            if self.product(0, x) != {x: _one_like(self)} or \
-               self.product(x, 0) != {x: _one_like(self)}:
+            if self.product(0, x) != {x: one} or self.product(x, 0) != {x: one}:
                 return False
         return True
 
     def associator_violation(self):
-        """First triple (k, j, i) with (w_k w_j) w_i != w_k (w_j w_i), or None."""
+        """First triple (k, j, i) with (w_k w_j) w_i != w_k (w_j w_i), or None.
+
+        Triples are taken in lexicographic order with k, j, i in range(dim),
+        so the answer is the least (k, j) with a failing i, completed by the
+        least such i.  The stored products are indexed once by row,
+        m -> [(i, cell)] for the i in range(dim); m itself may lie outside
+        range(dim), as an output index of a cell may.  For each (k, j) both
+        sides are then formed for every i at once: (w_k w_j) w_i sums
+        c * row_m over the entries m: c of the cell (k, j), and w_k (w_j w_i)
+        pushes each cell (j, i) of row_j through the products (k, m).  Only
+        products that can make a side nonzero are read.  Each coefficient is
+        summed in the same order as in the triple-by-triple definition and
+        compared with zero coefficients dropped, so int and Poly tables give
+        the same answer as that definition.
+        """
         d = self.dim
-        for k in range(d):
-            for j in range(d):
-                kj = self.product(k, j)
-                for i in range(d):
-                    left = {}
-                    for m, c in kj.items():
-                        for l, c2 in self.product(m, i).items():
-                            _acc(left, l, c * c2)
-                    right = {}
-                    for m, c in self.product(j, i).items():
-                        for l, c2 in self.product(k, m).items():
-                            _acc(right, l, c * c2)
-                    if _clean(left) != _clean(right):
-                        return (k, j, i)
+        span = range(d)
+        get = self.products.get
+        rows = {}
+        for (m, i), cell in self.products.items():
+            if i in span:
+                rows.setdefault(m, []).append((i, cell))
+        for k in span:
+            for j in span:
+                left, right = {}, {}
+                for m, c in get((k, j), {}).items():
+                    for i, cell in rows.get(m, ()):
+                        _add_scaled(left.setdefault(i, {}), c, cell)
+                for i, cell in rows.get(j, ()):
+                    for m, c in cell.items():
+                        km = get((k, m))
+                        if km:
+                            _add_scaled(right.setdefault(i, {}), c, km)
+                if left == right:  # then also equal with zeros dropped
+                    continue
+                bad = [i for i in left.keys() | right.keys()
+                       if _clean(left.get(i, {})) != _clean(right.get(i, {}))]
+                if bad:
+                    return (k, j, min(bad))
         return None
 
     def opposite(self) -> 'AlgebraTable':
@@ -107,9 +130,12 @@ def _one_like(table: AlgebraTable):
     return 1
 
 
-def _acc(d, k, c):
-    c2 = d.get(k)
-    d[k] = c if c2 is None else c2 + c
+def _add_scaled(side, c, cell):
+    """side += c * cell, each new term added after the ones already there."""
+    for k, c2 in cell.items():
+        term = c * c2
+        old = side.get(k)
+        side[k] = term if old is None else old + term
 
 
 def _clean(d):
@@ -142,13 +168,18 @@ def kk_product_rect(params: SingularityParams, j: int, i: int):
 
 
 def kk_table(params: SingularityParams) -> AlgebraTable:
+    """R_{r,a} by the gap rule, row by row.
+
+    m(j) is computed once per row j, and w_j w_i = w_{j+i} is stored for
+    i < m(j) (m(0) = r; every other m(j) is below r).  Keys come out in the
+    order (j, i) ascending, the order in which kk_product_closed over all
+    pairs would give them.
+    """
     r = params.r
     products = {}
     for j in range(r):
-        for i in range(r):
-            k = kk_product_closed(params, j, i)
-            if k is not None:
-                products[(j, i)] = {k: 1}
+        for i in range(m_of(j, params)):
+            products[(j, i)] = {(j + i) % r: 1}
     return AlgebraTable(r, products)
 
 

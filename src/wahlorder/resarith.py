@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -56,8 +57,10 @@ class SingularityParams:
         if gcd(self.a, self.r) != 1:
             raise InvalidParamsError(f"a={self.a} and r={self.r} are not coprime")
 
-    @property
+    @cached_property
     def b(self) -> int:
+        # computed on first read and kept in the instance __dict__, outside
+        # the dataclass fields, so ==, hash and repr see only (r, a)
         return inverse_mod(self.a, self.r)
 
     def __str__(self):

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 
+import wahlorder.cli as cli_mod
 from wahlorder import schemas
 from wahlorder.cli import main
 
@@ -151,3 +153,49 @@ def test_arithmetic_error_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: product (1, 1): coordinate 2 is not in Z[t]\n'
+
+
+def test_size_budget_exits_2_before_building(monkeypatch, capsys):
+    def must_not_build(*args, **kw):
+        raise AssertionError('built past the size budget')
+
+    for name in ('SingularityParams', 'kk_table', 'gauss_word',
+                 'diff_matrix', 'build_order'):
+        monkeypatch.setattr(cli_mod, name, must_not_build)
+    calls = [
+        (['kk', '--r', str(cli_mod.MAX_KK_R + 1), '--a', '1'],
+         f'r = {cli_mod.MAX_KK_R + 1} is over the size budget of kk '
+         f'(r <= {cli_mod.MAX_KK_R})'),
+        (['kk', '--r', '100000', '--a', '1', '--format', 'svg'],
+         f'r = 100000 is over the size budget of kk (r <= {cli_mod.MAX_KK_R})'),
+        (['gauss', '--r', str(10 ** 12), '--a', '1'],
+         f'r = {10 ** 12} is over the size budget of gauss '
+         f'(r <= {cli_mod.MAX_GAUSS_R})'),
+        (['deform', '--r', str(cli_mod.MAX_DEFORM_R + 1), '--a', '1'],
+         f'r = {cli_mod.MAX_DEFORM_R + 1} is over the size budget of deform '
+         f'(r <= {cli_mod.MAX_DEFORM_R})'),
+        (['order', '--n', str(cli_mod.MAX_ORDER_N + 1), '--q', '1',
+          '--fiber', 'zero'],
+         f'n = {cli_mod.MAX_ORDER_N + 1} is over the size budget of order '
+         f'(n <= {cli_mod.MAX_ORDER_N})'),
+    ]
+    for argv, message in calls:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert captured.err == f'error: {message}\n'
+
+
+def test_readme_calls_are_within_the_size_budget():
+    readme = open(Path(__file__).resolve().parent.parent / 'README.md').read()
+    calls = [line.split('#')[0].split()[1:] for line in readme.splitlines()
+             if line.startswith('wahlorder ')]
+    assert len(calls) >= 11
+    budgets = {'kk': ('--r', cli_mod.MAX_KK_R),
+               'gauss': ('--r', cli_mod.MAX_GAUSS_R),
+               'deform': ('--r', cli_mod.MAX_DEFORM_R),
+               'order': ('--n', cli_mod.MAX_ORDER_N)}
+    for argv in calls:
+        if argv[0] in budgets:
+            flag, budget = budgets[argv[0]]
+            assert int(argv[argv.index(flag) + 1]) <= budget, argv

@@ -1,9 +1,13 @@
+import random
 from math import gcd
 
 from wahlorder.resarith import SingularityParams, bracket, is_orange
+from wahlorder.polyring import Poly, S, tsub
 from wahlorder.kkalg import (kk_product_closed, kk_product_rect, kk_table,
                              opposite, dual_relabel, young_diagram, gauss_word,
-                             self_intersection_count, AlgebraTable)
+                             self_intersection_count, AlgebraTable, poly_table)
+from wahlorder.deform import CochainSpec, deformed_table
+from wahlorder.order import build_order, structure_constants
 
 
 def naive_rect_product(params, j, i):
@@ -16,6 +20,34 @@ def naive_rect_product(params, j, i):
             if (u, v) != (0, 0) and is_orange((u, v), params):
                 return None
     return (j + i) % r
+
+
+def dense_associator_violation(table):
+    """Reference for associator_violation: the definition, one triple at a
+    time, both sides summed term by term with zero coefficients dropped."""
+    def acc(side, l, c):
+        side[l] = c if l not in side else side[l] + c
+
+    d = table.dim
+    for k in range(d):
+        for j in range(d):
+            for i in range(d):
+                left, right = {}, {}
+                for m, c in table.product(k, j).items():
+                    for l, c2 in table.product(m, i).items():
+                        acc(left, l, c * c2)
+                for m, c in table.product(j, i).items():
+                    for l, c2 in table.product(k, m).items():
+                        acc(right, l, c * c2)
+                if ({l: c for l, c in left.items() if c}
+                        != {l: c for l, c in right.items() if c}):
+                    return (k, j, i)
+    return None
+
+
+def coprime_params(max_r):
+    return [SingularityParams(r, a) for r in range(2, max_r + 1)
+            for a in range(1, r) if gcd(r, a) == 1]
 
 
 def test_closed_product_examples():
@@ -154,3 +186,115 @@ def test_algebra_table_associator_detects_failure():
                            (1, 0): {1: 1}, (2, 0): {2: 1},
                            (1, 1): {2: 1}, (2, 1): {1: 1}})
     assert bad.associator_violation() is not None
+
+
+def test_associator_matches_dense_reference_on_kk_tables():
+    for p in coprime_params(16):
+        table = kk_table(p)
+        assert table.associator_violation() is None
+        assert dense_associator_violation(table) is None
+
+
+def test_associator_matches_dense_reference_on_mutants():
+    rng = random.Random(20261018)
+    pool = coprime_params(10)
+    found = 0
+    for _ in range(400):
+        p = rng.choice(pool)
+        table = kk_table(p)
+        j, i = rng.randrange(p.r), rng.randrange(p.r)
+        table.products[(j, i)] = {rng.randrange(p.r): rng.choice((1, -1, 2))}
+        want = dense_associator_violation(table)
+        assert table.associator_violation() == want, (p, j, i)
+        found += want is not None
+    assert found > 200  # most single-cell mutants break associativity
+    # two failing i for the same (k, j): i = 5 and i = 10; the least is kept
+    table = kk_table(SingularityParams(14, 5))
+    table.set_product(4, 10, {2: -1})
+    table.set_product(2, 5, {1: -1})
+    assert dense_associator_violation(table) == (2, 2, 5)
+    assert table.associator_violation() == (2, 2, 5)
+
+
+def _first_component_table(r):
+    # the (r, 1) first-component deformed table of verify's deform suite
+    t1, tr = Poly.var(tsub(1)), Poly.var(tsub(r - 1))
+    spec = CochainSpec(r, {tsub(1): t1, tsub(r - 1): tr, S: -(t1 * tr)})
+    return deformed_table(SingularityParams(r, 1), spec)
+
+
+def test_associator_matches_dense_reference_on_poly_tables():
+    tables = [AlgebraTable(n * n, {key: dict(cell) for key, cell in
+                                   structure_constants(build_order(n, q)).items()})
+              for n, q in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3))]
+    tables += [_first_component_table(r) for r in range(3, 9)]
+    for table in tables:
+        assert table.associator_violation() is None
+        assert dense_associator_violation(table) is None
+    # Poly mutants, including cells that cancel against the original terms
+    rng = random.Random(7)
+    small = tables[:3] + tables[5:9] + [poly_table(kk_table(SingularityParams(9, 2)))]
+    found = 0
+    for n in range(120):
+        table = rng.choice(small)
+        mutant = AlgebraTable(table.dim, table.products)
+        j, i = rng.randrange(table.dim), rng.randrange(table.dim)
+        cell = dict(table.product(j, i))
+        k = rng.randrange(table.dim)
+        c = Poly.const(rng.choice((1, -1, 2)))
+        if n % 2 and cell:
+            k = rng.choice(sorted(cell))
+            c = cell[k] * Poly.const(rng.choice((-1, 2)))
+        mutant.set_product(j, i, {**cell, k: c} if n % 2 else {k: c})
+        want = dense_associator_violation(mutant)
+        assert mutant.associator_violation() == want, (table.dim, j, i)
+        found += want is not None
+    assert found > 40
+
+
+def test_associator_ignores_keys_outside_the_basis():
+    unit = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    # (1, 2) is never read by a triple in range(2): the table is associative
+    table = AlgebraTable(2, {**unit, (1, 2): {0: 1}})
+    assert dense_associator_violation(table) is None
+    assert table.associator_violation() is None
+    # w_1 w_1 = w_2 lies outside the basis, and (w_0 w_1) w_1 = w_2 while
+    # w_0 (w_1 w_1) = w_0 w_2 = 0, as the stored products read
+    table = AlgebraTable(2, {**unit, (1, 1): {2: 1}, (2, 1): {0: 1}})
+    assert dense_associator_violation(table) == (0, 1, 1)
+    assert table.associator_violation() == (0, 1, 1)
+    rng = random.Random(3)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        idx = range(-1, d + 2)
+        table = AlgebraTable(d, {
+            (rng.choice(idx), rng.choice(idx)):
+                {rng.choice(idx): rng.choice((1, -1, 2))
+                 for _ in range(rng.randint(1, 2))}
+            for _ in range(rng.randint(0, 12))})
+        got = table.associator_violation()
+        assert got == dense_associator_violation(table), table.products
+        assert got is None or all(0 <= x < d for x in got)
+
+
+def test_kk_table_is_the_pairwise_closed_reading():
+    for p in coprime_params(32):
+        want = {}
+        for j in range(p.r):
+            for i in range(p.r):
+                k = kk_product_closed(p, j, i)
+                if k is not None:
+                    want[(j, i)] = {k: 1}
+        got = kk_table(p)
+        assert got.dim == p.r
+        assert list(got.products.items()) == list(want.items()), (p.r, p.a)
+
+
+def test_is_unital():
+    assert poly_table(kk_table(SingularityParams(7, 3))).is_unital()
+    t = kk_table(SingularityParams(5, 2))
+    t.set_product(3, 0, {3: 2})
+    assert not t.is_unital()
+    t = kk_table(SingularityParams(5, 2))
+    t.set_product(0, 4, {})
+    assert not t.is_unital()

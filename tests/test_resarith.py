@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,18 @@ def test_inverse_mod_examples():
 def test_inverse_mod_noncoprime():
     with pytest.raises(InvalidParamsError):
         inverse_mod(6, 9)
+
+
+def test_b_is_kept_outside_the_fields():
+    p = SingularityParams(16, 3)
+    assert p.b == 11 and p.b == inverse_mod(3, 16)
+    # reading b changes neither ==, hash nor repr
+    fresh = SingularityParams(16, 3)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) == 'SingularityParams(r=16, a=3)'
+    assert [f.name for f in fields(p)] == ['r', 'a']
+    with pytest.raises(FrozenInstanceError):
+        p.a = 5
 
 
 def test_params_validation():
