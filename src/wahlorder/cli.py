@@ -36,14 +36,24 @@ def _write(args, text: str):
 # built.  Each is set so that the slowest call measured at the budget, over a
 # (or q) and the output formats, stays under about 5 s and 200 MB peak RSS,
 # run as a fresh `python -m wahlorder` process on 2 CPUs with Python 3.11.7:
-#   kk      r = 500:    a = 499, --format svg       1.5 s, 192 MB (r^2 cells)
+#   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
+#                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 63,  --table --spec     4.8 s, 172 MB
+#   deform  r = 64:     a = 1,   --table --spec     1.6 s, 109 MB
 #   order   n = 10:     q = 3,   --fiber zero       4.2 s, 153 MB
+#   verify  --max-r 40: --suite kk                  4.2 s,  18 MB (r = 42: 5.4 s)
+#           --max-n 6:  --suite deform              4.3 s,  26 MB (cross 1.5 s;
+#                                                   n = 7: cross 5.8 s)
+# For verify the slowest single suite is measured: --max-r raises the r bound
+# past 20 only in kk, and --max-n the n bound past 5 only in deform and
+# cross.  --suite all runs the suites one after another (6.0 s at the
+# default bounds).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
+MAX_VERIFY_R = 40
+MAX_VERIFY_N = 6
 
 
 def _within_budget(command: str, name: str, value: int, budget: int):
@@ -59,11 +69,10 @@ def _params(args, max_r: int) -> SingularityParams:
 
 def cmd_kk(args) -> int:
     params = _params(args, MAX_KK_R)
-    table = kk_table(params)
     if args.format == 'svg':
         _write(args, render.lattice_svg(params))
     elif args.format == 'json':
-        out = render.table_json(table, params.r, params.a)
+        out = render.table_json(kk_table(params), params.r, params.a)
         out['hj_fraction'] = hj_fraction(params.r, params.r - params.a)
         out['self_intersections'] = self_intersection_count(params)
         _write(args, render.dumps(out))
@@ -71,7 +80,7 @@ def cmd_kk(args) -> int:
         header = (f'R_{{{params.r},{params.a}}}  (b = {params.b}; '
                   f'continued fraction of r/(r-a): '
                   f'{hj_fraction(params.r, params.r - params.a)})')
-        _write(args, render.table_text(table, header))
+        _write(args, render.table_text(kk_table(params), header))
     return 0
 
 
@@ -88,7 +97,6 @@ def cmd_gauss(args) -> int:
 
 def cmd_deform(args) -> int:
     params = _params(args, MAX_DEFORM_R)
-    dm = diff_matrix(params)
     if args.table:
         if not args.spec:
             print('error: --table requires --spec FILE', file=sys.stderr)
@@ -107,6 +115,7 @@ def cmd_deform(args) -> int:
             _write(args, render.table_text(
                 table, f'deformed table of R_{{{params.r},{params.a}}}'))
         return 0
+    dm = diff_matrix(params)
     if args.format == 'json':
         _write(args, render.dumps(render.diff_matrix_json(dm)))
     else:
@@ -161,12 +170,19 @@ def cmd_order(args) -> int:
     return 0
 
 
+def _verify_bound(flag: str, value: int, budget: int) -> int:
+    if value < 2:
+        raise ValueError(f'{flag} = {value} is below 2')
+    _within_budget('verify', flag, value, budget)
+    return value
+
+
 def cmd_verify(args) -> int:
     bounds = {}
-    if args.max_r:
-        bounds['max_r'] = args.max_r
-    if args.max_n:
-        bounds['max_n'] = args.max_n
+    if args.max_r is not None:
+        bounds['max_r'] = _verify_bound('--max-r', args.max_r, MAX_VERIFY_R)
+    if args.max_n is not None:
+        bounds['max_n'] = _verify_bound('--max-n', args.max_n, MAX_VERIFY_N)
     report = run_suite(args.suite, **bounds)
     if args.format == 'json':
         _write(args, render.dumps(report.to_json()))

@@ -14,6 +14,10 @@ The operations m_2, m_3 have two sources:
   A rectangle passing the marked point just SW of an orange point picks up a
   factor of s; this happens exactly when its NE corner is orange.
 
+Before the cochain is inserted every coefficient is +-1 or +-s, so the
+A-infinity table is integer-coded (see AinfTable); Poly first appears in the
+output of insert_cochain.
+
 Sign conventions for the visible readings are frozen by calibration against
 exact oracles (the a=1 contribution lists, skew-symmetry of the differential
 matrix for every (r,a), the reference component ideals of 1/15(1,4) and
@@ -24,36 +28,84 @@ the emission site for the alternatives that fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .resarith import SingularityParams, bracket
-from .polyring import Poly, S, tsub, format_poly, _mono_mul
+from .polyring import Poly, S, tsub, format_poly
 
 Generator = tuple  # (index in Z_r, degree 0 or 1)
 
+# coefficients c0 + c1 s as pairs (c0, c1)
+_ONE, _MINUS, _S, _MINUS_S = (1, 0), (-1, 0), (0, 1), (0, -1)
+_S_MONO = ((S, 1),)
 
-def _accumulate(table: dict, key, out: Generator, coeff: Poly):
-    """table[key][out] += coeff, dropping zero coefficients and empty cells.
 
-    A coefficient landing in an empty slot is stored as it is, not copied:
-    Poly is immutable, so cells may share one object.  Only a collision
-    builds a new Poly."""
-    cell = table.setdefault(key, {})
-    old = cell.get(out)
-    new = coeff if old is None else old + coeff
-    if new.is_zero():
-        cell.pop(out, None)
-        if not cell:
-            table.pop(key, None)
-    else:
-        cell[out] = new
+class NotInsertableError(ValueError):
+    """The table cannot be deformed: a generator outside degrees 0 and 1 or
+    a coefficient outside Z + Z s was added, or an entry has an input or
+    slot index that is not in Z_r."""
+
+
+def _code(g: Generator) -> int:
+    index, degree = g
+    if degree not in (0, 1):
+        raise NotInsertableError(f"generator {g!r} is not in degree 0 or 1")
+    return 2 * index + degree
+
+
+def _generator(code: int) -> Generator:
+    return (code >> 1, code & 1)
+
+
+def _pair(coeff: Poly) -> tuple:
+    terms = coeff.terms
+    c0, c1 = terms.get((), 0), terms.get(_S_MONO, 0)
+    if len(terms) != bool(c0) + bool(c1):
+        raise NotInsertableError(f"coefficient {coeff} is not in Z + Z s")
+    return (c0, c1)
+
+
+def _poly_cell(cell: dict) -> dict:
+    return {_generator(out): Poly({(): c0, _S_MONO: c1})
+            for out, (c0, c1) in cell.items()}
+
+
+def _accumulate(entries):
+    """cells[key][out] += coeff for each (cells, key, out, coeff) in entries,
+    dropping zero coefficients and empty cells.
+
+    Coefficients are (c0, c1) pairs.  One landing in an empty slot is stored
+    as it is, not copied: pairs are immutable, so cells may share one.  Only
+    a collision builds a new pair."""
+    for cells, key, out, coeff in entries:
+        cell = cells.get(key)
+        if cell is None:
+            if coeff[0] or coeff[1]:
+                cells[key] = {out: coeff}
+            continue
+        old = cell.get(out)
+        if old is not None:
+            coeff = (old[0] + coeff[0], old[1] + coeff[1])
+        if coeff[0] or coeff[1]:
+            cell[out] = coeff
+        elif old is not None:
+            del cell[out]
+            if not cell:
+                del cells[key]
 
 
 class AinfTable:
-    """Sparse m_1 / m_2 / m_3 with Poly coefficients.
+    """Sparse m_1 / m_2 / m_3, integer-coded.
 
-    Argument tuples are written highest slot first: the key of
-    m_3(a_3, a_2, a_1) is (a_3, a_2, a_1).  Values map output generators to
-    Poly coefficients.
+    A generator (i, d) is stored as the int 2i + d and a coefficient
+    c0 + c1 s as the pair (c0, c1).  m1 is keyed by the input code, m2 and
+    m3 by tuples of codes written highest slot first: the key of
+    m_3(a_3, a_2, a_1) is (a_3, a_2, a_1).  Each cell maps output codes to
+    pairs, one item per output, with no zero pair and no empty cell.
+
+    add_m1/2/3 take generator tuples and a Poly, and reject a degree
+    outside {0, 1} or a coefficient outside Z + Z s; as_poly() reads the
+    table back in those terms.
     """
 
     def __init__(self):
@@ -62,18 +114,40 @@ class AinfTable:
         self.m3 = {}
 
     def add_m1(self, x: Generator, out: Generator, coeff: Poly):
-        _accumulate(self.m1, x, out, coeff)
+        _accumulate(((self.m1, _code(x), _code(out), _pair(coeff)),))
 
     def add_m2(self, a2: Generator, a1: Generator, out: Generator, coeff: Poly):
-        _accumulate(self.m2, (a2, a1), out, coeff)
+        _accumulate(((self.m2, (_code(a2), _code(a1)), _code(out),
+                      _pair(coeff)),))
 
     def add_m3(self, a3: Generator, a2: Generator, a1: Generator,
                out: Generator, coeff: Poly):
-        _accumulate(self.m3, (a3, a2, a1), out, coeff)
+        _accumulate(((self.m3, (_code(a3), _code(a2), _code(a1)), _code(out),
+                      _pair(coeff)),))
+
+    def as_poly(self) -> dict:
+        """{'m1': ..., 'm2': ..., 'm3': ...} keyed by generator tuples (m1 by
+        the input, m2 and m3 by tuples of inputs), with Poly coefficients, in
+        the table's order."""
+        return {
+            'm1': {_generator(x): _poly_cell(c) for x, c in self.m1.items()},
+            'm2': {tuple(map(_generator, k)): _poly_cell(c)
+                   for k, c in self.m2.items()},
+            'm3': {tuple(map(_generator, k)): _poly_cell(c)
+                   for k, c in self.m3.items()},
+        }
+
+    def _input_codes(self) -> set:
+        return set(self.m1).union(chain.from_iterable(self.m2),
+                                  chain.from_iterable(self.m3))
+
+    def generator_codes(self) -> set:
+        """Every generator code in an input or an output."""
+        cells = chain(self.m1.values(), self.m2.values(), self.m3.values())
+        return self._input_codes().union(chain.from_iterable(cells))
 
     def degrees_present(self) -> set:
-        return ({x[1] for x in self.m1}
-                | {g[1] for key in (*self.m2, *self.m3) for g in key})
+        return {code & 1 for code in self._input_codes()}
 
 
 # ---------------------------------------------------------------------------
@@ -86,45 +160,53 @@ def _second_half_pos(label: int, params: SingularityParams) -> int:
     return bracket(-params.a * label, params.r)
 
 
-def hidden_ainf(params: SingularityParams) -> AinfTable:
-    """Products of the undeformed complex: units, per-crossing triples, and
-    the six Gauss-word families.  m_1 = 0 and m_k = 0 for k >= 4."""
+def _hidden_triples(params: SingularityParams, m3: dict):
+    """Yield the hidden m_3 entries as (m3, key, out, coeff)."""
     r = params.r
-    t = AinfTable()
-    one, minus = Poly.const(1), Poly.const(-1)
-
-    # units and the pairing with the degree-1 partners
-    for i in range(r):
-        t.m2[((i, 0), (0, 0))] = {(i, 0): one}
-        if i != 0:
-            t.m2[((0, 0), (i, 0))] = {(i, 0): one}
-        t.m2[((i, 1), (0, 0))] = {(i, 1): one}
-        t.m2[((0, 0), (i, 1))] = {(i, 1): minus}
-        if i != 0:
-            t.m2[((i, 1), (i, 0))] = {(0, 1): one}
-            t.m2[((i, 0), (i, 1))] = {(0, 1): minus}
-
     # per-crossing triples
     for i in range(1, r):
-        t.add_m3((i, 1), (i, 0), (i, 1), (i, 1), minus)
-        t.add_m3((i, 1), (i, 0), (0, 1), (0, 1), minus)
-        t.add_m3((i, 0), (i, 1), (0, 1), (0, 1), one)
+        w, wbar = 2 * i, 2 * i + 1
+        yield m3, (wbar, w, wbar), wbar, _MINUS
+        yield m3, (wbar, w, 1), 1, _MINUS
+        yield m3, (w, wbar, 1), 1, _ONE
 
     # Gauss-word families; (x, y) ranges over ordered occurrence pairs
     pos = [0] + [_second_half_pos(x, params) for x in range(1, r)]
     for x in range(1, r):
+        wx, bx = 2 * x, 2 * x + 1
         for y in range(1, r):
+            wy, by = 2 * y, 2 * y + 1
             if x != y and pos[x] < pos[y]:
                 # both occurrences in the second half
-                t.add_m3((y, 0), (x, 1), (x, 0), (y, 0), one)
-                t.add_m3((x, 1), (x, 0), (y, 1), (y, 1), minus)
+                yield m3, (wy, bx, wx), wy, _ONE
+                yield m3, (bx, wx, by), by, _MINUS
             # x in the first half, y in the second: every pair, x = y allowed
-            t.add_m3((x, 0), (x, 1), (y, 1), (y, 1), one)
-            t.add_m3((y, 0), (x, 0), (x, 1), (y, 0), minus)
+            yield m3, (wx, bx, by), by, _ONE
+            yield m3, (wy, wx, bx), wy, _MINUS
             if x > y:
                 # both occurrences in the first half
-                t.add_m3((y, 1), (x, 0), (x, 1), (y, 1), minus)
-                t.add_m3((x, 0), (x, 1), (y, 0), (y, 0), minus)
+                yield m3, (by, wx, bx), by, _MINUS
+                yield m3, (wx, bx, wy), wy, _MINUS
+
+
+def hidden_ainf(params: SingularityParams) -> AinfTable:
+    """Products of the undeformed complex: units, per-crossing triples, and
+    the six Gauss-word families.  m_1 = 0 and m_k = 0 for k >= 4."""
+    t = AinfTable()
+    m2 = t.m2
+    # units and the pairing with the degree-1 partners (w_0 and wbar_0 are
+    # the codes 0 and 1)
+    for i in range(params.r):
+        w, wbar = 2 * i, 2 * i + 1
+        m2[(w, 0)] = {w: _ONE}
+        if i != 0:
+            m2[(0, w)] = {w: _ONE}
+        m2[(wbar, 0)] = {wbar: _ONE}
+        m2[(0, wbar)] = {wbar: _MINUS}
+        if i != 0:
+            m2[(wbar, w)] = {1: _ONE}
+            m2[(w, wbar)] = {1: _MINUS}
+    _accumulate(_hidden_triples(params, t.m3))
     return t
 
 
@@ -166,13 +248,12 @@ def _permitted_rectangles(params: SingularityParams):
             interior_min = min(interior_min, tX)
 
 
-def _add_rectangles(params: SingularityParams, t: AinfTable):
-    """Add the readings of every permitted rectangle to t, with the sign
-    conventions documented at visible_contributions."""
+def _rectangle_readings(params: SingularityParams, t: AinfTable):
+    """Yield the readings of every permitted rectangle as (cells, key, out,
+    coeff) into t, with the sign conventions documented at
+    visible_contributions."""
     r, b = params.r, params.b
-    one, minus = Poly.const(1), Poly.const(-1)
-    s = Poly.var(S)
-    minus_s = s.scale(-1)
+    m1, m2, m3 = t.m1, t.m2, t.m3
     for (c, X, Y, ne_or) in _permitted_rectangles(params):
         gSW = c
         gSE = bracket(c - b * X, r)
@@ -181,35 +262,36 @@ def _add_rectangles(params: SingularityParams, t: AinfTable):
         sw_or = (gSW == 0)
         if gSE == 0 or gNW == 0 or (gNE == 0) != ne_or:
             raise ArithmeticError(f"rectangle {(c, X, Y)}: misread orange corner")
-        wSE, wNW = (gSE, 0), (gNW, 0)
+        wSE, wNW = 2 * gSE, 2 * gNW
+        bSW, bSE, bNW, bNE = 2 * gSW + 1, wSE + 1, wNW + 1, 2 * gNE + 1
         # A: output w at NE (w_0 when NE is orange)
-        out = (gNE, 0)
+        out = 2 * gNE
         if sw_or:
-            t.add_m2(wSE, wNW, out, s if ne_or else one)
+            yield m2, (wSE, wNW), out, _S if ne_or else _ONE
         else:
-            t.add_m3(wSE, (gSW, 1), wNW, out, s if ne_or else one)
+            yield m3, (wSE, bSW, wNW), out, _S if ne_or else _ONE
         # B: output w at SW (only at a self-intersection)
         if not sw_or:
             if ne_or:
-                t.add_m2(wNW, wSE, (gSW, 0), s)
+                yield m2, (wNW, wSE), 2 * gSW, _S
             else:
-                t.add_m3(wNW, (gNE, 1), wSE, (gSW, 0), minus)
+                yield m3, (wNW, bNE, wSE), 2 * gSW, _MINUS
         # D: input at SE, output wbar at NW / E: input at NW, output wbar at SE
         if sw_or and ne_or:
-            t.add_m1(wSE, (gNW, 1), minus_s)
-            t.add_m1(wNW, (gSE, 1), s)
+            yield m1, wSE, bNW, _MINUS_S
+            yield m1, wNW, bSE, _S
             # Morse-maximum insertions at the smoothed corners
-            t.add_m2((0, 1), wNW, (gSE, 1), s)
-            t.add_m2(wSE, (0, 1), (gNW, 1), minus_s)
+            yield m2, (1, wNW), bSE, _S
+            yield m2, (wSE, 1), bNW, _MINUS_S
         elif sw_or:
-            t.add_m2((gNE, 1), wSE, (gNW, 1), one)
-            t.add_m2(wNW, (gNE, 1), (gSE, 1), minus)
+            yield m2, (bNE, wSE), bNW, _ONE
+            yield m2, (wNW, bNE), bSE, _MINUS
         elif ne_or:
-            t.add_m2(wSE, (gSW, 1), (gNW, 1), minus_s)
-            t.add_m2((gSW, 1), wNW, (gSE, 1), s)
+            yield m2, (wSE, bSW), bNW, _MINUS_S
+            yield m2, (bSW, wNW), bSE, _S
         else:
-            t.add_m3((gNE, 1), wSE, (gSW, 1), (gNW, 1), one)
-            t.add_m3((gSW, 1), wNW, (gNE, 1), (gSE, 1), minus)
+            yield m3, (bNE, wSE, bSW), bNW, _ONE
+            yield m3, (bSW, wNW, bNE), bSE, _MINUS
 
 
 def visible_contributions(params: SingularityParams) -> AinfTable:
@@ -225,25 +307,20 @@ def visible_contributions(params: SingularityParams) -> AinfTable:
     against the a=1 lists.
     """
     table = AinfTable()
-    _add_rectangles(params, table)
+    _accumulate(_rectangle_readings(params, table))
     return table
 
 
 def full_ainf(params: SingularityParams) -> AinfTable:
     """Hidden and visible operations, accumulated into one table."""
     table = hidden_ainf(params)
-    _add_rectangles(params, table)
+    _accumulate(_rectangle_readings(params, table))
     return table
 
 
 # ---------------------------------------------------------------------------
 # bounding-cochain insertion
 # ---------------------------------------------------------------------------
-
-class NotInsertableError(ValueError):
-    """The table cannot be deformed: it has generators outside degrees 0
-    and 1, or an entry whose input or slot indices are not in Z_r."""
-
 
 @dataclass
 class DeformedOps:
@@ -258,6 +335,75 @@ class DeformedOps:
     products: dict
 
 
+def _kept_entries(ainf: AinfTable, diffs: dict, prods: dict):
+    """Yield (target, key, slots, cell) for every entry whose insertion can
+    land in diffs or prods: key is the input index x of m_1^b(x) or the pair
+    (x, y) of m_2^b(x, y), slots the indices of its degree-1 slots in slot
+    order.  Dispatch is on arity and on the parity (degree) bit of each
+    code."""
+    for x, cell in ainf.m1.items():
+        if not x & 1:
+            yield diffs, x >> 1, (), cell
+    for (a2, a1), cell in ainf.m2.items():
+        if a2 & 1:
+            if not a1 & 1:
+                yield diffs, a1 >> 1, (a2 >> 1,), cell
+        elif a1 & 1:
+            yield diffs, a2 >> 1, (a1 >> 1,), cell
+        else:
+            yield prods, (a2 >> 1, a1 >> 1), (), cell
+    for (a3, a2, a1), cell in ainf.m3.items():
+        if a3 & 1:
+            if a2 & 1:
+                if not a1 & 1:
+                    yield diffs, a1 >> 1, (a3 >> 1, a2 >> 1), cell
+            elif a1 & 1:
+                yield diffs, a2 >> 1, (a3 >> 1, a1 >> 1), cell
+            else:
+                yield prods, (a2 >> 1, a1 >> 1), (a3 >> 1,), cell
+        elif a2 & 1:
+            if a1 & 1:
+                yield diffs, a3 >> 1, (a2 >> 1, a1 >> 1), cell
+            else:
+                yield prods, (a3 >> 1, a1 >> 1), (a2 >> 1,), cell
+        elif a1 & 1:
+            yield prods, (a3 >> 1, a2 >> 1), (a1 >> 1,), cell
+
+
+def _weight(slots: tuple, r: int) -> int:
+    """The monomial code of prod t_i over slots, or -1 when a slot is
+    wbar_0 (t_0 = 0).  The code of s^e t_lo t_hi (lo <= hi, an absent index
+    read as 0) is (lo * r + hi) << 1 | e."""
+    if 0 in slots:
+        return -1
+    for i in slots:
+        if not 0 < i < r:
+            raise NotInsertableError(f"cochain slot index {i!r} is not in Z_{r}")
+    lo, hi = sorted((0, 0) + slots)[-2:]
+    return (lo * r + hi) << 1
+
+
+def _monomial(code: int, r: int) -> tuple:
+    """The Poly monomial of a code made by _weight, s-flag included."""
+    lo, hi = divmod(code >> 1, r)
+    mono = _S_MONO if code & 1 else ()
+    if lo and lo == hi:
+        return mono + ((tsub(lo), 2),)
+    return mono + tuple((tsub(i), 1) for i in (lo, hi) if i)
+
+
+class _Decoded(dict):
+    """code -> fn(code), computed once per distinct code."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, code):
+        value = self[code] = self.fn(code)
+        return value
+
+
 def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
     """Deform by the universal cochain b = sum_{i != 0} t_i wbar_i.
 
@@ -268,68 +414,64 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
     inputs left it is a Maurer-Cartan term, vacuous as nothing lives in
     degree 2; three inputs would need an output in degree -1.
 
-    Cells accumulate as raw {monomial: int} terms, each product monomial is
-    formed once per (coefficient monomial, t-indices) pair, and a term or an
-    output is dropped as soon as it reaches zero, so every dict keeps the
-    order that Poly arithmetic gives it; each cell is wrapped into Polys
-    once, at the end.  An input or slot index outside Z_r raises
-    NotInsertableError, even where the entries at that key cancel.
+    Entries are dispatched on arity and on the degree bits of their codes.
+    Cells accumulate as {output code: {monomial code: int}}, a monomial code
+    built from the sorted t-indices and an s-flag (see _weight), and a term
+    or an output is dropped as soon as it reaches zero, so every dict keeps
+    the order that Poly arithmetic gives it.  At the end each code is
+    decoded once to a generator or a Poly monomial, and each distinct list
+    of terms is wrapped once into a Poly, without a second zero filter and
+    shared by every output that has it.  An input or slot index outside Z_r
+    raises NotInsertableError, even where the entries at that key cancel.
     """
-    if ainf.degrees_present() - {0, 1}:
-        raise NotInsertableError("generators must live in degrees 0 and 1")
-    tvars = [((tsub(i), 1),) for i in range(r)]
-    monos = {}  # (coefficient monomial, t-indices) -> product monomial
     diffs, prods = {}, {}
-    entries = [((x,), cell) for x, cell in ainf.m1.items()]
-    for slots, cell in entries + list(ainf.m2.items()) + list(ainf.m3.items()):
-        inputs, tidx = (), ()
-        for index, degree in slots:
-            if degree == 0:
-                inputs += (index,)
-            elif index == 0:
-                break  # t_0 = 0: the entry contributes nothing
-            else:
-                tidx += (index,)
-        else:
-            if len(inputs) == 1:
-                target, key = diffs, inputs[0]
-            elif len(inputs) == 2:
-                target, key = prods, inputs
-            else:
-                continue  # a Maurer-Cartan term, or an output in degree -1
-            dest = target.setdefault(key, {})
-            for out, coeff in cell.items():
-                terms = dest.setdefault(out, {})
-                for m, c in coeff.terms.items():
-                    pm = monos.get((m, tidx))
-                    if pm is None:
-                        pm = m
-                        for i in tidx:
-                            if not 0 < i < r:
-                                raise NotInsertableError(
-                                    f"cochain slot index {i!r} is not in Z_{r}")
-                            pm = _mono_mul(pm, tvars[i])
-                        monos[(m, tidx)] = pm
-                    c = terms.get(pm, 0) + c
-                    if c:
-                        terms[pm] = c
-                    else:
-                        del terms[pm]
-                if not terms:
-                    del dest[out]
+    weights = {}  # slot indices -> monomial code
+    for target, key, slots, cell in _kept_entries(ainf, diffs, prods):
+        w = weights.get(slots)
+        if w is None:
+            w = weights[slots] = _weight(slots, r)
+        if w < 0:
+            continue
+        dest = target.get(key)
+        if dest is None:
+            dest = target[key] = {}
+        for out, (c0, c1) in cell.items():
+            terms = dest.get(out)
+            if terms is None:
+                terms = dest[out] = {}
+            if c0:
+                c = terms.get(w, 0) + c0
+                if c:
+                    terms[w] = c
+                else:
+                    del terms[w]
+            if c1:
+                c = terms.get(w | 1, 0) + c1
+                if c:
+                    terms[w | 1] = c
+                else:
+                    del terms[w | 1]
+            if not terms:
+                del dest[out]
     for key in diffs:
         if key not in range(r):
             raise NotInsertableError(f"differential key {key!r} is not in Z_{r}")
     for key in prods:
-        if len(key) != 2 or not all(i in range(r) for i in key):
+        if not (0 <= key[0] < r and 0 <= key[1] < r):
             raise NotInsertableError(f"product key {key!r} is not a pair in Z_{r}")
 
+    gens = _Decoded(_generator)
+    monos = _Decoded(lambda code: _monomial(code, r))
+    polys = _Decoded(lambda items: Poly.from_nonzero({monos[m]: c for m, c in items}))
+
     def wrapped(cell):
-        return {out: Poly(terms) for out, terms in cell.items()}
+        if not cell:
+            return {}
+        return {gens[out]: polys[tuple(terms.items())] for out, terms in cell.items()}
 
     return DeformedOps(
-        r, {i: wrapped(diffs.get(i, {})) for i in range(r)},
-        {(j, i): wrapped(prods.get((j, i), {})) for j in range(r) for i in range(r)})
+        r, {i: wrapped(diffs.get(i)) for i in range(r)},
+        {(j, i): wrapped(prods.get((j, i))) for j in range(r) for i in range(r)})
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,14 @@ class Poly:
         return Poly({(): c}) if c else Poly()
 
     @staticmethod
+    def from_nonzero(terms: dict) -> 'Poly':
+        """Wrap terms that already hold no zero coefficient, skipping the
+        re-filter; the dict is taken as it is, not copied."""
+        p = Poly.__new__(Poly)
+        p.terms = terms
+        return p
+
+    @staticmethod
     def var(v: Var, exp: int = 1, coeff: int = 1) -> 'Poly':
         if coeff == 0:
             return Poly()

@@ -387,8 +387,14 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
 
     def mc_vacuity():
         for params in coprime_pairs(32):
-            degs = full_ainf(params).degrees_present()
-            _require(degs <= {0, 1}, f'({params.r},{params.a}): degrees {degs}')
+            r, a = params.r, params.a
+            table = full_ainf(params)
+            degs = table.degrees_present()
+            _require(degs <= {0, 1}, f'({r},{a}): degrees {degs}')
+            # every generator code, input or output, is 2i + d, i in Z_r
+            stray = table.generator_codes() - set(range(2 * r))
+            _require(not stray, f'({r},{a}): generator codes {sorted(stray)} '
+                                f'outside range({2 * r})')
 
     _timed(report, 'no degree-2 generators (Maurer-Cartan vacuous), r <= 32',
            mc_vacuity)

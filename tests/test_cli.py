@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import wahlorder.cli as cli_mod
 from wahlorder import schemas
@@ -160,7 +162,7 @@ def test_size_budget_exits_2_before_building(monkeypatch, capsys):
         raise AssertionError('built past the size budget')
 
     for name in ('SingularityParams', 'kk_table', 'gauss_word',
-                 'diff_matrix', 'build_order'):
+                 'diff_matrix', 'build_order', 'run_suite'):
         monkeypatch.setattr(cli_mod, name, must_not_build)
     calls = [
         (['kk', '--r', str(cli_mod.MAX_KK_R + 1), '--a', '1'],
@@ -178,6 +180,15 @@ def test_size_budget_exits_2_before_building(monkeypatch, capsys):
           '--fiber', 'zero'],
          f'n = {cli_mod.MAX_ORDER_N + 1} is over the size budget of order '
          f'(n <= {cli_mod.MAX_ORDER_N})'),
+        (['verify', '--suite', 'kk', '--max-r', str(cli_mod.MAX_VERIFY_R + 1)],
+         f'--max-r = {cli_mod.MAX_VERIFY_R + 1} is over the size budget of '
+         f'verify (--max-r <= {cli_mod.MAX_VERIFY_R})'),
+        (['verify', '--max-r', '8', '--max-n', str(cli_mod.MAX_VERIFY_N + 1)],
+         f'--max-n = {cli_mod.MAX_VERIFY_N + 1} is over the size budget of '
+         f'verify (--max-n <= {cli_mod.MAX_VERIFY_N})'),
+        (['verify', '--suite', 'kk', '--max-r', '0'], '--max-r = 0 is below 2'),
+        (['verify', '--suite', 'order', '--max-n', '1'], '--max-n = 1 is below 2'),
+        (['verify', '--max-n', '-3'], '--max-n = -3 is below 2'),
     ]
     for argv, message in calls:
         assert main(argv) == 2
@@ -191,11 +202,59 @@ def test_readme_calls_are_within_the_size_budget():
     calls = [line.split('#')[0].split()[1:] for line in readme.splitlines()
              if line.startswith('wahlorder ')]
     assert len(calls) >= 11
-    budgets = {'kk': ('--r', cli_mod.MAX_KK_R),
-               'gauss': ('--r', cli_mod.MAX_GAUSS_R),
-               'deform': ('--r', cli_mod.MAX_DEFORM_R),
-               'order': ('--n', cli_mod.MAX_ORDER_N)}
+    budgets = {'kk': [('--r', cli_mod.MAX_KK_R)],
+               'gauss': [('--r', cli_mod.MAX_GAUSS_R)],
+               'deform': [('--r', cli_mod.MAX_DEFORM_R)],
+               'order': [('--n', cli_mod.MAX_ORDER_N)],
+               'verify': [('--max-r', cli_mod.MAX_VERIFY_R),
+                          ('--max-n', cli_mod.MAX_VERIFY_N)]}
+    assert any('--max-r' in argv for argv in calls)
     for argv in calls:
-        if argv[0] in budgets:
-            flag, budget = budgets[argv[0]]
-            assert int(argv[argv.index(flag) + 1]) <= budget, argv
+        for flag, budget in budgets[argv[0]]:
+            if flag in argv:
+                assert 2 <= int(argv[argv.index(flag) + 1]) <= budget, argv
+
+
+def test_unprinted_results_are_not_built(monkeypatch, capsys, tmp_path):
+    # kk --format svg never reads the multiplication table, and
+    # deform --table never prints the differential matrix
+    def must_not_build(*args, **kw):
+        raise AssertionError('built a result that is never printed')
+
+    monkeypatch.setattr(cli_mod, 'kk_table', must_not_build)
+    monkeypatch.setattr(cli_mod, 'diff_matrix', must_not_build)
+    assert main(['kk', '--r', '7', '--a', '6', '--format', 'svg']) == 0
+    ET.fromstring(capsys.readouterr().out)
+    spec = tmp_path / 'free.spec'
+    spec.write_text('t_1 = t_1\n')
+    assert main(['deform', '--r', '2', '--a', '1', '--table',
+                 '--spec', str(spec)]) == 0
+    assert 'w_1 w_1 = (s) w_0 + (-t_1) w_1' in capsys.readouterr().out
+
+
+# sha256 of stdout, recorded before the A-infinity table was integer-coded
+_DEFORM_DIGESTS = [
+    (['deform', '--r', '15', '--a', '4', '--ideal'],
+     '8392c4685ef74ff6e8dfdd079609aed3be2c7763207eb80daab4b2f2cf116a4d'),
+    (['--format', 'json', 'deform', '--r', '15', '--a', '4', '--ideal'],
+     'd3ae2e68d05fb251469107897e6bb92f7d77e10ceaf4bdb244d9dee4ae8333a1'),
+    (['deform', '--r', '16', '--a', '3', '--ideal'],
+     'cc0098bc7148f1b04cba8780aea73f88f95b7ad96174449119161971ba0d1ea5'),
+    (['--format', 'json', 'deform', '--r', '16', '--a', '3', '--ideal'],
+     '8d8f33d991e1e76db148ea0495bcdacbf23aa14719f4d2b24e1568407f2e297c'),
+    (['deform', '--r', '18', '--a', '5', '--ideal'],
+     '4c9028211028b0d922f8b30dab91249bbb64d84be34a9c0922317a00e740eedf'),
+    (['--format', 'json', 'deform', '--r', '18', '--a', '5', '--ideal'],
+     'eafa69a1805388e9661211d468102481bebd14eb7989c3315709b1813b4c4eb2'),
+    (['deform', '--r', '4', '--a', '1', '--table', '--spec', 'second.spec'],
+     '3677257db3c3a0c3ac1cefdb7c83f382ab2e604d47184d315a6484e28e3e5385'),
+]
+
+
+@pytest.mark.parametrize('argv,digest', _DEFORM_DIGESTS)
+def test_deform_output_bytes(argv, digest, capsys, tmp_path, monkeypatch):
+    (tmp_path / 'second.spec').write_text('t_2 = t_2\ns = -t_2^2\n')
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

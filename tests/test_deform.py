@@ -21,56 +21,57 @@ ONE = Poly.const(1)
 
 def test_hidden_r2_matches_worked_example():
     # x = w_1, xbar = (1,1), q = (0,1), e = (0,0)
-    t = hidden_ainf(SingularityParams(2, 1))
+    m3 = hidden_ainf(SingularityParams(2, 1)).as_poly()['m3']
     x, xb, q = (1, 0), (1, 1), (0, 1)
-    assert t.m3[(x, x, xb)] == {x: Poly.const(-1)}
-    assert t.m3[(x, xb, xb)] == {xb: ONE}
-    assert t.m3[(xb, x, xb)] == {xb: Poly.const(-1)}
-    assert t.m3[(x, xb, q)] == {q: ONE}
-    assert t.m3[(xb, x, q)] == {q: Poly.const(-1)}
+    assert m3[(x, x, xb)] == {x: Poly.const(-1)}
+    assert m3[(x, xb, xb)] == {xb: ONE}
+    assert m3[(xb, x, xb)] == {xb: Poly.const(-1)}
+    assert m3[(x, xb, q)] == {q: ONE}
+    assert m3[(xb, x, q)] == {q: Poly.const(-1)}
     # the Gauss-word B family at x = y gives the remaining worked product
-    assert t.m3[(x, x, xb)] == {x: Poly.const(-1)}
-    assert (x, x, q) not in t.m3  # q-insertions at corners live in the visible part
+    assert m3[(x, x, xb)] == {x: Poly.const(-1)}
+    assert (x, x, q) not in m3  # q-insertions at corners live in the visible part
 
 
 def test_hidden_unit_and_pairing():
-    t = hidden_ainf(SingularityParams(9, 2))
+    table = hidden_ainf(SingularityParams(9, 2))
+    t = table.as_poly()
     for i in range(9):
-        assert t.m2[((i, 0), (0, 0))] == {(i, 0): ONE}
-        assert t.m2[((0, 0), (i, 0))] == {(i, 0): ONE}
-        assert t.m2[((i, 1), (0, 0))] == {(i, 1): ONE}
-        assert t.m2[((0, 0), (i, 1))] == {(i, 1): Poly.const(-1)}
+        assert t['m2'][((i, 0), (0, 0))] == {(i, 0): ONE}
+        assert t['m2'][((0, 0), (i, 0))] == {(i, 0): ONE}
+        assert t['m2'][((i, 1), (0, 0))] == {(i, 1): ONE}
+        assert t['m2'][((0, 0), (i, 1))] == {(i, 1): Poly.const(-1)}
         if i:
-            assert t.m2[((i, 1), (i, 0))] == {(0, 1): ONE}
-            assert t.m2[((i, 0), (i, 1))] == {(0, 1): Poly.const(-1)}
+            assert t['m2'][((i, 1), (i, 0))] == {(0, 1): ONE}
+            assert t['m2'][((i, 0), (i, 1))] == {(0, 1): Poly.const(-1)}
     # per-crossing triples
     for i in range(1, 9):
-        assert t.m3[((i, 1), (i, 0), (i, 1))] == {(i, 1): Poly.const(-1)}
-        assert t.m3[((i, 1), (i, 0), (0, 1))] == {(0, 1): Poly.const(-1)}
-        assert t.m3[((i, 0), (i, 1), (0, 1))] == {(0, 1): ONE}
-    assert t.degrees_present() <= {0, 1}
+        assert t['m3'][((i, 1), (i, 0), (i, 1))] == {(i, 1): Poly.const(-1)}
+        assert t['m3'][((i, 1), (i, 0), (0, 1))] == {(0, 1): Poly.const(-1)}
+        assert t['m3'][((i, 0), (i, 1), (0, 1))] == {(0, 1): ONE}
+    assert table.degrees_present() <= {0, 1}
 
 
 def test_visible_r2_bigon():
-    t = visible_contributions(SingularityParams(2, 1))
+    t = visible_contributions(SingularityParams(2, 1)).as_poly()
     s = Poly.var(S)
     x, xb, q = (1, 0), (1, 1), (0, 1)
     # products: w_1^2 = s e and the Morse-maximum readings m_2(q, x) = s xbar
-    assert t.m2[(x, x)] == {(0, 0): s}
-    assert t.m2[(q, x)] == {xb: s}
-    assert t.m2[(x, q)] == {xb: -s}
+    assert t['m2'][(x, x)] == {(0, 0): s}
+    assert t['m2'][(q, x)] == {xb: s}
+    assert t['m2'][(x, q)] == {xb: -s}
     # the two differential readings cancel: no m1 left
-    assert t.m1 == {}
+    assert t['m1'] == {}
 
 
 def test_visible_zero_limit_is_kk():
     # with s = 0 and no insertions, only the SW-orange triangles survive
     for (r, a) in ((9, 2), (7, 6), (12, 5)):
         params = SingularityParams(r, a)
-        t = visible_contributions(params)
+        m2 = visible_contributions(params).as_poly()['m2']
         table = kk_table(params)
         zero = {S: Poly.zero()}
-        for (a2, a1), cell in t.m2.items():
+        for (a2, a1), cell in m2.items():
             if a2[1] == 0 and a1[1] == 0:
                 got = {}
                 for out, c in cell.items():
@@ -88,7 +89,7 @@ def _entrywise_sum(*tables):
     for name in ('m1', 'm2', 'm3'):
         acc = {}
         for t in tables:
-            for key, cell in getattr(t, name).items():
+            for key, cell in t.as_poly()[name].items():
                 for out, c in cell.items():
                     acc[(key, out)] = acc.get((key, out), Poly.zero()) + c
         nested = {}
@@ -104,7 +105,7 @@ def test_full_ainf_is_hidden_plus_visible(r, a):
     params = SingularityParams(r, a)
     full = full_ainf(params)
     want = _entrywise_sum(hidden_ainf(params), visible_contributions(params))
-    assert {'m1': full.m1, 'm2': full.m2, 'm3': full.m3} == want
+    assert full.as_poly() == want
 
 
 def _t(*indices):
@@ -159,14 +160,18 @@ def test_insertion_rule(slots, expected):
 def test_insertion_accumulates_across_arities():
     # m_1, m_2 and m_3 entries landing in the same cell add up, and a sum
     # that cancels leaves no coefficient behind
+    s = Poly.var(S)
     table = AinfTable()
-    table.add_m1((3, 0), (1, 1), -_t(1, 2))
+    table.add_m1((3, 0), (1, 1), s)
     table.add_m2((3, 0), (2, 1), (1, 1), ONE)
     table.add_m3((1, 1), (2, 1), (3, 0), (1, 1), ONE)
+    table.add_m3((1, 1), (2, 1), (3, 0), (2, 1), s)
+    table.add_m3((2, 1), (1, 1), (3, 0), (1, 1), -ONE)
+    table.add_m3((2, 1), (1, 1), (3, 0), (2, 1), -s)
     table.add_m2((2, 0), (3, 0), (1, 0), ONE)
     table.add_m3((1, 1), (2, 0), (3, 0), (1, 0), ONE)
     ops = insert_cochain(table, 4)
-    assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {(1, 1): _t(2)}}
+    assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {(1, 1): s + _t(2)}}
     assert {k: c for k, c in ops.products.items() if c} == {
         (2, 3): {(1, 0): ONE + _t(1)}}
 
@@ -176,8 +181,9 @@ def _reference_insertion(ainf, r):
     product of Poly.var factors, each contribution a Poly sum, and an output
     or key is dropped as soon as it reaches zero."""
     diffs, prods = {}, {}
-    for slots, cell in ([((x,), c) for x, c in ainf.m1.items()]
-                        + list(ainf.m2.items()) + list(ainf.m3.items())):
+    table = ainf.as_poly()
+    for slots, cell in ([((x,), c) for x, c in table['m1'].items()]
+                        + list(table['m2'].items()) + list(table['m3'].items())):
         inputs = tuple(i for i, d in slots if d == 0)
         ts = [i for i, d in slots if d == 1]
         if 0 in ts or len(inputs) not in (1, 2):
@@ -225,31 +231,35 @@ def test_insertion_drops_on_zero_and_reappends():
     # entries that cancel to zero and come back: a dropped term or output
     # returns at the end of its dict, exactly as in Poly arithmetic
     x, A, B, C = (3, 0), (1, 1), (2, 1), (1, 0)
+    b1, b2, b3 = (1, 1), (2, 1), (3, 1)
     s = Poly.var(S)
     table = AinfTable()
-    table.add_m1(x, A, _t(1))
-    table.add_m1(x, B, _t(2) + s)
-    table.add_m2((1, 1), x, A, -ONE)           # A cancels
-    table.add_m2((2, 1), x, B, -ONE)           # the t_2 term of B cancels
-    table.add_m2(x, (2, 1), B, ONE)            # ... and comes back last
-    table.add_m2(x, (2, 1), A, ONE)            # A comes back after B
+    table.add_m3(b1, b2, x, A, ONE)            # A: t_1 t_2
+    table.add_m3(b1, b2, x, B, ONE)            # B: t_1 t_2
+    table.add_m3(b1, x, b3, B, s)              # B: t_1 t_2 + s t_1 t_3
+    table.add_m3(b2, b1, x, A, -ONE)           # A cancels
+    table.add_m3(b2, b1, x, B, -ONE)           # the t_1 t_2 term of B cancels
+    table.add_m3(b2, x, b1, B, ONE)            # ... and comes back last
+    table.add_m3(b2, x, b1, A, ONE)            # A comes back after B
     table.add_m3((1, 1), (2, 0), x, C, ONE)
     table.add_m3((2, 0), (1, 1), x, C, -ONE)   # products[(2, 3)] cancels
     table.add_m3((2, 0), x, (2, 1), C, ONE)    # ... and comes back
     ops = _assert_matches_reference(table, 4)
     assert list(ops.differentials[3]) == [B, A]
-    assert ops.differentials[3] == {B: s + _t(2), A: _t(2)}
-    assert list(ops.differentials[3][B].terms) == [((S, 1),), ((tsub(2), 1),)]
+    assert ops.differentials[3] == {B: s * _t(1, 3) + _t(1, 2), A: _t(1, 2)}
+    assert list(ops.differentials[3][B].terms) == [
+        ((S, 1), (tsub(1), 1), (tsub(3), 1)), ((tsub(1), 1), (tsub(2), 1))]
     assert {k: c for k, c in ops.products.items() if c} == {(2, 3): {C: _t(2)}}
 
 
 def test_accumulate_stores_once_and_leaves_no_empty_cell():
-    table, s = {}, Poly.var(S)
-    deform_mod._accumulate(table, 'k', (1, 0), Poly.zero())
+    # coefficients c0 + c1 s are pairs (c0, c1)
+    table, s = {}, (0, 1)
+    deform_mod._accumulate([(table, 'k', 2, (0, 0))])
     assert table == {}
-    deform_mod._accumulate(table, 'k', (1, 0), s)
-    assert table['k'][(1, 0)] is s  # stored as it is, not copied
-    deform_mod._accumulate(table, 'k', (1, 0), -s)
+    deform_mod._accumulate([(table, 'k', 2, s)])
+    assert table['k'][2] is s  # stored as it is, not copied
+    deform_mod._accumulate([(table, 'k', 2, (0, -1))])
     assert table == {}
 
 
@@ -325,9 +335,54 @@ def test_insert_cochain_r2():
 
 def test_insert_cochain_rejects_higher_degrees():
     t = AinfTable()
-    t.add_m2((1, 2), (0, 0), (1, 2), ONE)  # a fake degree-2 generator
     with pytest.raises(NotInsertableError):
-        insert_cochain(t, 3)
+        t.add_m2((1, 2), (0, 0), (1, 2), ONE)  # a fake degree-2 generator
+    assert t.as_poly() == {'m1': {}, 'm2': {}, 'm3': {}}
+
+
+@pytest.mark.parametrize('gens,coeff', [
+    (((1, 2), (0, 0), (1, 2)), ONE),                      # degree 2
+    (((1, 0), (0, 0), (1, -1)), ONE),                     # degree -1
+    (((1, 0), (0, 0), (1, 0)), Poly.var(tsub(1))),        # a t_i coefficient
+    (((1, 0), (0, 0), (1, 0)), Poly.var(S, 2)),           # s^2
+    (((1, 0), (0, 0), (1, 0)), ONE + Poly.var(tsub(2))),  # Z + Z s plus a t_i
+])
+def test_add_rejects_what_the_table_cannot_code(gens, coeff):
+    t = AinfTable()
+    with pytest.raises(NotInsertableError):
+        t.add_m2(*gens, coeff)
+    assert t.m2 == {}
+
+
+def test_table_codes_generators_and_coefficients_as_ints():
+    t = AinfTable()
+    t.add_m1((1, 0), (2, 1), parse_poly('2 - 3 s'))
+    t.add_m3((1, 1), (0, 1), (2, 0), (0, 0), -ONE)
+    assert t.m1 == {2: {5: (2, -3)}}
+    assert t.m3 == {(3, 1, 4): {0: (-1, 0)}}
+    assert t.as_poly() == {'m1': {(1, 0): {(2, 1): parse_poly('2 - 3 s')}},
+                           'm2': {},
+                           'm3': {((1, 1), (0, 1), (2, 0)): {(0, 0): -ONE}}}
+
+
+@pytest.mark.parametrize('r,a', [(2, 1), (9, 2), (16, 3)])
+def test_as_poly_and_add_round_trip(r, a):
+    # adding every entry of as_poly() back, in order, rebuilds the codes,
+    # the pairs and the key order at every level
+    table = full_ainf(SingularityParams(r, a))
+    poly = table.as_poly()
+    again = AinfTable()
+    for x, cell in poly['m1'].items():
+        for out, c in cell.items():
+            again.add_m1(x, out, c)
+    for name, add in (('m2', again.add_m2), ('m3', again.add_m3)):
+        for key, cell in poly[name].items():
+            for out, c in cell.items():
+                add(*key, out, c)
+    for name in ('m1', 'm2', 'm3'):
+        want = [(k, list(cell.items())) for k, cell in getattr(table, name).items()]
+        got = [(k, list(cell.items())) for k, cell in getattr(again, name).items()]
+        assert got == want
 
 
 def test_hidden_insertion_a1_differentials():

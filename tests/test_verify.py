@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +94,41 @@ def test_kk_verdict_survives_python_O(sabotage, verdict):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(f'suite kk: {verdict}\n')
+
+
+_CODE_SABOTAGE = """
+import wahlorder.verify as v
+from wahlorder.resarith import SingularityParams
+params = SingularityParams(5, 2)
+table = v.full_ainf(params)
+{sabotage}
+v.coprime_pairs = lambda max_r, min_r=2: iter([params])
+v.full_ainf = lambda p: table
+print(v.suite_deform(max_r_skew=2, max_r_a1=2, max_n_wahl=2,
+                     max_r_first=3).render(), end='')
+"""
+
+
+@pytest.mark.parametrize('sabotage,tail', [
+    # w_5 as an input, then as an output: both are outside Z_5
+    ('table.m3[(1, 10, 4)] = {0: (1, 0)}',
+     'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
+     '[(5,2): generator codes [10] outside range(10)]\nsuite deform: FAIL\n'),
+    ('table.m2[(2, 2)] = {11: (0, 1)}',
+     'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
+     '[(5,2): generator codes [11] outside range(10)]\nsuite deform: FAIL\n'),
+    ('',
+     'PASS  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)\n'
+     'suite deform: PASS\n'),
+])
+def test_degree_check_reads_codes_under_python_O(sabotage, tail):
+    # an A-infinity table with a generator code outside range(2r) must fail
+    # the degree check even with assert statements compiled out
+    src = Path(wahlorder.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, '-O', '-c', _CODE_SABOTAGE.format(sabotage=sabotage)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = re.sub(r'\(\d+\.\d\ds\)', '(X)', proc.stdout)
+    assert out.endswith(tail)
