@@ -6,9 +6,7 @@ smoothings of Wahl singularities, all cross-validated against exact oracles.
 from .resarith import (SingularityParams, WahlParams, InvalidParamsError,
                        bracket, inverse_mod, gamma, is_orange, m_of,
                        hj_fraction, hj_evaluate)
-from .polyring import (Poly, S, T, tsub, acoef, parse_poly, format_poly,
-                       solve_in_span, is_polynomial,
-                       DeficientBasisError, OutOfSpanError)
+from .polyring import Poly, S, T, tsub, acoef, parse_poly, format_poly
 from .kkalg import (AlgebraTable, kk_product_closed, kk_product_rect,
                     kk_table, opposite, dual_relabel, young_diagram,
                     YoungDiagram, gauss_word, self_intersection_count)

@@ -39,21 +39,20 @@ def _write(args, text: str):
 #   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
 #                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 1,   --table --spec     1.6 s, 109 MB
-#   order   n = 10:     q = 3,   --fiber zero       4.2 s, 153 MB
+#   deform  r = 64:     a = 1,   --table --spec     1.2 s, 109 MB
+#   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
 #   verify  --max-r 40: --suite kk                  4.2 s,  18 MB (r = 42: 5.4 s)
-#           --max-n 6:  --suite deform              4.3 s,  26 MB (cross 1.5 s;
-#                                                   n = 7: cross 5.8 s)
+#           --max-n 7:  --suite deform              4.6 s,  33 MB (order 3.7 s,
+#                                                   cross 1.6 s; n = 8: order 8.7 s)
 # For verify the slowest single suite is measured: --max-r raises the r bound
-# past 20 only in kk, and --max-n the n bound past 5 only in deform and
-# cross.  --suite all runs the suites one after another (6.0 s at the
-# default bounds).
+# past 20 only in kk, and --max-n bounds n in deform, order and cross.
+# --suite all runs the suites one after another (10 s at the default bounds).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
 MAX_VERIFY_R = 40
-MAX_VERIFY_N = 6
+MAX_VERIFY_N = 7
 
 
 def _within_budget(command: str, name: str, value: int, budget: int):

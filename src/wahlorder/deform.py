@@ -611,12 +611,15 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
         if not v.is_zero():
             raise SpecNotFlatError((i, j), v)
     products = {}
+    images = {}  # many outputs share one coefficient: substitute it once
     for (j, i), cell in ops.products.items():
         newcell = {}
         for out, coeff in cell.items():
             if out[1] != 0:
                 raise ArithmeticError(f"product w_{j} w_{i} hit degree-1 output {out}")
-            c = coeff.substitute(sub)
+            c = images.get(coeff)
+            if c is None:
+                c = images[coeff] = coeff.substitute(sub)
             if not c.is_zero():
                 newcell[out[0]] = c
         if newcell:

@@ -7,10 +7,15 @@ algebra over Z[t] whose t = 0 fiber is R_{n^2, nq-1} on the nose, whose
 fibers at t != 0 are full matrix algebras, and whose t = infinity fiber is
 again R_{n^2, nq-1} after the index flip k -> -k.
 
-The constants are solved exactly in Z[t] (solve_in_basis): the sparse
-monomial coefficient matrix peels into a triangular system, back-substitution
-divides exactly by t^e, a nonzero remainder below t^e proves non-closure, and
-exact recombination of every cell certifies the result.
+Every entry of a basis matrix is a signed monomial +-t^e, and the layer keeps
+that form: a basis matrix is a list [(row, col, sign, e)], a product of two is
+a sparse {(row, col): dense Z[t] coefficient list}, and Poly appears only in
+the finished constants.  solve_in_basis peels the r x r coefficient matrix
+once into a triangular order with pivots +-t^e and back-substitutes each
+product over its nonzero cells, dividing exactly by t^e: a nonzero remainder
+below t^e proves non-closure, and a residual that ends all zero certifies the
+result.  The pivots also give the determinant +-t^(sum e), which certifies
+the fibers at every t != 0 as Mat_n.
 
 Two conventions are frozen here after exhaustive fit against the reference
 matrices (see order_entry and structure_constants).
@@ -19,11 +24,10 @@ matrices (see order_entry and structure_constants).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .resarith import SingularityParams, WahlParams, bracket
-from .polyring import (Poly, T, S, tsub, solve_in_span_many, is_polynomial,
-                       _to_uni, _from_uni, _uadd, _umul)
+from .polyring import Poly, T, S, tsub, _from_uni
 from .kkalg import AlgebraTable, kk_table
 from .deform import CochainSpec
 
@@ -83,7 +87,8 @@ class OrderTable:
     cells: list  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
 
     _constants: dict = field(default=None, repr=False)
-    solver: str = field(default=None, repr=False)  # 'triangular' | 'bareiss'
+    # (sign, e): the coefficient matrix of the basis has determinant sign * t^e
+    _det: tuple = field(default=None, repr=False)
 
     @property
     def r(self) -> int:
@@ -93,15 +98,14 @@ class OrderTable:
     def params(self) -> SingularityParams:
         return WahlParams(self.n, self.q).params
 
-    def basis_matrix(self, k: int):
-        """M(w_k): the n x n matrix of Poly in t multiplying a_k."""
-        n = self.n
-        out = [[Poly.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for (sign, exp, kk) in self.cells[i][j]:
-                    if kk == k:
-                        out[i][j] = out[i][j] + Poly.var(T, exp, sign)
+    def monomial_basis(self) -> list:
+        """M(w_k) for every k as [(row, col, sign, e)], 0-indexed and row by
+        row: the coefficient of a_k in cell (row, col) is sign * t^e."""
+        out = [[] for _ in range(self.r)]
+        for i, row in enumerate(self.cells):
+            for j, cell in enumerate(row):
+                for sign, exp, k in cell:
+                    out[k].append((i, j, sign, exp))
         return out
 
 
@@ -115,30 +119,17 @@ def build_order(n: int, q: int) -> OrderTable:
                 if not (0 <= exp <= n and 0 <= k < n * n):
                     raise ValueError(f'({n},{q}) cell ({i+1},{j+1}): term '
                                      f't^{exp} a_{k} out of range')
-                if (i, j, exp, k) in seen:
-                    raise ValueError(f'({n},{q}) cell ({i+1},{j+1}): term '
-                                     f't^{exp} a_{k} repeated')
-                seen.add((i, j, exp, k))
+                # one term per coefficient keeps every basis entry a monomial
+                if (i, j, k) in seen:
+                    raise ValueError(f'({n},{q}) cell ({i+1},{j+1}): '
+                                     f'coefficient a_{k} repeated')
+                seen.add((i, j, k))
     return OrderTable(n, q, cells)
 
 
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
-
-def _matmul(A, B, n):
-    out = [[Poly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(n):
-                b = B[k][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
-
 
 def structure_constants(order: OrderTable) -> dict:
     """c[(j, i)] = {k: Poly in t} with w_j * w_i = sum_k c^k w_k.
@@ -152,105 +143,148 @@ def structure_constants(order: OrderTable) -> dict:
     algebra, and no diagonal sign change repairs it (its w_1^2 is nonzero
     when a = 2, b = 5, r = 9; R_{9,2} has w_1^2 = 0).
 
-    The coordinates come from solve_in_basis: back-substitution in Z[t]
-    along monomial pivots, with Bareiss elimination as the fallback.  The
-    path taken is recorded in order.solver.
+    Each product N_i . N_j is formed from the signed monomials into a sparse
+    cell map and solved by solve_in_basis, which also yields the determinant
+    kept for certify_full_matrix_fiber.
     """
     if order._constants is not None:
         return order._constants
-    n, r = order.n, order.r
-    a = order.params.a
-    basis = [order.basis_matrix(bracket(-a * k, r)) for k in range(r)]
-    targets = {(j, i): _matmul(basis[i], basis[j], n)
+    r, a = order.r, order.params.a
+    mats = order.monomial_basis()
+    basis = [mats[bracket(-a * k, r)] for k in range(r)]
+    by_row = []
+    for entries in basis:
+        rows = {}
+        for i, j, sign, e in entries:
+            rows.setdefault(i, []).append((j, sign, e))
+        by_row.append(rows)
+    targets = {(j, i): _product(basis[i], by_row[j])
                for j in range(r) for i in range(r)}
-    order._constants, order.solver = solve_in_basis(basis, targets)
+    order._constants, order._det = solve_in_basis(basis, targets)
     return order._constants
 
 
+def _product(left, right_rows) -> dict:
+    """left . right as {(row, col): dense Z[t] list}, zero cells left out;
+    right_rows[m] lists the entries (col, sign, e) of right's row m."""
+    out = {}
+    for i, m, s1, e1 in left:
+        for j, s2, e2 in right_rows.get(m, ()):
+            e = e1 + e2
+            cell = out.setdefault((i, j), [])
+            if len(cell) <= e:
+                cell.extend([0] * (e + 1 - len(cell)))
+            cell[e] += s1 * s2
+    return {c: v for c, v in out.items() if _trim(v)}
+
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
 def solve_in_basis(basis, targets):
-    """Coordinates in Z[t] of each target matrix over the basis matrices.
+    """Coordinates in Z[t] of each target over signed-monomial basis matrices.
 
-    targets maps a label to a matrix; returns ({label: {k: Poly}}, path),
-    each coordinate dict in ascending k, path 'triangular' or 'bareiss'.
+    basis[k] is [(row, col, sign, e)], at most one entry per cell; targets
+    maps a label to {(row, col): dense coefficient list, low degree first}.
+    Returns ({label: {k: Poly}}, (sign, e)): each coordinate dict in
+    ascending k, and sign * t^e the determinant of the coefficient matrix
+    (cells x unknowns) on the cells _peel pivots.
 
-    The cells x basis coefficient matrix of a matrix order is a sparse set of
-    monomials +-t^e.  Peeling repeatedly picks a cell with exactly one
-    unsolved unknown whose coefficient there is +-t^e; when every unknown is
-    picked this way the system is triangular with monomial pivots and each
-    target is solved by back-substitution: acc = b[cell] - (known terms),
-    x_k = +-acc / t^e.  The solution over Q(t) is unique, so a nonzero
-    coefficient of acc below t^e proves the target is not in the Z[t]-span
-    and raises ArithmeticError.  Every cell is then certified by exact
-    recombination in Z[t].  If peeling stalls, solve_in_span_many (Bareiss)
-    solves the system instead.
+    Along the peel order each unknown k has the pivot +-t^e in a cell where
+    every other unknown was pivoted before it, so k occurs only in its own
+    pivot cell and in cells pivoted later.  A target is solved over its
+    nonzero cells: take the earliest pivot position whose residual cell is
+    nonzero, divide that cell exactly by +-t^e to get x_k, and subtract
+    x_k N_k from the residual; a heap of positions orders the visits.  The
+    solution over Q(t) is unique, so a nonzero coefficient below t^e proves
+    the target is not in the Z[t]-span and raises ArithmeticError.  The
+    residual must end all zero, which is target = sum x_k N_k exactly in
+    Z[t]: the certificate of the result.
     """
-    ucells = [[_to_uni(cell) for row in M for cell in row] for M in basis]
-    rows = [{k: ub[c] for k, ub in enumerate(ucells) if ub[c]}
-            for c in range(len(ucells[0]))]
-    steps = _peel(rows, len(basis))
-    if steps is None:
-        return _solve_bareiss(basis, targets), 'bareiss'
+    steps, det = _peel(basis)
+    position = {step[0]: p for p, step in enumerate(steps)}
     consts = {}
-    for label, P in targets.items():
-        b = [_to_uni(cell) for row in P for cell in row]
-        x = [[] for _ in basis]
-        for c, k, e, sign, known in steps:
-            acc = b[c]
-            for kk, neg in known:
-                if x[kk]:
-                    acc = _uadd(acc, _umul(neg, x[kk]))
+    for label, target in targets.items():
+        residual = {c: v[:] for c, v in target.items()}
+        heap = [position[c] for c in residual if c in position]
+        heapify(heap)
+        coords = {}
+        while heap:
+            p = heappop(heap)
+            cell, k, sign, e = steps[p]
+            acc = residual[cell]
+            if not acc:
+                continue  # solved already, or cancelled since it was pushed
             if any(acc[:e]):
                 raise ArithmeticError(
                     f'product {label}: coordinate {k} is not in Z[t] '
                     f'(nonzero remainder below t^{e})')
-            x[k] = [sign * v for v in acc[e:]]
-        for c, row in enumerate(rows):
-            acc = []
-            for k, coeff in row.items():
-                if x[k]:
-                    acc = _uadd(acc, _umul(coeff, x[k]))
-            if acc != b[c]:
-                raise ArithmeticError(
-                    f'product {label}: exact recombination fails in cell {c}')
-        consts[label] = {k: _from_uni(xk) for k, xk in enumerate(x) if xk}
-    return consts, 'triangular'
-
-
-def _peel(rows, nunknowns):
-    """Solve order [(cell, k, e, sign, known)]: unknown k is pivoted in cell
-    with coefficient sign * t^e, and known lists (k', -coefficient) of the
-    cell's unknowns solved before it.  None when no cell has a single
-    unsolved unknown with a monomial coefficient."""
-    pending = [set(row) for row in rows]
-    steps = []
-    while len(steps) < nunknowns:
-        step = next(((c, k) for c, ks in enumerate(pending) if len(ks) == 1
-                     for k in ks
-                     if rows[c][k][-1] in (1, -1) and not any(rows[c][k][:-1])),
-                    None)
-        if step is None:
-            return None
-        c, k = step
-        known = [(kk, [-v for v in coeff]) for kk, coeff in rows[c].items()
-                 if kk != k]
-        steps.append((c, k, len(rows[c][k]) - 1, rows[c][k][-1], known))
-        for ks in pending:
-            ks.discard(k)
-    return steps
-
-
-def _solve_bareiss(basis, targets):
-    labels = list(targets)
-    coords_all = solve_in_span_many([targets[p] for p in labels], basis)
-    consts = {}
-    for p, coords in zip(labels, coords_all):
-        ok, cleared = is_polynomial(coords)
-        if not ok:
-            bad = [k for k, c in enumerate(cleared) if c is None]
+            x = coords[k] = [sign * v for v in acc[e:]]
+            for row, col, s, shift in basis[k]:
+                c = (row, col)
+                acc = residual.setdefault(c, [])
+                if len(acc) < shift + len(x):
+                    acc.extend([0] * (shift + len(x) - len(acc)))
+                for i, v in enumerate(x, shift):
+                    acc[i] -= s * v
+                if _trim(acc) and position.get(c, -1) > p:
+                    heappush(heap, position[c])
+        bad = next((c for c, v in residual.items() if v), None)
+        if bad is not None:
             raise ArithmeticError(
-                f"product {p}: non-polynomial coordinates at {bad}")
-        consts[p] = {k: c for k, c in enumerate(cleared) if not c.is_zero()}
-    return consts
+                f'product {label}: exact recombination fails in cell {bad}')
+        consts[label] = {k: _from_uni(coords[k]) for k in sorted(coords)}
+    return consts, det
+
+
+def _peel(basis):
+    """Pivot order [(cell, k, sign, e)] and the determinant (sign, sum e).
+
+    Each step pivots unknown k in a cell where it is the only unknown not
+    pivoted yet, with coefficient sign * t^e.  Ordered this way the
+    coefficient matrix is triangular, so its determinant is the product of
+    the pivots times the signs of the two reorderings.  ArithmeticError when
+    the peel stalls: no cell has a single unpivoted unknown.
+    """
+    rows = {}
+    for k, entries in enumerate(basis):
+        for row, col, sign, e in entries:
+            rows.setdefault((row, col), {})[k] = (sign, e)
+    pending = {c: set(rows[c]) for c in sorted(rows)}
+    steps = []
+    while len(steps) < len(basis):
+        step = next(((c, k) for c, ks in pending.items() if len(ks) == 1
+                     for k in ks), None)
+        if step is None:
+            raise ArithmeticError(
+                f'the basis does not peel into a triangular system: no cell '
+                f'has a single unsolved unknown after {len(steps)} of '
+                f'{len(basis)} pivots')
+        c, k = step
+        steps.append((c, k) + rows[c][k])
+        for ks in pending.values():
+            ks.discard(k)
+    sign = (_permutation_sign([c for c, _, _, _ in steps])
+            * _permutation_sign([k for _, k, _, _ in steps]))
+    for _, _, s, _ in steps:
+        sign *= s
+    return steps, (sign, sum(e for _, _, _, e in steps))
+
+
+def _permutation_sign(seq) -> int:
+    """Sign of the permutation taking sorted(seq) to seq (distinct items)."""
+    rank = {v: i for i, v in enumerate(sorted(seq))}
+    perm = [rank[v] for v in seq]
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -278,40 +312,15 @@ def fiber_at(order: OrderTable, tau) -> AlgebraTable:
 
 
 def certify_full_matrix_fiber(order: OrderTable, tau) -> bool:
-    """True iff the evaluated basis matrices span Mat_n at t = tau, witnessed
-    by a nonzero determinant of the r x r coefficient matrix."""
-    n, r = order.n, order.r
-    a = order.params.a
-    rows = []
-    for k in range(r):
-        M = order.basis_matrix(bracket(-a * k, r))
-        rows.append([M[x][y].eval_at({T: tau}) for x in range(n) for y in range(n)])
-    return _det_fraction(rows) != 0
+    """True iff the basis matrices evaluated at t = tau span Mat_n.
 
-
-def _det_fraction(rows) -> Fraction:
-    m = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(m):
-        piv = None
-        for row in range(col, m):
-            if mat[row][col]:
-                piv = row
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for row in range(col + 1, m):
-            f = mat[row][col] * inv
-            if f:
-                for cc in range(col, m):
-                    mat[row][cc] -= f * mat[col][cc]
-    return det
+    The peel behind structure_constants makes the r x r coefficient matrix
+    triangular with pivots +-t^e, so its determinant is exactly +-t^(sum e).
+    That is nonzero at every tau != 0: a True result at any tau != 0 proves
+    the fiber is Mat_n at every tau != 0.  At tau = 0 it holds iff sum e = 0.
+    """
+    structure_constants(order)
+    return tau != 0 or order._det[1] == 0
 
 
 def diagonal_sign_match(t1: AlgebraTable, t2: AlgebraTable):

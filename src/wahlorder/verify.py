@@ -87,6 +87,12 @@ def _timed(report: VerifyReport, name: str, fn):
                                      time.perf_counter() - start))
 
 
+def wahl_pairs(max_n: int):
+    """Every coprime (n, q) with 1 <= q < n <= max_n, in order."""
+    return [(n, q) for n in range(2, max_n + 1) for q in range(1, n)
+            if gcd(n, q) == 1]
+
+
 def coprime_pairs(max_r: int, min_r: int = 2):
     for r in range(min_r, max_r + 1):
         for a in range(1, r):
@@ -289,13 +295,10 @@ def suite_deform(max_r_skew: int = 20, max_r_a1: int = 16,
            component_ideals)
 
     def wahl_vanishing():
-        for n in range(2, max_n_wahl + 1):
-            for q in range(1, n):
-                if gcd(n, q) != 1:
-                    continue
-                params = SingularityParams(n * n, n * q - 1)
-                spec = wahl_cochain(n, q)
-                _require(check_point(params, spec), f'({n},{q}) cochain not flat')
+        for (n, q) in wahl_pairs(max_n_wahl):
+            params = SingularityParams(n * n, n * q - 1)
+            spec = wahl_cochain(n, q)
+            _require(check_point(params, spec), f'({n},{q}) cochain not flat')
 
     _timed(report, f'Q-Gorenstein cochain annihilates the matrix, n <= {max_n_wahl}',
            wahl_vanishing)
@@ -460,7 +463,7 @@ def component_specs_19_7() -> dict:
 # order suite
 # ---------------------------------------------------------------------------
 
-def suite_order(max_n: int = 5) -> VerifyReport:
+def suite_order(max_n: int = 7) -> VerifyReport:
     report = VerifyReport('order')
 
     def goldens():
@@ -491,9 +494,7 @@ def suite_order(max_n: int = 5) -> VerifyReport:
     _timed(report, 'golden matrices n = 2..5 term-for-term '
                    '(2,1 via the documented sign substitution)', goldens)
 
-    for (n, q) in sorted(set(GOLDEN_MATRICES) | {(2, 1)}):
-        if n > max_n:
-            continue
+    for (n, q) in wahl_pairs(max_n):
 
         def one_order(n=n, q=q):
             ordr = build_order(n, q)
@@ -525,20 +526,17 @@ def _poly_one():
 # cross suite
 # ---------------------------------------------------------------------------
 
-def suite_cross(max_n: int = 4) -> VerifyReport:
+def suite_cross(max_n: int = 6) -> VerifyReport:
     report = VerifyReport('cross')
-    for n in range(2, max_n + 1):
-        for q in range(1, n):
-            if gcd(n, q) != 1:
-                continue
+    for (n, q) in wahl_pairs(max_n):
 
-            def one(n=n, q=q):
-                rep = cross_check(n, q)
-                _require(rep.matched, f'({n},{q}) mismatch at {rep.first_mismatch}')
-                return (True, 'identical' if rep.identical else
-                        'up to diagonal signs')
+        def one(n=n, q=q):
+            rep = cross_check(n, q)
+            _require(rep.matched, f'({n},{q}) mismatch at {rep.first_mismatch}')
+            return (True, 'identical' if rep.identical else
+                    'up to diagonal signs')
 
-            _timed(report, f'deformed table vs order constants ({n},{q})', one)
+        _timed(report, f'deformed table vs order constants ({n},{q})', one)
     return report
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -257,4 +258,29 @@ def test_deform_output_bytes(argv, digest, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout, recorded before the order layer moved to signed-monomial
+# matrices; verify's elapsed times are masked as (-s)
+_ORDER_DIGESTS = [
+    (['--format', 'paper', 'order', '--n', '5', '--q', '2'],
+     'd5b0ac83a8ccd99352f737a6fb170a14fac0a5fb3d1ce05ff184b03dc6314b22'),
+    (['--format', 'json', 'order', '--n', '5', '--q', '2'],
+     '4d08956df431bd37bbf3966a5132da4d51a7d9690fa74a6f9bc5586eac58153f'),
+    (['order', '--n', '4', '--q', '3', '--fiber', 'zero'],
+     '9e9953b3a2d7ae8f762c270e1a34d0e7f434bb6818003900f7a67835f3399c79'),
+    (['order', '--n', '3', '--q', '2', '--fiber', 'generic', '--at', '1/2'],
+     '4c101c234ad0ea9a793620642cf572caaf195791e8bbc2dbfe3d46fc1be8d157'),
+    (['order', '--n', '6', '--q', '5', '--fiber', 'infinity'],
+     '9ba667ba84af8c86dd22811506979dcf61ab9138ca90578a90508aef1f94d5fc'),
+    (['verify', '--suite', 'cross', '--max-n', '4'],
+     '30c1c227deea59e7f11cf330fc79b3145ea33ba29bde86c884bf51acb734da89'),
+]
+
+
+@pytest.mark.parametrize('argv,digest', _ORDER_DIGESTS)
+def test_order_output_bytes(argv, digest, capsys):
+    assert main(argv) == 0
+    out = re.sub(r'\(\d+\.\d+s\)', '(-s)', capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,8 @@ from wahlorder.order import (order_entry, build_order, structure_constants,
                              diagonal_sign_match)
 from wahlorder.goldens import GOLDEN_MATRICES
 from wahlorder.deform import check_point
+from bareiss_oracle import (poly_matrix, _matmul, _solve_bareiss,
+                            _det_fraction, _to_uni)
 
 
 def test_order_entry_reference_examples():
@@ -46,15 +49,17 @@ def test_build_order_2_1_vs_example_display():
 
 def test_basis_matrix_shapes():
     ordr = build_order(3, 1)
-    m0 = ordr.basis_matrix(0)
-    for i in range(3):
-        for j in range(3):
-            want = Poly.const(1) if i == j else Poly.zero()
-            assert m0[i][j].eval_at({T: 0}) == want.eval_at({T: 0})
-    m4 = ordr.basis_matrix(4)
+    basis = ordr.monomial_basis()
+    assert len(basis) == 9
+    # a_0 is the identity, up to t-multiples of other coefficients
+    assert basis[0] == [(0, 0, 1, 0), (1, 1, 1, 0), (2, 2, 1, 0)]
+    assert basis[4] == [(0, 1, 1, 1)]
+    m4 = poly_matrix(basis[4], 3)
     assert format_poly(m4[0][1]) == 't'
     assert all(m4[i][j].is_zero() for i in range(3) for j in range(3)
                if (i, j) != (0, 1))
+    # every cell term appears in exactly one basis matrix
+    assert sum(map(len, basis)) == sum(len(c) for row in ordr.cells for c in row)
 
 
 def test_structure_constants_2_1():
@@ -170,7 +175,7 @@ def test_extended_orders_and_cross_checks():
 
 
 # ---------------------------------------------------------------------------
-# the triangular solver against the Bareiss oracle
+# the signed-monomial solver against the Bareiss oracle
 # ---------------------------------------------------------------------------
 
 def _wahl_pairs(max_n):
@@ -178,68 +183,142 @@ def _wahl_pairs(max_n):
             if gcd(n, q) == 1]
 
 
-def _combination(basis, coords):
-    n = len(basis[0])
-    return [[sum((c * basis[k][i][j] for k, c in coords.items()), Poly.zero())
+def _order_basis(ordr):
+    mats = ordr.monomial_basis()
+    return [mats[bracket(-ordr.params.a * k, ordr.r)] for k in range(ordr.r)]
+
+
+def _combination(basis, coords, n):
+    mats = [poly_matrix(b, n) for b in basis]
+    return [[sum((c * mats[k][i][j] for k, c in coords.items()), Poly.zero())
              for j in range(n)] for i in range(n)]
+
+
+def _sparse(matrix):
+    return {(i, j): _to_uni(p) for i, row in enumerate(matrix)
+            for j, p in enumerate(row) if not p.is_zero()}
 
 
 @pytest.mark.parametrize('n,q', _wahl_pairs(4))
 def test_triangular_constants_match_bareiss_oracle(n, q):
     ordr = build_order(n, q)
     consts = structure_constants(ordr)
-    assert ordr.solver == 'triangular'
-    r, a = ordr.r, ordr.params.a
-    basis = [ordr.basis_matrix(bracket(-a * k, r)) for k in range(r)]
-    targets = {(j, i): order_mod._matmul(basis[i], basis[j], n)
+    r = ordr.r
+    basis = [poly_matrix(b, n) for b in _order_basis(ordr)]
+    targets = {(j, i): _matmul(basis[i], basis[j], n)
                for j in range(r) for i in range(r)}
-    oracle = order_mod._solve_bareiss(basis, targets)
+    oracle = _solve_bareiss(basis, targets)
     # equal as dicts and in key order, which the digests and output rely on
     assert {p: list(c.items()) for p, c in consts.items()} == \
         {p: list(c.items()) for p, c in oracle.items()}
 
 
+def test_product_matches_poly_matmul():
+    # products of order bases never put two terms on one (cell, power), so
+    # random signed-monomial matrices exercise the sums and cancellations
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        left, right = ([(i, j, rng.choice((1, -1)), rng.randint(0, 2))
+                        for i, j in rng.sample(cells, rng.randint(0, n * n))]
+                       for _ in range(2))
+        right_rows = {}
+        for i, j, sign, e in right:
+            right_rows.setdefault(i, []).append((j, sign, e))
+        want = _matmul(poly_matrix(left, n), poly_matrix(right, n), n)
+        assert order_mod._product(left, right_rows) == _sparse(want)
+
+
 def test_triangular_path_up_to_n_6():
     for (n, q) in _wahl_pairs(6):
         ordr = build_order(n, q)
-        structure_constants(ordr)
-        assert ordr.solver == 'triangular', (n, q)
+        consts = structure_constants(ordr)
+        assert len(consts) == ordr.r ** 2, (n, q)
+        assert ordr._det[0] in (1, -1), (n, q)
 
 
-def _e(i, j, p):
-    m = [[Poly.zero(), Poly.zero()], [Poly.zero(), Poly.zero()]]
-    m[i][j] = p
-    return m
+@pytest.mark.parametrize('n,q', _wahl_pairs(5))
+def test_determinant_matches_fraction_oracle(n, q):
+    ordr = build_order(n, q)
+    structure_constants(ordr)
+    sign, total = ordr._det
+    assert total > 0
+    mats = [poly_matrix(b, n) for b in _order_basis(ordr)]
+    for tau in (-1, Fraction(1, 2), 1, 2, 3):
+        rows = [[m[x][y].eval_at({T: tau}) for x in range(n) for y in range(n)]
+                for m in mats]
+        assert sign * Fraction(tau) ** total == _det_fraction(rows), tau
+        assert certify_full_matrix_fiber(ordr, tau)
+    assert not certify_full_matrix_fiber(ordr, 0)
+    assert not certify_full_matrix_fiber(ordr, Fraction(0))
 
 
-def test_unpeelable_basis_takes_bareiss_path():
+def test_stalled_basis_raises():
     t = Poly.var(T)
     one = Poly.const(1)
-    # the (1,1) cell pivots on 1 + t, which is not a monomial
-    stalled = [[[one, Poly.zero()], [Poly.zero(), one]],
-               _e(0, 1, one), _e(1, 0, t), _e(0, 0, one + t)]
-    peelable = stalled[:3] + [_e(0, 0, t * t)]
+    # E11 + E22, E11 - E22, E12, E21: after E12 and E21 the diagonal cells
+    # each hold two unsolved unknowns, so the peel stalls, although the
+    # basis spans Mat_2 over Q (the Bareiss oracle solves it)
+    stalled = [[(0, 0, 1, 0), (1, 1, 1, 0)], [(0, 0, 1, 0), (1, 1, -1, 0)],
+               [(0, 1, 1, 0)], [(1, 0, 1, 0)]]
+    target = _combination(stalled, {0: one, 1: t}, 2)
+    assert _solve_bareiss([poly_matrix(b, 2) for b in stalled],
+                          {'u': target}) == {'u': {0: one, 1: t}}
+    with pytest.raises(ArithmeticError, match='does not peel'):
+        solve_in_basis(stalled, {'u': _sparse(target)})
+    # I, E12, t E21, t^2 E11 peels: E12, E21, E22 (for I), then E11
+    peelable = [[(0, 0, 1, 0), (1, 1, 1, 0)], [(0, 1, 1, 0)],
+                [(1, 0, 1, 1)], [(0, 0, 1, 2)]]
     want = {'u': {0: one, 3: t * t - one}, 'v': {1: -t, 2: one + t},
             'w': {}, 'x': {3: one}}
-    for basis, path in ((stalled, 'bareiss'), (peelable, 'triangular')):
-        targets = {p: _combination(basis, c) for p, c in want.items()}
-        got, solver = solve_in_basis(basis, targets)
-        assert solver == path
-        assert got == want
-        assert got == order_mod._solve_bareiss(basis, targets)
+    targets = {p: _combination(peelable, c, 2) for p, c in want.items()}
+    got, det = solve_in_basis(peelable, {p: _sparse(m) for p, m in targets.items()})
+    assert got == want
+    assert got == _solve_bareiss([poly_matrix(b, 2) for b in peelable], targets)
+    # rows (1,2) and (2,1) hold E12 and t E21 alone; then rows (1,1) and
+    # (2,2) read [[1, t^2], [1, 0]] on I and t^2 E11: det = t * (-t^2)
+    assert det == (-1, 3)
 
 
 def test_target_outside_closure_raises():
     ordr = build_order(2, 1)
-    r, a = ordr.r, ordr.params.a
-    basis = [ordr.basis_matrix(bracket(-a * k, r)) for k in range(r)]
+    basis = _order_basis(ordr)
     # cell (1,2) is t a_3 alone, so E_12 = N / t is not in the Z[t]-span
-    target = _e(0, 1, Poly.const(1))
     with pytest.raises(ArithmeticError, match='remainder'):
-        solve_in_basis(basis, {'E12': target})
+        solve_in_basis(basis, {'E12': {(0, 1): [1]}})
     # t E_12 is in the span, with coordinate 1 on the a_3 basis element
-    got, solver = solve_in_basis(basis, {'tE12': _e(0, 1, Poly.var(T))})
-    assert solver == 'triangular' and list(got['tE12'].values()) == [Poly.const(1)]
+    got, _ = solve_in_basis(basis, {'tE12': {(0, 1): [0, 1]}})
+    assert list(got['tE12'].values()) == [Poly.const(1)]
+
+
+def test_tampered_product_raises():
+    ordr = build_order(3, 1)
+    consts = structure_constants(ordr)
+    basis = _order_basis(ordr)
+    label = next(p for p, c in consts.items() if len(c) > 1)
+    product = _sparse(_combination(basis, consts[label], 3))
+    assert solve_in_basis(basis, {label: product})[0] == {label: consts[label]}
+    # a constant term added in a cell whose pivot is t^e, e >= 1
+    steps, _ = order_mod._peel(basis)
+    cell = next(c for c, _, _, e in steps if e >= 1)
+    tampered = dict(product)
+    tampered[cell] = [1] if cell not in product else \
+        [product[cell][0] + 1] + product[cell][1:]
+    with pytest.raises(ArithmeticError, match='remainder below t'):
+        solve_in_basis(basis, {label: tampered})
+
+
+def test_residual_outside_the_pivot_cells_raises():
+    # I and E12 pivot in the cells (1,2) and (1,1); cell (2,2) is left over
+    # and must end with a zero residual
+    basis = [[(0, 0, 1, 0), (1, 1, 1, 0)], [(0, 1, 1, 0)]]
+    got, _ = solve_in_basis(basis, {'I + t E12': {(0, 0): [1], (1, 1): [1],
+                                                  (0, 1): [0, 1]}})
+    assert got == {'I + t E12': {0: Poly.const(1), 1: Poly.var(T)}}
+    for label, target in (('E11', {(0, 0): [1]}), ('E22', {(1, 1): [1]})):
+        with pytest.raises(ArithmeticError, match='recombination fails'):
+            solve_in_basis(basis, {label: target})
 
 
 def test_build_order_invariants_raise_value_error(monkeypatch):
@@ -247,6 +326,11 @@ def test_build_order_invariants_raise_value_error(monkeypatch):
     monkeypatch.setattr(order_mod, 'order_entry',
                         lambda n, q, i, j: real(n, q, i, j) * 2)
     with pytest.raises(ValueError, match='repeated'):
+        build_order(3, 1)
+    # one coefficient twice in a cell would make its basis entry 1 + t
+    monkeypatch.setattr(order_mod, 'order_entry',
+                        lambda n, q, i, j: [(1, 0, 0), (1, 1, 0)])
+    with pytest.raises(ValueError, match='a_0 repeated'):
         build_order(3, 1)
     monkeypatch.setattr(order_mod, 'order_entry',
                         lambda n, q, i, j: [(1, n + 1, 0)])

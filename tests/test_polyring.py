@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
-                                format_poly, solve_in_span, solve_in_span_many,
-                                is_polynomial, RationalCoord,
-                                DeficientBasisError, OutOfSpanError, _udivides)
+                                format_poly)
+from bareiss_oracle import (solve_in_span, solve_in_span_many, is_polynomial,
+                            RationalCoord, DeficientBasisError, OutOfSpanError,
+                            _udivides)
 
 VARS = [S, T, tsub(1), tsub(2), tsub(14), acoef(8)]
 

@@ -48,6 +48,17 @@ def test_solver_error_fails_one_check_not_the_suite(monkeypatch):
     assert 'suite order: FAIL' in report.render()
 
 
+def test_order_suite_checks_every_pair_up_to_max_n():
+    # the golden displays stop at n = 5; the per-order checks do not
+    report = suite_order(max_n=6)
+    pairs = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3),
+             (5, 4), (6, 1), (6, 5)]
+    assert [c.name for c in report.checks[1:]] == [
+        f'order ({n},{q}): closure, t=0 fiber, Mat_n fibers, infinity fiber'
+        for n, q in pairs]
+    assert report.passed
+
+
 def test_timed_accepts_only_none_or_a_pair():
     report = VerifyReport('x')
     _timed(report, 'str', lambda: 'ok')
