@@ -41,12 +41,14 @@ def _write(args, text: str):
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
 #   deform  r = 64:     a = 1,   --table --spec     1.2 s, 109 MB
 #   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
-#   verify  --max-r 40: --suite kk                  4.2 s,  18 MB (r = 42: 5.4 s)
-#           --max-n 7:  --suite deform              4.6 s,  33 MB (order 3.7 s,
-#                                                   cross 1.6 s; n = 8: order 8.7 s)
+#   verify  --max-r 40: --suite kk                  4.2-4.9 s, 18 MB (r = 42: 5.4 s)
+#           --max-n 7:  --suite deform              4.3 s,  33 MB (order 1.3-1.5 s,
+#                                                   cross 1.7 s)
+#           --max-n 8:  --suite deform              5.5-5.8 s, 46 MB (order 2.7 s,
+#                                                   cross 3.1 s): over budget
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (10 s at the default bounds).
+# --suite all runs the suites one after another (7.4 s at the default bounds).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
@@ -243,8 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser('verify', help='run a verification suite')
     p.add_argument('--suite', choices=['kk', 'deform', 'order', 'cross', 'all'],
                    default='all')
-    p.add_argument('--max-r', type=int, dest='max_r')
-    p.add_argument('--max-n', type=int, dest='max_n')
+    p.add_argument('--max-r', type=int, dest='max_r', metavar='R',
+                   help=f'largest r (2..{MAX_VERIFY_R}): the kk suite '
+                        '(default 32; commutativity capped at 20, Gauss '
+                        'words at 24) and the deform skew-symmetry and a = 1 '
+                        'checks, capped at 20 and 16; the deform degree check '
+                        'is fixed at r <= 32')
+    p.add_argument('--max-n', type=int, dest='max_n', metavar='N',
+                   help=f'largest n (2..{MAX_VERIFY_N}) of the Wahl pairs '
+                        '(n, q): the order suite (default 7), the cross '
+                        'suite (default 6) and the deform Q-Gorenstein '
+                        'cochain check (default 6)')
     p.set_defaults(fn=cmd_verify)
     return top
 

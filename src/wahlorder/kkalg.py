@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .polyring import Poly
 from .resarith import SingularityParams, bracket, m_of
 
 
@@ -63,15 +64,19 @@ class AlgebraTable:
         c * row_m over the entries m: c of the cell (k, j), and w_k (w_j w_i)
         pushes each cell (j, i) of row_j through the products (k, m).  Only
         products that can make a side nonzero are read.  Each coefficient is
-        summed in the same order as in the triple-by-triple definition and
-        compared with zero coefficients dropped, so int and Poly tables give
-        the same answer as that definition.
+        compared with zero coefficients dropped, so the answer is that of the
+        triple-by-triple definition.
+
+        Poly coefficients are first replaced by exact integer codes
+        (_integer_coded), so the loop only ever multiplies ints or Fractions;
+        a table without a Poly is read as it is.
         """
         d = self.dim
         span = range(d)
-        get = self.products.get
+        products = _integer_coded(self.products)
+        get = products.get
         rows = {}
-        for (m, i), cell in self.products.items():
+        for (m, i), cell in products.items():
             if i in span:
                 rows.setdefault(m, []).append((i, cell))
         for k in span:
@@ -128,6 +133,63 @@ def _one_like(table: AlgebraTable):
             if not isinstance(c, int):
                 return type(c).const(1)
     return 1
+
+
+def _integer_coded(products: dict) -> dict:
+    """products with each Poly coefficient replaced by its Kronecker code.
+
+    One scan finds deg_v, the largest exponent of each variable v in any
+    coefficient; L, the largest l1-norm sum |c| of any coefficient (an int
+    counts as a constant); and w, the largest cell length.  The monomial
+    prod v^e_v goes to the bit offset sum e_v * B * prod_{u<v} (2 deg_u + 1)
+    with B = (2 w L^2).bit_length() + 1, and a coefficient sum c * monomial
+    to the int sum c * 2^offset.  That is the substitution v -> 2^(B *
+    prod_{u<v} (2 deg_u + 1)), a ring homomorphism Z[v..] -> Z, so the code
+    of a side entry is the side entry of the codes.
+
+    The coding is exact on everything associator_violation compares.  An
+    entry of either side is a sum of at most w products of two
+    coefficients, so left - right is a sum of at most 2w such products:
+    each exponent of v in it is at most 2 deg_v, and each of its monomial
+    coefficients is at most 2 w L^2 < 2^B in absolute value.  The exponents
+    are then mixed-radix digits below their radices 2 deg_v + 1, so
+    distinct monomials of left - right get distinct multiples of B as
+    offsets.  If left - right is nonzero, let a be its coefficient at the
+    lowest offset o: its code is 2^o (a + 2^B x) for some int x, which is
+    nonzero because 0 < |a| < 2^B.  Hence the code of left - right is 0 iff
+    left - right is 0 (and likewise each side against 0, with the bound
+    w L^2), and the first failing (k, j, i) is the one the Poly table gives.
+    Each distinct coefficient is encoded once.  A table without a Poly is
+    returned as it is; in a table with one, the other coefficients are ints.
+    """
+    seen = {}
+    degs = {}
+    w = norm = 0
+    for cell in products.values():
+        w = max(w, len(cell))
+        for c in cell.values():
+            if not isinstance(c, Poly):
+                norm = max(norm, abs(c))
+            elif c not in seen:
+                seen[c] = None
+                norm = max(norm, sum(map(abs, c.terms.values())))
+                for m in c.terms:
+                    for v, e in m:
+                        if e > degs.get(v, 0):
+                            degs[v] = e
+    if not seen:
+        return products
+    stride = {}
+    step = (2 * w * norm * norm).bit_length() + 1
+    for v, e in degs.items():
+        stride[v] = step
+        step *= 2 * e + 1
+    for c in seen:
+        seen[c] = sum(a << sum(e * stride[v] for v, e in m)
+                      for m, a in c.terms.items())
+    return {key: {k: seen[c] if isinstance(c, Poly) else c
+                  for k, c in cell.items()}
+            for key, cell in products.items()}
 
 
 def _add_scaled(side, c, cell):
@@ -189,7 +251,6 @@ def opposite(table: AlgebraTable) -> AlgebraTable:
 
 def poly_table(table: AlgebraTable) -> AlgebraTable:
     """The same table with integer coefficients promoted to Poly constants."""
-    from .polyring import Poly
     return AlgebraTable(table.dim, {
         key: {k: (Poly.const(c) if isinstance(c, int) else c)
               for k, c in cell.items()}

@@ -195,16 +195,28 @@ class Poly:
         return out
 
     def eval_at(self, point: dict) -> Fraction:
-        """Exact rational evaluation; every variable must be assigned."""
-        total = Fraction(0)
+        """Exact rational evaluation; every variable must be assigned.
+
+        Each point value is converted once: an int stays an int and anything
+        else goes through Fraction, so at an integral point the sum is
+        formed in ints.
+        """
+        vals = {}
+        total = 0
         for m, c in self.terms.items():
-            val = Fraction(c)
+            val = c
             for v, e in m:
-                if v not in point:
-                    raise ValueError(f"unassigned variable {_var_str(v)}")
-                val *= Fraction(point[v]) ** e
+                x = vals.get(v)
+                if x is None:
+                    if v not in point:
+                        raise ValueError(f"unassigned variable {_var_str(v)}")
+                    x = point[v]
+                    if not isinstance(x, int):
+                        x = Fraction(x)
+                    vals[v] = x
+                val *= x ** e
             total += val
-        return total
+        return Fraction(total)
 
 
 def _mono_mul(m1, m2):

@@ -284,3 +284,15 @@ def test_order_output_bytes(argv, digest, capsys):
     assert main(argv) == 0
     out = re.sub(r'\(\d+\.\d+s\)', '(-s)', capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `verify --suite order --max-n 5` with the elapsed times masked,
+# recorded before associator_violation coded Poly coefficients as integers
+_VERIFY_ORDER_DIGEST = (
+    'da6978d4e78fcbcbb2d06d247394f55f7342ec1a8e288ed09735d598efb4fadf')
+
+
+def test_verify_order_output_bytes(capsys):
+    assert main(['verify', '--suite', 'order', '--max-n', '5']) == 0
+    out = re.sub(r'\(\d+\.\d+s\)', '(-s)', capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ORDER_DIGEST

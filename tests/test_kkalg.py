@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 from wahlorder.resarith import SingularityParams, bracket, is_orange
-from wahlorder.polyring import Poly, S, tsub
+from wahlorder.polyring import Poly, S, T, tsub
 from wahlorder.kkalg import (kk_product_closed, kk_product_rect, kk_table,
                              opposite, dual_relabel, young_diagram, gauss_word,
                              self_intersection_count, AlgebraTable, poly_table)
@@ -250,6 +250,118 @@ def test_associator_matches_dense_reference_on_poly_tables():
         assert mutant.associator_violation() == want, (table.dim, j, i)
         found += want is not None
     assert found > 40
+
+
+def _one_triple_table(left, right):
+    """A table whose only nonzero associator sides are at (k, j, i) =
+    (1, 2, 3), output w_0: (w_1 w_2) w_3 = sum c * c2 over the pairs
+    (c, c2) of left, and w_1 (w_2 w_3) = sum c * c2 over right."""
+    ms = range(4, 4 + len(left))
+    ps = range(4 + len(left), 4 + len(left) + len(right))
+    products = {(1, 2): {m: c for m, (c, _) in zip(ms, left)},
+                (2, 3): {p: c for p, (c, _) in zip(ps, right)}}
+    for m, (_, c2) in zip(ms, left):
+        products[(m, 3)] = {0: c2}
+    for p, (_, c2) in zip(ps, right):
+        products[(1, p)] = {0: c2}
+    return AlgebraTable(4 + len(left) + len(right), products)
+
+
+def test_associator_coding_keeps_coefficients_apart():
+    """Tables whose associator left - right is nonzero but would code to 0
+    under a weaker coding than B = (2 w L^2).bit_length() + 1 bits per
+    monomial and the radix 2 deg_v + 1.  Int coefficients are read as
+    constants; the oracle sees them promoted to Poly."""
+    t, s = Poly.var(T), Poly.var(S)
+    cases = [
+        # w = 5, L = 181: 4 * 181^2 + 28 = 2^17 is the code of t under
+        # B = (2 L^2).bit_length() + 1 = 17, the bound without w
+        _one_triple_table([(1, t)], [(181, 181)] * 4 + [(28, 1)]),
+        # w = 1, L = 2^40: 8 * 2^40 = 2^43 is the code of t under
+        # B = (2 w L).bit_length() + 1 = 43, L in place of L^2
+        _one_triple_table([(1, t)], [(2 ** 40, 8)]),
+        _one_triple_table([(1, -t)], [(-2 ** 40, 8)]),
+        _one_triple_table([(Poly.const(-2 ** 40), Poly.const(8))], [(1, -t)]),
+        # deg_s = deg_t = 1: s^2 and t share a code under the radix
+        # deg + 1 = 2 whichever variable comes first
+        _one_triple_table([(s, s)], [(1, t)]),
+        _one_triple_table([(t, t)], [(1, s)]),
+    ]
+    for table in cases:
+        assert dense_associator_violation(poly_table(table)) == (1, 2, 3)
+        assert table.associator_violation() == (1, 2, 3)
+
+
+def test_associator_on_mixed_int_and_poly_tables():
+    t = Poly.var(T)
+    # int coefficients multiply Poly ones: equal sides are read equal
+    table = _one_triple_table([(2, t), (-1, t)], [(t, 1)])
+    assert dense_associator_violation(poly_table(table)) is None
+    assert table.associator_violation() is None
+    table = _one_triple_table([(2, t)], [(t, 1)])
+    assert dense_associator_violation(poly_table(table)) == (1, 2, 3)
+    assert table.associator_violation() == (1, 2, 3)
+    # order tables with their constant coefficients stored as ints, and
+    # mutants of them with int and Poly coefficients
+    rng = random.Random(11)
+    tables = []
+    for n, q in ((2, 1), (3, 1), (3, 2)):
+        consts = structure_constants(build_order(n, q))
+        tables.append(AlgebraTable(n * n, {
+            key: {k: (c.terms.get((), 0) if c.degree() == 0 else c)
+                  for k, c in cell.items()}
+            for key, cell in consts.items()}))
+    for table in tables:
+        assert any(isinstance(c, int) for cell in table.products.values()
+                   for c in cell.values())
+        assert table.associator_violation() is None
+    found = 0
+    for n in range(80):
+        table = rng.choice(tables)
+        mutant = AlgebraTable(table.dim, table.products)
+        j, i = rng.randrange(table.dim), rng.randrange(table.dim)
+        cell = dict(table.product(j, i))
+        k = rng.randrange(table.dim)
+        c = rng.choice((1, -1, 2, 2 ** 40, -t, t * t))
+        mutant.set_product(j, i, {**cell, k: c} if n % 2 else {k: c})
+        want = dense_associator_violation(poly_table(mutant))
+        assert mutant.associator_violation() == want, (table.dim, j, i)
+        found += want is not None
+    assert found > 30
+
+
+def test_associator_on_first_component_mutants():
+    rng = random.Random(5)
+    found = 0
+    for r in range(3, 9):
+        table = _first_component_table(r)
+        coeffs = sorted({c for cell in table.products.values()
+                         for c in cell.values()}, key=str)
+        for n in range(12):
+            mutant = AlgebraTable(table.dim, table.products)
+            j, i = rng.randrange(r), rng.randrange(r)
+            cell = dict(table.product(j, i))
+            k = rng.randrange(r)
+            c = rng.choice(coeffs) * rng.choice(coeffs + [Poly.const(-1)])
+            mutant.set_product(j, i, {**cell, k: c} if n % 2 else {k: c})
+            want = dense_associator_violation(mutant)
+            assert mutant.associator_violation() == want, (r, j, i)
+            found += want is not None
+    assert found > 30
+
+
+def test_associator_does_no_poly_arithmetic(monkeypatch):
+    tables = [AlgebraTable(16, {key: dict(cell) for key, cell in
+                                structure_constants(build_order(4, 3)).items()}),
+              _first_component_table(8)]
+
+    def refuse(*args):
+        raise AssertionError('Poly arithmetic in associator_violation')
+
+    for name in ('__add__', '__sub__', '__neg__', '__mul__', '__pow__'):
+        monkeypatch.setattr(Poly, name, refuse)
+    for table in tables:
+        assert table.associator_violation() is None
 
 
 def test_associator_ignores_keys_outside_the_basis():

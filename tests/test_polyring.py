@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +83,30 @@ def test_eval_at():
     assert q.eval_at(point) == 0
     with pytest.raises(ValueError):
         q.eval_at({tsub(1): 0})
+    assert q.eval_at({tsub(1): '1/2', tsub(3): 2, tsub(2): 0, S: 0}) == 1
+
+
+def per_term_eval(p, point):
+    """Reference for eval_at: every factor as a Fraction, term by term."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        val = Fraction(c)
+        for v, e in m:
+            val *= Fraction(point[v]) ** e
+        total += val
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.lists(st.one_of(st.integers(-50, 50),
+                                   st.fractions(max_denominator=12)),
+                         min_size=len(VARS), max_size=len(VARS)))
+def test_eval_at_matches_per_term_fractions(p, values):
+    point = dict(zip(VARS, values))
+    got = p.eval_at(point)
+    assert type(got) is Fraction and got == per_term_eval(p, point)
+    ints = {v: int(x) for v, x in point.items()}
+    assert p.eval_at(ints) == per_term_eval(p, ints)
 
 
 def test_parse_print_round_trip():
