@@ -591,9 +591,19 @@ class CochainSpec:
 
 def check_point(params: SingularityParams, spec: CochainSpec,
                 dm: DiffMatrix | None = None) -> bool:
+    """True iff spec annihilates every entry of the differential matrix."""
     dm = dm or diff_matrix(params)
-    sub = spec.substitution()
-    return all(p.substitute(sub).is_zero() for _, p in dm.upper_entries())
+    return _first_surviving_entry(dm, spec.substitution()) is None
+
+
+def _first_surviving_entry(dm: DiffMatrix, sub: dict):
+    """((i, j), value) for the first upper entry of dm that does not vanish
+    under the substitution sub, or None when every entry vanishes."""
+    for position, p in dm.upper_entries():
+        v = p.substitute(sub)
+        if not v.is_zero():
+            return position, v
+    return None
 
 
 def deformed_table(params: SingularityParams, spec: CochainSpec):
@@ -606,10 +616,9 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     ops = insert_cochain(full_ainf(params), params.r)
     dm = diff_matrix(params, ops)
     sub = spec.substitution()
-    for (i, j), p in dm.upper_entries():
-        v = p.substitute(sub)
-        if not v.is_zero():
-            raise SpecNotFlatError((i, j), v)
+    surviving = _first_surviving_entry(dm, sub)
+    if surviving is not None:
+        raise SpecNotFlatError(*surviving)
     products = {}
     images = {}  # many outputs share one coefficient: substitute it once
     for (j, i), cell in ops.products.items():

@@ -22,8 +22,9 @@ from .resarith import SingularityParams, bracket, m_of
 class AlgebraTable:
     """Structure constants of a unital algebra on basis w_0..w_{dim-1}.
 
-    products maps (j, i) to {k: coeff}; coefficients are ints or Poly,
-    uniformly per table.  Zero products are simply absent.
+    products maps (j, i) to {k: coeff}; coefficients are ints, Fractions or
+    Poly.  Zero coefficients and empty cells are dropped on construction, so
+    zero products are simply absent.
     """
 
     def __init__(self, dim: int, products=None):
@@ -46,10 +47,12 @@ class AlgebraTable:
             self.products.pop((j, i), None)
 
     def is_unital(self) -> bool:
-        one = _one_like(self)
+        """w_0 w_x = w_x w_0 = w_x for every x, the coefficient 1 read as
+        an int, a Fraction or a constant Poly."""
         for x in range(self.dim):
-            if self.product(0, x) != {x: one} or self.product(x, 0) != {x: one}:
-                return False
+            for cell in (self.product(0, x), self.product(x, 0)):
+                if len(cell) != 1 or cell.get(x) not in _ONES:
+                    return False
         return True
 
     def associator_violation(self):
@@ -127,12 +130,7 @@ class AlgebraTable:
                       if j != 0 and i != 0)
 
 
-def _one_like(table: AlgebraTable):
-    for cell in table.products.values():
-        for c in cell.values():
-            if not isinstance(c, int):
-                return type(c).const(1)
-    return 1
+_ONES = (1, Poly.const(1))  # Fraction(1) == 1
 
 
 def _integer_coded(products: dict) -> dict:

@@ -292,22 +292,18 @@ def _permutation_sign(seq) -> int:
 # ---------------------------------------------------------------------------
 
 def constants_table(order: OrderTable) -> AlgebraTable:
-    consts = structure_constants(order)
-    return AlgebraTable(order.r, {p: dict(cell) for p, cell in consts.items()})
+    return AlgebraTable(order.r, structure_constants(order))
 
 
 def fiber_at(order: OrderTable, tau) -> AlgebraTable:
     """Evaluate the structure constants at t = tau (exact rational)."""
-    consts = structure_constants(order)
+    point = {T: tau}
     products = {}
-    for (j, i), cell in consts.items():
-        newcell = {}
+    for key, cell in structure_constants(order).items():
+        products[key] = newcell = {}
         for k, poly in cell.items():
-            v = poly.eval_at({T: tau})
-            if v:
-                newcell[k] = int(v) if v.denominator == 1 else v
-        if newcell:
-            products[(j, i)] = newcell
+            v = poly.eval_at(point)
+            newcell[k] = int(v) if v.denominator == 1 else v
     return AlgebraTable(order.r, products)
 
 
@@ -326,9 +322,13 @@ def certify_full_matrix_fiber(order: OrderTable, tau) -> bool:
 def diagonal_sign_match(t1: AlgebraTable, t2: AlgebraTable):
     """Signs eps (eps_0 = 1) with t1 = t2.rescale(eps), or None.
 
-    Requires equal sparsity patterns with entrywise c1 = +-c2; the sign
-    constraints eps_j eps_i eps_k = sgn form a GF(2) linear system.
+    Equal tables give all signs +1 at once.  Otherwise the sparsity patterns
+    must be equal with entrywise c1 = +-c2; the sign constraints
+    eps_j eps_i eps_k = sgn form a GF(2) linear system.  Only infinity_fiber
+    needs the search: every other certificate compares on the nose.
     """
+    if t1 == t2:
+        return [1] * t1.dim
     if t1.dim != t2.dim:
         return None
     if set(t1.products) != set(t2.products):
@@ -397,13 +397,10 @@ class FiberZeroReport:
 
 
 def fiber_zero_report(order: OrderTable) -> FiberZeroReport:
-    """Compare the t = 0 fiber against R_{n^2, nq-1} up to diagonal signs."""
-    fiber = fiber_at(order, 0)
-    target = kk_table(order.params)
-    if fiber == target:
-        return FiberZeroReport(True, [1] * order.r)
-    signs = diagonal_sign_match(fiber, target)
-    return FiberZeroReport(signs is not None, signs)
+    """The t = 0 fiber is R_{n^2, nq-1} on the nose: equal structure
+    constants, with no change of basis.  A match reports the signs [1] * r."""
+    matches = fiber_at(order, 0) == kk_table(order.params)
+    return FiberZeroReport(matches, [1] * order.r if matches else None)
 
 
 @dataclass
@@ -432,26 +429,19 @@ def infinity_fiber(order: OrderTable) -> InfinityReport:
         if j == 0 or i == 0:
             products[(j, i)] = {(i if j == 0 else j): 1}
             continue
-        newcell = {}
+        products[(j, i)] = newcell = {}
         for k, poly in cell.items():
             bound = 2 * n if k == 0 else n
             d = poly.degree_in(T)
             if d > bound:
                 violations.append((j, i, k, d))
                 continue
-            lead = poly.coefficient_of(T, bound)
-            if not lead.is_zero():
-                newcell[k] = lead.terms.get((), 0)
-        newcell = {k: v for k, v in newcell.items() if v}
-        if newcell:
-            products[(j, i)] = newcell
+            newcell[k] = poly.terms.get(((T, bound),), 0)
     if violations:
         return InfinityReport(False, violations, None, False, None)
     limit = AlgebraTable(r, products)
     neg = [(-k) % r for k in range(r)]
     target = kk_table(order.params).relabel(neg)
-    if limit == target:
-        return InfinityReport(True, [], limit, True, [1] * r)
     signs = diagonal_sign_match(limit, target)
     return InfinityReport(True, [], limit, signs is not None, signs)
 
@@ -484,30 +474,24 @@ def wahl_cochain(n: int, q: int) -> CochainSpec:
 class CrossCheckReport:
     matched: bool
     identical: bool
-    signs: list | None
     first_mismatch: tuple | None
 
 
 def cross_check(n: int, q: int) -> CrossCheckReport:
     """Compare the order's structure constants with the deformed
-    multiplication table under wahl_cochain.  Empirically they agree on the
-    nose; diagonal sign changes are searched as a fallback."""
+    multiplication table under wahl_cochain, on the nose.  On a mismatch,
+    first_mismatch is (least differing key, order cell, deformed cell).
+    matched and identical always agree: both name the one comparison."""
     from .deform import deformed_table
-    from .kkalg import poly_table
     order = build_order(n, q)
-    params = order.params
-    right = deformed_table(params, wahl_cochain(n, q))
-    left_poly = poly_table(constants_table(order))
-    if left_poly == right:
-        return CrossCheckReport(True, True, [1] * order.r, None)
-    signs = diagonal_sign_match(left_poly, right)
-    if signs is not None:
-        return CrossCheckReport(True, False, signs, None)
-    for key in sorted(set(left_poly.products) | set(right.products)):
-        if left_poly.product(*key) != right.product(*key):
-            return CrossCheckReport(False, False, None,
-                                    (key, left_poly.product(*key), right.product(*key)))
-    return CrossCheckReport(False, False, None, None)
+    left = constants_table(order)
+    right = deformed_table(order.params, wahl_cochain(n, q))
+    if left == right:
+        return CrossCheckReport(True, True, None)
+    key = min(k for k in left.products.keys() | right.products.keys()
+              if left.product(*k) != right.product(*k))
+    return CrossCheckReport(False, False,
+                            (key, left.product(*key), right.product(*key)))
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -152,17 +149,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(dict(m).get(v, 0) for m in self.terms)
-
-    def coefficient_of(self, v: Var, exp: int) -> 'Poly':
-        """Coefficient of v**exp, a polynomial in the remaining variables."""
-        out = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            if d.get(v, 0) == exp:
-                d.pop(v, None)
-                mm = tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
-                out[mm] = out.get(mm, 0) + c
-        return Poly({m: c for m, c in out.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms

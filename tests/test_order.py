@@ -344,3 +344,90 @@ def test_diagonal_sign_match_checks_its_solution(monkeypatch):
     monkeypatch.setattr(order_mod, '_gf2_solve', lambda rows, rhs, m: [0] * m)
     with pytest.raises(ArithmeticError):
         diagonal_sign_match(flipped, t)
+
+
+def test_is_unital_on_fraction_and_poly_tables():
+    for (n, q) in ((3, 2), (4, 3)):
+        ordr = build_order(n, q)
+        for tau in (0, Fraction(1, 2), 2):
+            assert fiber_at(ordr, tau).is_unital(), (n, q, tau)
+        assert constants_table(ordr).is_unital(), (n, q)
+    half = fiber_at(build_order(3, 2), Fraction(1, 2))
+    assert any(isinstance(c, Fraction)
+               for cell in half.products.values() for c in cell.values())
+    half.set_product(0, 4, {4: Fraction(1, 2)})
+    assert not half.is_unital()
+
+
+def test_on_the_nose_certificates_never_search_signs(monkeypatch):
+    def no_search(t1, t2):
+        raise AssertionError('diagonal sign search called')
+    monkeypatch.setattr(order_mod, 'diagonal_sign_match', no_search)
+    for (n, q) in ((2, 1), (3, 1), (3, 2), (4, 3)):
+        rep0 = fiber_zero_report(build_order(n, q))
+        assert rep0.matches and rep0.signs == [1] * n * n, (n, q)
+        rep = cross_check(n, q)
+        assert rep.matched and rep.identical and rep.first_mismatch is None
+
+
+def test_sign_flipped_fiber_zero_mismatches(monkeypatch):
+    ordr = build_order(3, 2)
+    signs = [1, -1, 1, 1, 1, 1, 1, 1, 1]
+    flipped = fiber_at(ordr, 0).rescale(signs)
+    target = kk_table(ordr.params)
+    assert flipped != target
+    found = diagonal_sign_match(flipped, target)
+    assert found is not None and target.rescale(found) == flipped
+    monkeypatch.setattr(order_mod, 'fiber_at', lambda o, tau: flipped)
+    rep = fiber_zero_report(ordr)
+    assert not rep.matches and rep.signs is None
+
+
+def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
+    import wahlorder.deform as deform_mod
+    real = deform_mod.deformed_table
+    keys = sorted(real(SingularityParams(9, 5), wahl_cochain(3, 2)).products)
+    low, high = keys[len(keys) // 2], keys[-1]
+
+    def tampered(params, spec):
+        table = real(params, spec)
+        # a sign flip in one cell, and the last cell dropped
+        table.set_product(*low, {k: -c for k, c in table.product(*low).items()})
+        table.set_product(*high, {})
+        return table
+
+    monkeypatch.setattr(deform_mod, 'deformed_table', tampered)
+    left = constants_table(build_order(3, 2))
+    rep = cross_check(3, 2)
+    assert not rep.matched and not rep.identical
+    cell = left.product(*low)
+    assert rep.first_mismatch == (low, cell, {k: -c for k, c in cell.items()})
+
+
+def test_diagonal_sign_match_equal_tables_skip_the_search(monkeypatch):
+    def no_solve(rows, rhs, nvars):
+        raise AssertionError('GF(2) solve called')
+    monkeypatch.setattr(order_mod, '_gf2_solve', no_solve)
+    for params in (SingularityParams(9, 2), SingularityParams(16, 11)):
+        t = kk_table(params)
+        assert diagonal_sign_match(t, kk_table(params)) == [1] * params.r
+    ordr = build_order(3, 1)
+    table = constants_table(ordr)
+    assert diagonal_sign_match(table, constants_table(ordr)) == [1] * 9
+
+
+# sha256 of repr([(n, q, infinity_fiber(build_order(n, q)).signs)]) over every
+# coprime (n, q) with n <= 7, recorded before the fiber builders left zero
+# filtering to AlgebraTable: the GF(2) row order follows the table's key
+# order, so this pins the signs the CLI prints
+_INFINITY_SIGNS_DIGEST = (
+    '472e858f14e6441be0a792a418d02f8f83b507400912019e8025d7012c256158')
+
+
+def test_infinity_signs_are_pinned():
+    import hashlib
+    pairs = [(n, q) for n in range(2, 8) for q in range(1, n) if gcd(n, q) == 1]
+    signs = [(n, q, infinity_fiber(build_order(n, q)).signs) for n, q in pairs]
+    assert all(s is not None and -1 in s for _, _, s in signs[1:])
+    digest = hashlib.sha256(repr(signs).encode()).hexdigest()
+    assert digest == _INFINITY_SIGNS_DIGEST
