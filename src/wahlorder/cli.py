@@ -32,6 +32,16 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
+def _write_table(args, table, params: SingularityParams, header: str,
+                 **fields):
+    """The table as JSON with `fields` added, or as text under `header`."""
+    if args.format == 'json':
+        out = render.table_json(table, params.r, params.a)
+        _write(args, render.dumps({**out, **fields}))
+    else:
+        _write(args, render.table_text(table, header))
+
+
 # Size budgets, one per cost class; a larger size exits 2 before anything is
 # built.  Each is set so that the slowest call measured at the budget, over a
 # (or q) and the output formats, stays under about 5 s and 200 MB peak RSS,
@@ -72,16 +82,12 @@ def cmd_kk(args) -> int:
     params = _params(args, MAX_KK_R)
     if args.format == 'svg':
         _write(args, render.lattice_svg(params))
-    elif args.format == 'json':
-        out = render.table_json(kk_table(params), params.r, params.a)
-        out['hj_fraction'] = hj_fraction(params.r, params.r - params.a)
-        out['self_intersections'] = self_intersection_count(params)
-        _write(args, render.dumps(out))
-    else:
-        header = (f'R_{{{params.r},{params.a}}}  (b = {params.b}; '
-                  f'continued fraction of r/(r-a): '
-                  f'{hj_fraction(params.r, params.r - params.a)})')
-        _write(args, render.table_text(kk_table(params), header))
+        return 0
+    cf = hj_fraction(params.r, params.r - params.a)
+    _write_table(args, kk_table(params), params,
+                 f'R_{{{params.r},{params.a}}}  (b = {params.b}; '
+                 f'continued fraction of r/(r-a): {cf})',
+                 hj_fraction=cf, self_intersections=self_intersection_count(params))
     return 0
 
 
@@ -110,11 +116,8 @@ def cmd_deform(args) -> int:
             print(f'error: cochain is not flat; first surviving entry '
                   f'{exc.position}: {format_poly(exc.value)}', file=sys.stderr)
             return 1
-        if args.format == 'json':
-            _write(args, render.dumps(render.table_json(table, params.r, params.a)))
-        else:
-            _write(args, render.table_text(
-                table, f'deformed table of R_{{{params.r},{params.a}}}'))
+        _write_table(args, table, params,
+                     f'deformed table of R_{{{params.r},{params.a}}}')
         return 0
     dm = diff_matrix(params)
     if args.format == 'json':
@@ -122,9 +125,8 @@ def cmd_deform(args) -> int:
     else:
         lines = [f'flat-locus generators for R_{{{params.r},{params.a}}} '
                  f'(upper entries of the skew matrix):']
-        for (i, j), p in dm.upper_entries():
-            if not p.is_zero():
-                lines.append(f'm_({i},{j}) = {format_poly(p)}')
+        lines += [f'm_({i},{j}) = {format_poly(p)}'
+                  for (i, j), p in dm.upper_entries()]
         _write(args, '\n'.join(lines) + '\n')
     return 0
 
@@ -150,19 +152,12 @@ def cmd_order(args) -> int:
             cert = ('degree bounds hold; limit matches the index flip k -> -k '
                     f'with signs {rep.signs}' if rep.matches_negated
                     else 'MISMATCH')
-        if args.format == 'json':
-            out = render.table_json(table, ordr.r, ordr.params.a)
-            out['certification'] = cert
-            _write(args, render.dumps(out))
-        else:
-            _write(args, render.table_text(table, f'fiber: {cert}'))
+        _write_table(args, table, ordr.params, f'fiber: {cert}',
+                     certification=cert)
         return 0
     if args.at is not None:
-        table = fiber_at(ordr, args.at)
-        if args.format == 'json':
-            _write(args, render.dumps(render.table_json(table, ordr.r, ordr.params.a)))
-        else:
-            _write(args, render.table_text(table, f'structure constants at t={args.at}'))
+        _write_table(args, fiber_at(ordr, args.at), ordr.params,
+                     f'structure constants at t={args.at}')
         return 0
     if args.format == 'json':
         _write(args, render.dumps(render.order_json(ordr)))
@@ -171,20 +166,18 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _verify_bound(flag: str, value: int, budget: int) -> int:
+def _verify_bound(flag: str, value: int, budget: int):
     if value < 2:
         raise ValueError(f'{flag} = {value} is below 2')
     _within_budget('verify', flag, value, budget)
-    return value
 
 
 def cmd_verify(args) -> int:
-    bounds = {}
     if args.max_r is not None:
-        bounds['max_r'] = _verify_bound('--max-r', args.max_r, MAX_VERIFY_R)
+        _verify_bound('--max-r', args.max_r, MAX_VERIFY_R)
     if args.max_n is not None:
-        bounds['max_n'] = _verify_bound('--max-n', args.max_n, MAX_VERIFY_N)
-    report = run_suite(args.suite, **bounds)
+        _verify_bound('--max-n', args.max_n, MAX_VERIFY_N)
+    report = run_suite(args.suite, args.max_r, args.max_n)
     if args.format == 'json':
         _write(args, render.dumps(report.to_json()))
     else:

@@ -27,7 +27,7 @@ the emission site for the alternatives that fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .resarith import SingularityParams, bracket
@@ -225,25 +225,23 @@ def _permitted_rectangles(params: SingularityParams):
     r, b = params.r, params.b
     for c in range(r):
         # thr[u]: height above c of the first orange point in column u at or
-        # above the bottom edge, with the SW corner exempted
+        # above the bottom edge (0 when it is on the bottom edge), with the
+        # SW corner exempted
         thr = []
         for u in range(0, r + 1):
             v = bracket(b * u - c, r)  # first orange at c + v
             if u == 0 and c == 0:
                 v = r  # SW corner itself is exempt; next orange is at height r
-            elif v == 0:
-                v = 0  # orange on the bottom edge
             thr.append(v)
+        # interior_min <= r, so every Y below is at most r
         interior_min = thr[0]
         for X in range(1, r + 1):
             tX = thr[X]
-            top = min(interior_min, r + 1)
             # plain rectangles: no orange at all
-            for Y in range(1, min(top, tX)):
-                if Y <= r:
-                    yield (c, X, Y, False)
+            for Y in range(1, min(interior_min, tX)):
+                yield (c, X, Y, False)
             # NE-orange rectangle: the column-X hit is exactly the NE corner
-            if 1 <= tX < top and tX <= r:
+            if 1 <= tX < interior_min:
                 yield (c, X, tX, True)
             interior_min = min(interior_min, tX)
 
@@ -499,9 +497,9 @@ class DiffMatrix:
         return True
 
     def upper_entries(self):
-        r = self.params.r
-        return [((i, j), self.entry(i, j))
-                for i in range(1, r) for j in range(i + 1, r)]
+        """[((i, j), entry)] for the stored (nonzero) entries with i < j,
+        sorted by position."""
+        return sorted((ij, p) for ij, p in self.entries.items() if ij[0] < ij[1])
 
 
 def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> DiffMatrix:
@@ -513,16 +511,14 @@ def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> Di
         for out, coeff in ops.differentials[i].items():
             if out[1] != 1 or out[0] == 0:
                 raise ArithmeticError(f"dw_{i} hit {out}")
-            if not coeff.is_zero():
-                entries[(i, out[0])] = coeff
+            entries[(i, out[0])] = coeff
     return DiffMatrix(params, entries)
 
 
-def def0_generators(params: SingularityParams, dm: DiffMatrix | None = None) -> list:
-    """Strictly upper entries of the differential matrix; the lower half is
-    determined by skew-symmetry."""
-    dm = dm or diff_matrix(params)
-    return [p for _, p in dm.upper_entries() if not p.is_zero()]
+def def0_generators(params: SingularityParams) -> list:
+    """Nonzero strictly upper entries of the differential matrix; the lower
+    half is determined by skew-symmetry."""
+    return [p for _, p in diff_matrix(params).upper_entries()]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +542,7 @@ class CochainSpec:
     """
 
     r: int
-    assignments: dict = field(default_factory=dict)
+    assignments: dict
 
     def substitution(self) -> dict:
         sub = {}
@@ -622,15 +618,13 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     products = {}
     images = {}  # many outputs share one coefficient: substitute it once
     for (j, i), cell in ops.products.items():
-        newcell = {}
+        newcell = products[(j, i)] = {}
         for out, coeff in cell.items():
             if out[1] != 0:
                 raise ArithmeticError(f"product w_{j} w_{i} hit degree-1 output {out}")
             c = images.get(coeff)
             if c is None:
                 c = images[coeff] = coeff.substitute(sub)
-            if not c.is_zero():
-                newcell[out[0]] = c
-        if newcell:
-            products[(j, i)] = newcell
+            newcell[out[0]] = c
+    # AlgebraTable drops the coefficients the substitution sends to zero
     return AlgebraTable(params.r, products)

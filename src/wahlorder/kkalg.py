@@ -285,17 +285,15 @@ class YoungDiagram:
     """
 
     params: SingularityParams
-    column_heights: list = field(default_factory=list)
+    column_heights: list = field(init=False)
 
     def __post_init__(self):
-        if not self.column_heights:
-            r, b = self.params.r, self.params.b
-            heights = [r]
-            cur = r
-            for u in range(1, r):
-                cur = min(cur, bracket(b * u, r))
-                heights.append(min(cur, r))
-            self.column_heights = heights
+        r, b = self.params.r, self.params.b
+        self.column_heights = heights = [r]
+        cur = r
+        for u in range(1, r):
+            cur = min(cur, bracket(b * u, r))
+            heights.append(min(cur, r))
 
     def contains(self, x: int, y: int) -> bool:
         r = self.params.r

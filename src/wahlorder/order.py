@@ -86,9 +86,9 @@ class OrderTable:
     q: int
     cells: list  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
 
-    _constants: dict = field(default=None, repr=False)
+    _constants: dict = field(init=False, default=None, repr=False)
     # (sign, e): the coefficient matrix of the basis has determinant sign * t^e
-    _det: tuple = field(default=None, repr=False)
+    _det: tuple = field(init=False, default=None, repr=False)
 
     @property
     def r(self) -> int:

@@ -17,12 +17,10 @@ def _coeff_str(c) -> str:
     return format_poly(c) if isinstance(c, Poly) else str(c)
 
 
-def table_text(table: AlgebraTable, header: str = '') -> str:
-    """Nontrivial products, one per line, plus the unit convention."""
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append(f'dimension {table.dim}; w_0 is the unit')
+def table_text(table: AlgebraTable, header: str) -> str:
+    """The header, then the nontrivial products, one per line, plus the unit
+    convention."""
+    lines = [header, f'dimension {table.dim}; w_0 is the unit']
     nontrivial = table.nontrivial_products()
     if not nontrivial:
         lines.append('all products of non-unit basis vectors vanish')
@@ -35,7 +33,7 @@ def table_text(table: AlgebraTable, header: str = '') -> str:
     return '\n'.join(lines) + '\n'
 
 
-def table_json(table: AlgebraTable, r: int = None, a: int = None) -> dict:
+def table_json(table: AlgebraTable, r: int, a: int) -> dict:
     products = []
     for (j, i), cell in sorted(table.products.items()):
         if j == 0 or i == 0:
@@ -46,12 +44,7 @@ def table_json(table: AlgebraTable, r: int = None, a: int = None) -> dict:
             if cs != '1':
                 entry['coeff'] = cs
             products.append(entry)
-    out = {'dim': table.dim, 'products': products}
-    if r is not None:
-        out['r'] = r
-    if a is not None:
-        out['a'] = a
-    return out
+    return {'dim': table.dim, 'products': products, 'r': r, 'a': a}
 
 
 def gauss_json(params: SingularityParams) -> dict:
@@ -63,9 +56,8 @@ def diff_matrix_json(dm) -> dict:
     r = dm.params.r
     return {
         'r': r, 'a': dm.params.a,
-        'entries': [{'i': i, 'j': j, 'value': format_poly(dm.entry(i, j))}
-                    for i in range(1, r) for j in range(1, r)
-                    if not dm.entry(i, j).is_zero()],
+        'entries': [{'i': i, 'j': j, 'value': format_poly(p)}
+                    for (i, j), p in sorted(dm.entries.items())],
     }
 
 
@@ -101,11 +93,12 @@ def _svg_header(width, height):
             f'viewBox="0 0 {width} {height}">')
 
 
-def lattice_svg(params: SingularityParams, extent: int = None) -> str:
+def lattice_svg(params: SingularityParams) -> str:
     """Orange sublattice and labelled Young diagram, in the style of the
-    figures: gray lattice dots, filled orange circles, numbered boxes."""
+    figures: gray lattice dots, filled orange circles, numbered boxes, on
+    the square [0, r + 1]^2 (every box lies inside it)."""
     r = params.r
-    ext = extent if extent is not None else r + 1
+    ext = r + 1
     size = 2 * _PAD + ext * _CELL
     diag = YoungDiagram(params)
 
@@ -119,8 +112,6 @@ def lattice_svg(params: SingularityParams, extent: int = None) -> str:
     parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
     # Young diagram boxes under the dots
     for (x, y, label) in diag.boxes():
-        if x >= ext or y >= ext:
-            continue
         parts.append(
             f'<rect x="{X(x)}" y="{Y(y + 1)}" width="{_CELL}" height="{_CELL}" '
             f'fill="none" stroke="#888" stroke-width="1"/>')

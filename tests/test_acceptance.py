@@ -43,8 +43,7 @@ def _kk_report():
 def _deform_report():
     global _DEFORM
     if _DEFORM is None:
-        _DEFORM = suite_deform(max_r_skew=20, max_r_a1=16, max_n_wahl=6,
-                               max_r_first=8)
+        _DEFORM = suite_deform(max_r=20, max_n=6)
     return _DEFORM
 
 

@@ -4,6 +4,7 @@ with ast (without importing it) so that a change to the library cannot
 silently break the benchmark."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import wahlorder
@@ -51,6 +52,22 @@ def _report_reads(tree) -> dict:
     return reads
 
 
+def _library_calls(tree) -> list:
+    """(name, positional count, keyword names) for every call in the
+    sweeps of a name imported from wahlorder."""
+    names = set(_imported_names(tree))
+    calls = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names):
+            # a *args or **kwargs call could not be counted
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            calls.append((node.func.id, len(node.args),
+                          tuple(k.arg for k in node.keywords)))
+    return calls
+
+
 def test_benchmark_imports_are_exported():
     names = _imported_names(_sweeps())
     assert 'cross_check' in names and 'fiber_zero_report' in names
@@ -66,3 +83,12 @@ def test_benchmark_report_fields_exist():
     for fn, fields in REPORT_FIELDS.items():
         for f in fields:
             assert hasattr(reports[fn], f), (fn, f)
+
+
+def test_benchmark_calls_bind_to_the_signatures():
+    calls = _library_calls(_sweeps())
+    assert {('diff_matrix', 2, ()), ('insert_cochain', 2, ()),
+            ('AlgebraTable', 2, ()), ('cross_check', 2, ())} <= set(calls)
+    for name, npos, keywords in calls:
+        sig = inspect.signature(getattr(wahlorder, name))
+        sig.bind(*[None] * npos, **dict.fromkeys(keywords))

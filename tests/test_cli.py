@@ -276,6 +276,11 @@ _ORDER_DIGESTS = [
      '9ba667ba84af8c86dd22811506979dcf61ab9138ca90578a90508aef1f94d5fc'),
     (['verify', '--suite', 'cross', '--max-n', '4'],
      '30c1c227deea59e7f11cf330fc79b3145ea33ba29bde86c884bf51acb734da89'),
+    # recorded later, while run_suite still took its bounds as **kwargs
+    (['verify', '--suite', 'deform', '--max-r', '7', '--max-n', '3'],
+     '89e9e8a410d3023a79b52d51ff8aeb1e966c6dd703e54192239d6dcd9b775e43'),
+    (['verify', '--suite', 'all', '--max-r', '10', '--max-n', '4'],
+     '924d78e32e16f248803bb3998fdc2f747ef05d0fa8735fa514cd0e17bc4b45fd'),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from math import gcd
 
@@ -106,6 +107,20 @@ def test_full_ainf_is_hidden_plus_visible(r, a):
     full = full_ainf(params)
     want = _entrywise_sum(hidden_ainf(params), visible_contributions(params))
     assert full.as_poly() == want
+
+
+# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a))) ...])
+# over every coprime (r, a) with r <= 24, recorded before the enumeration's
+# never-taken guards were deleted
+_RECTANGLES_DIGEST = (
+    '7aedefdbc1bb7f1615a8ae1e28ea4e667c2fb37109bb4324f43a9061e7fbd17b')
+
+
+def test_permitted_rectangles_are_pinned():
+    rects = [list(deform_mod._permitted_rectangles(SingularityParams(r, a)))
+             for r in range(2, 25) for a in range(1, r) if gcd(a, r) == 1]
+    digest = hashlib.sha256(repr(rects).encode()).hexdigest()
+    assert digest == _RECTANGLES_DIGEST
 
 
 def _t(*indices):

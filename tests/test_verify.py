@@ -59,6 +59,11 @@ def test_order_suite_checks_every_pair_up_to_max_n():
     assert report.passed
 
 
+def test_run_suite_rejects_an_unknown_bound():
+    with pytest.raises(TypeError):
+        verify_mod.run_suite('cross', max_m=2)
+
+
 def test_timed_accepts_only_none_or_a_pair():
     report = VerifyReport('x')
     _timed(report, 'str', lambda: 'ok')
@@ -115,8 +120,7 @@ table = v.full_ainf(params)
 {sabotage}
 v.coprime_pairs = lambda max_r, min_r=2: iter([params])
 v.full_ainf = lambda p: table
-print(v.suite_deform(max_r_skew=2, max_r_a1=2, max_n_wahl=2,
-                     max_r_first=3).render(), end='')
+print(v.suite_deform(max_r=2, max_n=2).render(), end='')
 """
 
 
