@@ -49,16 +49,16 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
 #                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 1,   --table --spec     1.2 s, 109 MB
+#   deform  r = 64:     a = 1,   --ideal            1.0-1.1 s, 109 MB (--table: 0.5 s)
 #   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
 #   verify  --max-r 40: --suite kk                  4.2-4.9 s, 18 MB (r = 42: 5.4 s)
-#           --max-n 7:  --suite deform              4.3 s,  33 MB (order 1.3-1.5 s,
-#                                                   cross 1.7 s)
-#           --max-n 8:  --suite deform              5.5-5.8 s, 46 MB (order 2.7 s,
-#                                                   cross 3.1 s): over budget
+#           --max-n 7:  --suite deform              4.2 s,  32 MB (order 1.5 s,
+#                                                   cross 1.0 s)
+#           --max-n 8:  --suite deform              4.7 s,  37 MB (order 3.1 s,
+#                                                   cross 1.5 s): near budget
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (7.4 s at the default bounds).
+# --suite all runs the suites one after another (7.2 s at the default bounds).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64

@@ -322,7 +322,7 @@ def full_ainf(params: SingularityParams) -> AinfTable:
 
 @dataclass
 class DeformedOps:
-    """m_1^b and m_2^b with symbolic cochain coefficients t_1..t_{r-1}.
+    """m_1^b and m_2^b, the values of the inserted cochain in the coefficients.
 
     differentials[i] maps output generators to Poly; products[(j, i)]
     likewise, for inputs w_j, w_i of degree 0.
@@ -368,15 +368,15 @@ def _kept_entries(ainf: AinfTable, diffs: dict, prods: dict):
             yield prods, (a3 >> 1, a2 >> 1), (a1 >> 1,), cell
 
 
-def _weight(slots: tuple, r: int) -> int:
-    """The monomial code of prod t_i over slots, or -1 when a slot is
-    wbar_0 (t_0 = 0).  The code of s^e t_lo t_hi (lo <= hi, an absent index
-    read as 0) is (lo * r + hi) << 1 | e."""
-    if 0 in slots:
-        return -1
+def _weight(slots: tuple, r: int, dropped: frozenset) -> int:
+    """The monomial code of prod t_i over slots, or -1 when a slot's value is
+    zero (slot index in dropped).  The code of s^e t_lo t_hi (lo <= hi, an
+    absent index read as 0) is (lo * r + hi) << 1 | e."""
     for i in slots:
-        if not 0 < i < r:
+        if not 0 <= i < r:
             raise NotInsertableError(f"cochain slot index {i!r} is not in Z_{r}")
+    if not dropped.isdisjoint(slots):
+        return -1
     lo, hi = sorted((0, 0) + slots)[-2:]
     return (lo * r + hi) << 1
 
@@ -402,15 +402,18 @@ class _Decoded(dict):
         return value
 
 
-def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
-    """Deform by the universal cochain b = sum_{i != 0} t_i wbar_i.
+def insert_cochain(ainf: AinfTable, r: int,
+                   spec: CochainSpec | None = None) -> DeformedOps:
+    """Deform by the cochain b = sum_i t_i wbar_i with the values of spec;
+    None is the universal cochain, each t_i its own variable and s free.
 
     One rule reads every m_1, m_2, m_3 entry: each degree-1 slot wbar_i takes
-    t_i (wbar_0 drops the entry, as t_0 = 0), and the entry, times the t's in
-    slot order, goes to m_1^b(x) = differentials[x] if one degree-0 input x
-    remains and to m_2^b(x, y) = products[(x, y)] if two remain.  With no
-    inputs left it is a Maurer-Cartan term, vacuous as nothing lives in
-    degree 2; three inputs would need an output in degree -1.
+    the value of t_i, and the entry, times those values in slot order, goes
+    to m_1^b(x) = differentials[x] if one degree-0 input x remains and to
+    m_2^b(x, y) = products[(x, y)] if two remain.  With no inputs left it is
+    a Maurer-Cartan term, vacuous as nothing lives in degree 2; three inputs
+    would need an output in degree -1.  A slot valued 0 drops its entry at
+    dispatch (wbar_0 always, as t_0 = 0); s = 0 drops every s-part.
 
     Entries are dispatched on arity and on the degree bits of their codes.
     Cells accumulate as {output code: {monomial code: int}}, a monomial code
@@ -418,16 +421,25 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
     or an output is dropped as soon as it reaches zero, so every dict keeps
     the order that Poly arithmetic gives it.  At the end each code is
     decoded once to a generator or a Poly monomial, and each distinct list
-    of terms is wrapped once into a Poly, without a second zero filter and
-    shared by every output that has it.  An input or slot index outside Z_r
-    raises NotInsertableError, even where the entries at that key cancel.
+    of terms is wrapped once into a Poly, shared by every output that has
+    it; the values other than 0 and the variable itself are substituted
+    there, and an output that cancels is dropped.  An input or slot index
+    outside Z_r raises NotInsertableError, even where its entries cancel.
     """
+    dropped, keep_s, images = frozenset((0,)), True, {}
+    if spec is not None:
+        if spec.r != r:
+            raise ValueError(f"cochain spec for r = {spec.r} read at r = {r}")
+        sub = spec.substitution()
+        dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
+        keep_s = S not in sub or bool(sub[S])
+        images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
     diffs, prods = {}, {}
     weights = {}  # slot indices -> monomial code
     for target, key, slots, cell in _kept_entries(ainf, diffs, prods):
         w = weights.get(slots)
         if w is None:
-            w = weights[slots] = _weight(slots, r)
+            w = weights[slots] = _weight(slots, r, dropped)
         if w < 0:
             continue
         dest = target.get(key)
@@ -443,7 +455,7 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
                     terms[w] = c
                 else:
                     del terms[w]
-            if c1:
+            if c1 and keep_s:
                 c = terms.get(w | 1, 0) + c1
                 if c:
                     terms[w | 1] = c
@@ -460,12 +472,18 @@ def insert_cochain(ainf: AinfTable, r: int) -> DeformedOps:
 
     gens = _Decoded(_generator)
     monos = _Decoded(lambda code: _monomial(code, r))
-    polys = _Decoded(lambda items: Poly.from_nonzero({monos[m]: c for m, c in items}))
+
+    def poly(items):
+        p = Poly.from_nonzero({monos[m]: c for m, c in items})
+        return p.substitute(images) if images else p
+
+    polys = _Decoded(poly)
 
     def wrapped(cell):
         if not cell:
             return {}
-        return {gens[out]: polys[tuple(terms.items())] for out, terms in cell.items()}
+        return {gens[out]: p for out, terms in cell.items()
+                if (p := polys[tuple(terms.items())]).terms}
 
     return DeformedOps(
         r, {i: wrapped(diffs.get(i)) for i in range(r)},
@@ -545,16 +563,13 @@ class CochainSpec:
     assignments: dict
 
     def substitution(self) -> dict:
-        sub = {}
-        for i in range(self.r):
-            v = tsub(i)
-            if i == 0:
-                sub[v] = Poly.zero()
-            else:
-                sub[v] = self.assignments.get(v, Poly.zero())
-        if S in self.assignments:
-            sub[S] = self.assignments[S]
-        return sub
+        """{variable: value} for t_0..t_{r-1}, and s when assigned; like
+        parse, rejects any other variable, t_0 and t_i with i >= r."""
+        for v in self.assignments:
+            if v != S and not (v[0] == 'ts' and 0 < v[1] < self.r):
+                raise ValueError(f"cochain spec for r = {self.r} assigns "
+                                 f"{format_poly(Poly.var(v))}")
+        return {**{tsub(i): Poly.zero() for i in range(self.r)}, **self.assignments}
 
     @staticmethod
     def parse(text: str, r: int) -> 'CochainSpec':
@@ -585,46 +600,30 @@ class CochainSpec:
         return CochainSpec(r, assignments)
 
 
-def check_point(params: SingularityParams, spec: CochainSpec,
-                dm: DiffMatrix | None = None) -> bool:
-    """True iff spec annihilates every entry of the differential matrix."""
-    dm = dm or diff_matrix(params)
-    return _first_surviving_entry(dm, spec.substitution()) is None
-
-
-def _first_surviving_entry(dm: DiffMatrix, sub: dict):
-    """((i, j), value) for the first upper entry of dm that does not vanish
-    under the substitution sub, or None when every entry vanishes."""
-    for position, p in dm.upper_entries():
-        v = p.substitute(sub)
-        if not v.is_zero():
-            return position, v
-    return None
+def check_point(params: SingularityParams, spec: CochainSpec) -> bool:
+    """True iff spec annihilates the differential matrix: with the cochain
+    of spec inserted, no upper entry is left."""
+    ops = insert_cochain(full_ainf(params), params.r, spec)
+    return not diff_matrix(params, ops).upper_entries()
 
 
 def deformed_table(params: SingularityParams, spec: CochainSpec):
-    """The flat family's multiplication table at the locus cut out by spec.
+    """The flat family's multiplication table at the locus cut out by spec:
+    m_2^b on degree 0 with the cochain of spec inserted.
 
     Rejects specs that do not annihilate the differential matrix identically,
-    reporting the first surviving entry.
+    reporting its first upper entry.
     """
     from .kkalg import AlgebraTable
-    ops = insert_cochain(full_ainf(params), params.r)
-    dm = diff_matrix(params, ops)
-    sub = spec.substitution()
-    surviving = _first_surviving_entry(dm, sub)
-    if surviving is not None:
-        raise SpecNotFlatError(*surviving)
+    ops = insert_cochain(full_ainf(params), params.r, spec)
+    upper = diff_matrix(params, ops).upper_entries()
+    if upper:
+        raise SpecNotFlatError(*upper[0])
     products = {}
-    images = {}  # many outputs share one coefficient: substitute it once
     for (j, i), cell in ops.products.items():
         newcell = products[(j, i)] = {}
         for out, coeff in cell.items():
             if out[1] != 0:
                 raise ArithmeticError(f"product w_{j} w_{i} hit degree-1 output {out}")
-            c = images.get(coeff)
-            if c is None:
-                c = images[coeff] = coeff.substitute(sub)
-            newcell[out[0]] = c
-    # AlgebraTable drops the coefficients the substitution sends to zero
+            newcell[out[0]] = coeff
     return AlgebraTable(params.r, products)

@@ -249,15 +249,45 @@ _DEFORM_DIGESTS = [
      'eafa69a1805388e9661211d468102481bebd14eb7989c3315709b1813b4c4eb2'),
     (['deform', '--r', '4', '--a', '1', '--table', '--spec', 'second.spec'],
      '3677257db3c3a0c3ac1cefdb7c83f382ab2e604d47184d315a6484e28e3e5385'),
+    # sha256 of stdout + stderr, recorded before the values of a spec were
+    # inserted directly: a component with free t's, zero slots and an s
+    # image, the Wahl (4, 1) cochain, and a non-flat spec, which writes
+    # "error: cochain is not flat; first surviving entry (1, 14):
+    # 2 t_1 t_7^2" to stderr and exits 1
+    (['deform', '--r', '15', '--a', '4', '--table', '--spec', 'i1.spec'],
+     '70b7162711e1fed68f0107fe2104d6a4810b3b6cdc1b75067fd8b1042a065b32'),
+    (['--format', 'json', 'deform', '--r', '15', '--a', '4', '--table',
+      '--spec', 'i1.spec'],
+     '116bb7516c106bafb1d8d0420103328e0a6fb99bcf5239214f279d3620fc662a'),
+    (['deform', '--r', '16', '--a', '3', '--table', '--spec', 'wahl41.spec'],
+     '9437f3fb4570743485bb2ebf193b7e4abfae690a4abd033e19e5a070c2da794e'),
+    (['--format', 'json', 'deform', '--r', '16', '--a', '3', '--table',
+      '--spec', 'wahl41.spec'],
+     'ebc4acb06bbaf75ddd0d77d1421cba2b933fd503f8a73c5eca30aded2eac3a2c'),
+    (['deform', '--r', '15', '--a', '4', '--table', '--spec', 'bad.spec'],
+     'a4fb073054bd880ce8c141b392c4ee7a49134292932c65189c9d5586e728c69d'),
 ]
+_SPECS = {
+    'second.spec': 't_2 = t_2\ns = -t_2^2\n',
+    # the I1 component of 1/15(1,4)
+    'i1.spec': ('t_1 = t_1\nt_2 = 0\nt_7 = t_7\nt_8 = t_1 t_7\nt_14 = t_7^2\n'
+                's = -t_1 t_7^2\n'),
+    'wahl41.spec': 't_4 = t\nt_8 = t^2\nt_12 = t^3\ns = -t^4\n',
+    # I1 with the sign of s flipped
+    'bad.spec': ('t_1 = t_1\nt_7 = t_7\nt_8 = t_1 t_7\nt_14 = t_7^2\n'
+                 's = t_1 t_7^2\n'),
+}
 
 
 @pytest.mark.parametrize('argv,digest', _DEFORM_DIGESTS)
 def test_deform_output_bytes(argv, digest, capsys, tmp_path, monkeypatch):
-    (tmp_path / 'second.spec').write_text('t_2 = t_2\ns = -t_2^2\n')
+    for name, text in _SPECS.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
-    out = capsys.readouterr().out
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == (1 if captured.err else 0)  # 1 only for the non-flat spec
+    out = captured.out + captured.err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,20 +1,22 @@
 import hashlib
 import re
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wahlorder.deform as deform_mod
 from wahlorder.resarith import SingularityParams
-from wahlorder.polyring import Poly, S, tsub, parse_poly, format_poly
-from wahlorder.kkalg import kk_table, poly_table
+from wahlorder.polyring import Poly, S, T, tsub, parse_poly, format_poly
+from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
 from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
                               insert_cochain, AinfTable, NotInsertableError,
                               diff_matrix, def0_generators, CochainSpec,
                               check_point, deformed_table, SpecNotFlatError,
                               DeformedOps)
 from wahlorder.verify import (a1_diff_expected, component_specs_15_4,
-                              component_specs_19_7)
+                              component_specs_19_7, coprime_pairs, wahl_pairs)
 from wahlorder.order import wahl_cochain
 
 ONE = Poly.const(1)
@@ -453,13 +455,11 @@ def test_check_point_examples():
 
 def test_component_parametrizations():
     p = SingularityParams(15, 4)
-    dm = diff_matrix(p)
     for name, spec in component_specs_15_4().items():
-        assert check_point(p, spec, dm), name
+        assert check_point(p, spec), name
     p = SingularityParams(19, 7)
-    dm = diff_matrix(p)
     for name, spec in component_specs_19_7().items():
-        assert check_point(p, spec, dm), name
+        assert check_point(p, spec), name
 
 
 def test_deformed_table_r2():
@@ -492,7 +492,6 @@ def test_deformed_table_degenerates_to_kk():
         got = {k: c for k, c in got.items() if not c.is_zero()}
         if got:
             collapsed[(j, i)] = got
-    from wahlorder.kkalg import AlgebraTable
     assert AlgebraTable(5, collapsed) == poly_table(kk_table(params))
 
 
@@ -515,3 +514,180 @@ def test_cochain_spec_parse():
         CochainSpec.parse('t_0 = 1', 5)
     with pytest.raises(ValueError):
         CochainSpec.parse('bogus', 5)
+
+
+# ---------------------------------------------------------------------------
+# spec insertion against the oracle: insert universally, then substitute
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _ainf(r, a):
+    return full_ainf(SingularityParams(r, a))
+
+
+def _substituted(cells, sub):
+    """cells with sub substituted into every coefficient, the outputs whose
+    value vanishes dropped."""
+    return {k: {out: v for out, c in cell.items() if (v := c.substitute(sub))}
+            for k, cell in cells.items()}
+
+
+def _ordered_outputs_sorted(cells):
+    """_ordered with the outputs of each cell sorted.  Spec insertion keeps
+    the key order and the term order of the oracle, but not always its
+    output order: an output first reached by an entry that a zero slot drops
+    comes later in the cell (the renderers sort outputs, and tables compare
+    as dicts)."""
+    return [(k, [(out, list(cell[out].terms.items())) for out in sorted(cell)])
+            for k, cell in cells.items()]
+
+
+def _assert_spec_matches_oracle(params, spec):
+    """insert_cochain with spec is universal insertion followed by
+    Poly.substitute, in key and term order; deformed_table is the oracle's
+    table, or raises at the oracle's first surviving upper entry."""
+    r = params.r
+    ainf = _ainf(r, params.a)
+    ops = insert_cochain(ainf, r, spec)
+    universal = insert_cochain(ainf, r)
+    sub = spec.substitution()
+    diffs = _substituted(universal.differentials, sub)
+    prods = _substituted(universal.products, sub)
+    assert _ordered_outputs_sorted(ops.differentials) == _ordered_outputs_sorted(diffs)
+    assert _ordered_outputs_sorted(ops.products) == _ordered_outputs_sorted(prods)
+    surviving = [(ij, v) for ij, p in diff_matrix(params, universal).upper_entries()
+                 if (v := p.substitute(sub))]
+    if surviving:
+        with pytest.raises(SpecNotFlatError) as exc:
+            deformed_table(params, spec)
+        position, value = surviving[0]
+        assert exc.value.position == position
+        assert list(exc.value.value.terms.items()) == list(value.terms.items())
+        assert not check_point(params, spec)
+    else:
+        table = deformed_table(params, spec)
+        want = AlgebraTable(r, {key: {out[0]: c for out, c in cell.items()}
+                                for key, cell in prods.items()})
+        assert (_ordered_outputs_sorted(table.products)
+                == _ordered_outputs_sorted(want.products))
+        assert check_point(params, spec)
+
+
+@pytest.mark.parametrize('n,q', wahl_pairs(6))
+def test_wahl_spec_insertion_matches_oracle(n, q):
+    _assert_spec_matches_oracle(SingularityParams(n * n, n * q - 1),
+                                wahl_cochain(n, q))
+
+
+@pytest.mark.parametrize('r,a,name,spec', [
+    (r, a, name, spec)
+    for (r, a), specs in (((15, 4), component_specs_15_4()),
+                          ((19, 7), component_specs_19_7()))
+    for name, spec in specs.items()])
+def test_component_spec_insertion_matches_oracle(r, a, name, spec):
+    _assert_spec_matches_oracle(SingularityParams(r, a), spec)
+
+
+def test_zero_spec_insertion_matches_oracle():
+    for params in coprime_pairs(12):
+        _assert_spec_matches_oracle(params, CochainSpec(params.r, {S: Poly.zero()}))
+
+
+@st.composite
+def _specs(draw):
+    """(params, spec) with r <= 9: each t_i zero, free, or a small polynomial
+    in the t_j and t; s free, zero, or a small polynomial."""
+    params = draw(st.sampled_from(list(coprime_pairs(9))))
+    variables = [Poly.var(tsub(j)) for j in range(1, params.r)] + [Poly.var(T)]
+
+    def small():
+        p = Poly.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            term = Poly.const(draw(st.sampled_from((-2, -1, 1, 2))))
+            for v in draw(st.lists(st.sampled_from(variables), max_size=2)):
+                term = term * v
+            p = p + term
+        return p
+
+    assignments = {}
+    for i in range(1, params.r):
+        kind = draw(st.sampled_from(('zero', 'free', 'poly')))
+        if kind == 'zero':
+            if draw(st.booleans()):  # explicit, or left out
+                assignments[tsub(i)] = Poly.zero()
+        else:
+            assignments[tsub(i)] = Poly.var(tsub(i)) if kind == 'free' else small()
+    kind = draw(st.sampled_from(('zero', 'free', 'poly')))
+    if kind != 'free':
+        assignments[S] = Poly.zero() if kind == 'zero' else small()
+    return params, CochainSpec(params.r, assignments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs())
+def test_random_spec_insertion_matches_oracle(params_spec):
+    _assert_spec_matches_oracle(*params_spec)
+
+
+def test_universal_insertion_never_substitutes(monkeypatch):
+    def must_not_substitute(self, sub):
+        raise AssertionError('substituted on the universal path')
+
+    monkeypatch.setattr(Poly, 'substitute', must_not_substitute)
+    for params in coprime_pairs(10):
+        diff_matrix(params)
+    # a free spec: every value is the variable itself, or zero
+    table = deformed_table(SingularityParams(2, 1),
+                           CochainSpec(2, {tsub(1): Poly.var(tsub(1))}))
+    assert table.product(1, 1) == {0: Poly.var(S), 1: Poly.var(tsub(1), 1, -1)}
+
+
+def test_zero_values_drop_entries_instead_of_substituting(monkeypatch):
+    real = Poly.substitute
+
+    def nonzero_images_only(self, sub):
+        assert all(sub.values()), 'a zero value was substituted'
+        return real(self, sub)
+
+    monkeypatch.setattr(Poly, 'substitute', nonzero_images_only)
+    for (n, q) in wahl_pairs(5):
+        deformed_table(SingularityParams(n * n, n * q - 1), wahl_cochain(n, q))
+    for params in coprime_pairs(8):
+        deformed_table(params, CochainSpec(params.r, {S: Poly.zero()}))
+
+
+def test_spec_for_another_r_is_rejected():
+    # read at r = 4, the r = 2 spec would leave t_2 and t_3 free: t_1 t_2
+    # survives, although t_1 = t_1, s = 0 with t_2 = t_3 = 0 is flat at r = 4
+    params = SingularityParams(4, 1)
+    values = {tsub(1): Poly.var(tsub(1)), S: Poly.zero()}
+    assert check_point(params, CochainSpec(4, values))
+    for call in (deformed_table, check_point):
+        with pytest.raises(ValueError, match='spec for r = 2 read at r = 4'):
+            call(params, CochainSpec(2, values))
+
+
+@pytest.mark.parametrize('var', [tsub(0), tsub(4), tsub(7), T])
+def test_spec_assigning_a_variable_outside_the_cochain_is_rejected(var):
+    # parse rejects t_0 and t_i with i >= r; a constructed spec must too
+    spec = CochainSpec(4, {tsub(1): Poly.var(tsub(1)), var: Poly.const(1)})
+    params = SingularityParams(4, 1)
+    for call in (deformed_table, check_point):
+        with pytest.raises(ValueError, match=re.escape(format_poly(Poly.var(var)))):
+            call(params, spec)
+
+
+@pytest.mark.parametrize('r', range(2, 17))
+def test_full_ainf_is_graded(r):
+    # every m_k entry has deg(out) = sum of the input degrees + 2 - k, the
+    # degree of a code its parity bit; a spec drops entries before the
+    # degree checks of diff_matrix and deformed_table see them
+    for a in range(1, r):
+        if gcd(a, r) != 1:
+            continue
+        table = full_ainf(SingularityParams(r, a))
+        for k, entries in ((1, {(x,): c for x, c in table.m1.items()}),
+                           (2, table.m2), (3, table.m3)):
+            for key, cell in entries.items():
+                want = sum(code & 1 for code in key) + 2 - k
+                assert {out & 1 for out in cell} == {want}, (r, a, key, cell)
