@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .resarith import SingularityParams, bracket
-from .polyring import Poly, S, tsub, format_poly
-
-Generator = tuple  # (index in Z_r, degree 0 or 1)
+from .polyring import Poly, S, tsub, format_poly, parse_poly, PolyParseError
+from .kkalg import AlgebraTable
 
 # coefficients c0 + c1 s as pairs (c0, c1)
 _ONE, _MINUS, _S, _MINUS_S = (1, 0), (-1, 0), (0, 1), (0, -1)
@@ -41,33 +40,13 @@ _S_MONO = ((S, 1),)
 
 
 class NotInsertableError(ValueError):
-    """The table cannot be deformed: a generator outside degrees 0 and 1 or
-    a coefficient outside Z + Z s was added, or an entry has an input or
-    slot index that is not in Z_r."""
+    """The table cannot be deformed: an entry has an input or slot index
+    that is not in Z_r."""
 
 
-def _code(g: Generator) -> int:
-    index, degree = g
-    if degree not in (0, 1):
-        raise NotInsertableError(f"generator {g!r} is not in degree 0 or 1")
-    return 2 * index + degree
-
-
-def _generator(code: int) -> Generator:
+def _generator(code: int) -> tuple:
+    """The generator (index in Z_r, degree 0 or 1) of a code 2i + d."""
     return (code >> 1, code & 1)
-
-
-def _pair(coeff: Poly) -> tuple:
-    terms = coeff.terms
-    c0, c1 = terms.get((), 0), terms.get(_S_MONO, 0)
-    if len(terms) != bool(c0) + bool(c1):
-        raise NotInsertableError(f"coefficient {coeff} is not in Z + Z s")
-    return (c0, c1)
-
-
-def _poly_cell(cell: dict) -> dict:
-    return {_generator(out): Poly({(): c0, _S_MONO: c1})
-            for out, (c0, c1) in cell.items()}
 
 
 def _accumulate(entries):
@@ -103,9 +82,9 @@ class AinfTable:
     m_3(a_3, a_2, a_1) is (a_3, a_2, a_1).  Each cell maps output codes to
     pairs, one item per output, with no zero pair and no empty cell.
 
-    add_m1/2/3 take generator tuples and a Poly, and reject a degree
-    outside {0, 1} or a coefficient outside Z + Z s; as_poly() reads the
-    table back in those terms.
+    The reading rules keep the grading deg(out) = sum deg(inputs) + 2 - k
+    of every m_k entry, a code's degree its parity bit; verify's deform
+    suite checks it.
     """
 
     def __init__(self):
@@ -113,41 +92,11 @@ class AinfTable:
         self.m2 = {}
         self.m3 = {}
 
-    def add_m1(self, x: Generator, out: Generator, coeff: Poly):
-        _accumulate(((self.m1, _code(x), _code(out), _pair(coeff)),))
-
-    def add_m2(self, a2: Generator, a1: Generator, out: Generator, coeff: Poly):
-        _accumulate(((self.m2, (_code(a2), _code(a1)), _code(out),
-                      _pair(coeff)),))
-
-    def add_m3(self, a3: Generator, a2: Generator, a1: Generator,
-               out: Generator, coeff: Poly):
-        _accumulate(((self.m3, (_code(a3), _code(a2), _code(a1)), _code(out),
-                      _pair(coeff)),))
-
-    def as_poly(self) -> dict:
-        """{'m1': ..., 'm2': ..., 'm3': ...} keyed by generator tuples (m1 by
-        the input, m2 and m3 by tuples of inputs), with Poly coefficients, in
-        the table's order."""
-        return {
-            'm1': {_generator(x): _poly_cell(c) for x, c in self.m1.items()},
-            'm2': {tuple(map(_generator, k)): _poly_cell(c)
-                   for k, c in self.m2.items()},
-            'm3': {tuple(map(_generator, k)): _poly_cell(c)
-                   for k, c in self.m3.items()},
-        }
-
-    def _input_codes(self) -> set:
-        return set(self.m1).union(chain.from_iterable(self.m2),
-                                  chain.from_iterable(self.m3))
-
-    def generator_codes(self) -> set:
-        """Every generator code in an input or an output."""
-        cells = chain(self.m1.values(), self.m2.values(), self.m3.values())
-        return self._input_codes().union(chain.from_iterable(cells))
-
     def degrees_present(self) -> set:
-        return {code & 1 for code in self._input_codes()}
+        """The degree bits of the input codes."""
+        codes = set(self.m1).union(chain.from_iterable(self.m2),
+                                   chain.from_iterable(self.m3))
+        return {code & 1 for code in codes}
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +360,9 @@ def insert_cochain(ainf: AinfTable, r: int,
     the value of t_i, and the entry, times those values in slot order, goes
     to m_1^b(x) = differentials[x] if one degree-0 input x remains and to
     m_2^b(x, y) = products[(x, y)] if two remain.  With no inputs left it is
-    a Maurer-Cartan term, vacuous as nothing lives in degree 2; three inputs
-    would need an output in degree -1.  A slot valued 0 drops its entry at
+    a Maurer-Cartan term, vacuous as the grading of the table (checked by
+    `verify --suite deform`) leaves nothing in degree 2; three inputs would
+    need an output in degree -1.  A slot valued 0 drops its entry at
     dispatch (wbar_0 always, as t_0 = 0); s = 0 drops every s-part.
 
     Entries are dispatched on arity and on the degree bits of their codes.
@@ -575,7 +525,6 @@ class CochainSpec:
     def parse(text: str, r: int) -> 'CochainSpec':
         """One assignment per line: `t_<i> = <poly>` or `s = <poly>`;
         `#` starts a comment."""
-        from .polyring import parse_poly, PolyParseError
         assignments = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split('#', 1)[0].strip()
@@ -614,7 +563,6 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     Rejects specs that do not annihilate the differential matrix identically,
     reporting its first upper entry.
     """
-    from .kkalg import AlgebraTable
     ops = insert_cochain(full_ainf(params), params.r, spec)
     upper = diff_matrix(params, ops).upper_entries()
     if upper:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .polyring import Poly
-from .resarith import SingularityParams, bracket, m_of
+from .resarith import SingularityParams, bracket, gamma, m_of
 
 
 class AlgebraTable:
@@ -302,7 +302,6 @@ class YoungDiagram:
         return y < self.column_heights[x]
 
     def label(self, x: int, y: int) -> int:
-        from .resarith import gamma
         return gamma((x, y), self.params)
 
     def boxes(self):

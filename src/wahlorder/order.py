@@ -29,7 +29,7 @@ from heapq import heapify, heappop, heappush
 from .resarith import SingularityParams, WahlParams, bracket
 from .polyring import Poly, T, S, tsub, _from_uni
 from .kkalg import AlgebraTable, kk_table
-from .deform import CochainSpec
+from .deform import CochainSpec, deformed_table
 
 _NEG_INF = float('-inf')
 
@@ -482,7 +482,6 @@ def cross_check(n: int, q: int) -> CrossCheckReport:
     multiplication table under wahl_cochain, on the nose.  On a mismatch,
     first_mismatch is (least differing key, order cell, deformed cell).
     matched and identical always agree: both name the one comparison."""
-    from .deform import deformed_table
     order = build_order(n, q)
     left = constants_table(order)
     right = deformed_table(order.params, wahl_cochain(n, q))

@@ -22,7 +22,7 @@ from math import gcd
 from .resarith import SingularityParams
 from .polyring import Poly, S, T, tsub, acoef, parse_poly
 from .kkalg import (kk_table, kk_product_closed, kk_product_rect,
-                    young_diagram, gauss_word, dual_relabel)
+                    young_diagram, gauss_word, dual_relabel, poly_table)
 from .deform import (full_ainf, visible_contributions, insert_cochain,
                      diff_matrix, check_point, deformed_table, CochainSpec)
 from .order import (build_order, structure_constants, constants_table,
@@ -281,7 +281,6 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
            a1_visible_lists)
 
     def zero_cochain_limit():
-        from .kkalg import poly_table
         for params in coprime_pairs(12):
             table = deformed_table(params, _zero_spec(params.r))
             _require(table == poly_table(kk_table(params)),
@@ -390,15 +389,40 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
     _timed(report, '(r,1) first-component presentation, r <= 8', first_component)
 
     def mc_vacuity():
+        # every m_k entry has deg(out) = sum deg(inputs) + 2 - k, a code's
+        # degree its parity bit: no output lands in degree 2, so the
+        # Maurer-Cartan equation is vacuous.  Every code is 2i + d, i in Z_r.
         for params in coprime_pairs(32):
             r, a = params.r, params.a
+            n = 2 * r
             table = full_ainf(params)
-            degs = table.degrees_present()
-            _require(degs <= {0, 1}, f'({r},{a}): degrees {degs}')
-            # every generator code, input or output, is 2i + d, i in Z_r
-            stray = table.generator_codes() - set(range(2 * r))
+            bad = []  # (inputs, output, wanted degree) off the grading or range
+            for x, cell in table.m1.items():
+                want = (x & 1) + 1
+                for out in cell:
+                    if out & 1 != want or not (0 <= x < n and 0 <= out < n):
+                        bad.append(((x,), out, want))
+            for (a2, a1), cell in table.m2.items():
+                want = (a2 & 1) + (a1 & 1)
+                for out in cell:
+                    if (out & 1 != want
+                            or not (0 <= a2 < n and 0 <= a1 < n and 0 <= out < n)):
+                        bad.append(((a2, a1), out, want))
+            for (a3, a2, a1), cell in table.m3.items():
+                want = (a3 & 1) + (a2 & 1) + (a1 & 1) - 1
+                for out in cell:
+                    if (out & 1 != want
+                            or not (0 <= a3 < n and 0 <= a2 < n and 0 <= a1 < n
+                                    and 0 <= out < n)):
+                        bad.append(((a3, a2, a1), out, want))
+            stray = {c for key, out, _ in bad for c in (*key, out)
+                     if not 0 <= c < n}
             _require(not stray, f'({r},{a}): generator codes {sorted(stray)} '
-                                f'outside range({2 * r})')
+                                f'outside range({n})')
+            for key, out, want in bad:
+                _require(out & 1 == want,
+                         f'({r},{a}): m_{len(key)}({", ".join(map(str, key))}) '
+                         f'-> {out} has degree {out & 1}, the grading wants {want}')
 
     _timed(report, 'no degree-2 generators (Maurer-Cartan vacuous), r <= 32',
            mc_vacuity)

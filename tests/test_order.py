@@ -384,8 +384,7 @@ def test_sign_flipped_fiber_zero_mismatches(monkeypatch):
 
 
 def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
-    import wahlorder.deform as deform_mod
-    real = deform_mod.deformed_table
+    real = order_mod.deformed_table
     keys = sorted(real(SingularityParams(9, 5), wahl_cochain(3, 2)).products)
     low, high = keys[len(keys) // 2], keys[-1]
 
@@ -396,7 +395,7 @@ def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
         table.set_product(*high, {})
         return table
 
-    monkeypatch.setattr(deform_mod, 'deformed_table', tampered)
+    monkeypatch.setattr(order_mod, 'deformed_table', tampered)
     left = constants_table(build_order(3, 2))
     rep = cross_check(3, 2)
     assert not rep.matched and not rep.identical

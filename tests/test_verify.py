@@ -118,7 +118,7 @@ from wahlorder.resarith import SingularityParams
 params = SingularityParams(5, 2)
 table = v.full_ainf(params)
 {sabotage}
-v.coprime_pairs = lambda max_r, min_r=2: iter([params])
+v.coprime_pairs = lambda max_r: iter([params])
 v.full_ainf = lambda p: table
 print(v.suite_deform(max_r=2, max_n=2).render(), end='')
 """
@@ -132,13 +132,24 @@ print(v.suite_deform(max_r=2, max_n=2).render(), end='')
     ('table.m2[(2, 2)] = {11: (0, 1)}',
      'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
      '[(5,2): generator codes [11] outside range(10)]\nsuite deform: FAIL\n'),
+    # an output with its degree flipped, and a Maurer-Cartan entry (both
+    # inputs of degree 1) that insert_cochain would drop unread
+    ('table.m3[(3, 2, 3)] = {2: (-1, 0)}',
+     'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
+     '[(5,2): m_3(3, 2, 3) -> 2 has degree 0, the grading wants 1]\n'
+     'suite deform: FAIL\n'),
+    ('table.m2[(3, 5)] = {2: (1, 0)}',
+     'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
+     '[(5,2): m_2(3, 5) -> 2 has degree 0, the grading wants 2]\n'
+     'suite deform: FAIL\n'),
     ('',
      'PASS  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)\n'
      'suite deform: PASS\n'),
 ])
 def test_degree_check_reads_codes_under_python_O(sabotage, tail):
-    # an A-infinity table with a generator code outside range(2r) must fail
-    # the degree check even with assert statements compiled out
+    # an A-infinity table with a generator code outside range(2r) or an
+    # entry off the grading must fail the degree check even with assert
+    # statements compiled out
     src = Path(wahlorder.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
