@@ -4,15 +4,14 @@ smoothings of Wahl singularities, all cross-validated against exact oracles.
 """
 
 from .resarith import (SingularityParams, WahlParams, InvalidParamsError,
-                       bracket, inverse_mod, gamma, is_orange, m_of,
-                       hj_fraction, hj_evaluate)
+                       bracket, inverse_mod, gamma, is_orange, m_of, hj_fraction)
 from .polyring import Poly, S, T, tsub, acoef, parse_poly, format_poly
 from .kkalg import (AlgebraTable, kk_product_closed, kk_product_rect,
-                    kk_table, opposite, dual_relabel, young_diagram,
-                    YoungDiagram, gauss_word, self_intersection_count)
+                    kk_table, dual_relabel, young_diagram, YoungDiagram,
+                    gauss_word, self_intersection_count)
 from .deform import (AinfTable, hidden_ainf, visible_contributions, full_ainf,
-                     insert_cochain, diff_matrix, DiffMatrix, def0_generators,
-                     CochainSpec, check_point, deformed_table, SpecNotFlatError)
+                     insert_cochain, diff_matrix, DiffMatrix, CochainSpec,
+                     check_point, deformed_table, SpecNotFlatError)
 from .order import (OrderTable, order_entry, build_order, structure_constants,
                     constants_table, fiber_at, certify_full_matrix_fiber,
                     fiber_zero_report, infinity_fiber, wahl_cochain,

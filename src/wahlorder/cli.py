@@ -58,7 +58,8 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #                                                   cross 1.5 s): near budget
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (7.2 s at the default bounds).
+# --suite all runs the suites one after another (7.0-9.2 s at the default
+# bounds, six runs on a noisy host).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64

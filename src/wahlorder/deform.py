@@ -277,7 +277,6 @@ class DeformedOps:
     likewise, for inputs w_j, w_i of degree 0.
     """
 
-    r: int
     differentials: dict
     products: dict
 
@@ -436,7 +435,7 @@ def insert_cochain(ainf: AinfTable, r: int,
                 if (p := polys[tuple(terms.items())]).terms}
 
     return DeformedOps(
-        r, {i: wrapped(diffs.get(i)) for i in range(r)},
+        {i: wrapped(diffs.get(i)) for i in range(r)},
         {(j, i): wrapped(prods.get((j, i))) for j in range(r) for i in range(r)})
 
 
@@ -481,12 +480,6 @@ def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> Di
                 raise ArithmeticError(f"dw_{i} hit {out}")
             entries[(i, out[0])] = coeff
     return DiffMatrix(params, entries)
-
-
-def def0_generators(params: SingularityParams) -> list:
-    """Nonzero strictly upper entries of the differential matrix; the lower
-    half is determined by skew-symmetry."""
-    return [p for _, p in diff_matrix(params).upper_entries()]
 
 
 # ---------------------------------------------------------------------------

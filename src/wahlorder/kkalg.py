@@ -243,10 +243,6 @@ def kk_table(params: SingularityParams) -> AlgebraTable:
     return AlgebraTable(r, products)
 
 
-def opposite(table: AlgebraTable) -> AlgebraTable:
-    return table.opposite()
-
-
 def poly_table(table: AlgebraTable) -> AlgebraTable:
     """The same table with integer coefficients promoted to Poly constants."""
     return AlgebraTable(table.dim, {

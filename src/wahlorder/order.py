@@ -87,8 +87,8 @@ class OrderTable:
     cells: list  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
 
     _constants: dict = field(init=False, default=None, repr=False)
-    # (sign, e): the coefficient matrix of the basis has determinant sign * t^e
-    _det: tuple = field(init=False, default=None, repr=False)
+    # sum e: the basis coefficient matrix has determinant +-t^(sum e), exponent kept
+    _det: int = field(init=False, default=None, repr=False)
 
     @property
     def r(self) -> int:
@@ -144,8 +144,8 @@ def structure_constants(order: OrderTable) -> dict:
     when a = 2, b = 5, r = 9; R_{9,2} has w_1^2 = 0).
 
     Each product N_i . N_j is formed from the signed monomials into a sparse
-    cell map and solved by solve_in_basis, which also yields the determinant
-    kept for certify_full_matrix_fiber.
+    cell map and solved by solve_in_basis, which also yields the exponent of
+    the determinant +-t^(sum e), kept for certify_full_matrix_fiber.
     """
     if order._constants is not None:
         return order._constants
@@ -189,9 +189,10 @@ def solve_in_basis(basis, targets):
 
     basis[k] is [(row, col, sign, e)], at most one entry per cell; targets
     maps a label to {(row, col): dense coefficient list, low degree first}.
-    Returns ({label: {k: Poly}}, (sign, e)): each coordinate dict in
-    ascending k, and sign * t^e the determinant of the coefficient matrix
-    (cells x unknowns) on the cells _peel pivots.
+    Returns ({label: {k: Poly}}, sum e): each coordinate dict in ascending
+    k, and sum e the exponent of the determinant +-t^(sum e) of the
+    coefficient matrix (cells x unknowns) on the cells _peel pivots; the
+    sign is not kept.
 
     Along the peel order each unknown k has the pivot +-t^e in a cell where
     every other unknown was pivoted before it, so k occurs only in its own
@@ -241,13 +242,14 @@ def solve_in_basis(basis, targets):
 
 
 def _peel(basis):
-    """Pivot order [(cell, k, sign, e)] and the determinant (sign, sum e).
+    """Pivot order [(cell, k, sign, e)] and sum e.
 
     Each step pivots unknown k in a cell where it is the only unknown not
     pivoted yet, with coefficient sign * t^e.  Ordered this way the
-    coefficient matrix is triangular, so its determinant is the product of
-    the pivots times the signs of the two reorderings.  ArithmeticError when
-    the peel stalls: no cell has a single unpivoted unknown.
+    coefficient matrix is triangular, so its determinant is +-t^(sum e), the
+    product of the pivots up to the signs of the two reorderings; only the
+    exponent is kept.  ArithmeticError when the peel stalls: no cell has a
+    single unpivoted unknown.
     """
     rows = {}
     for k, entries in enumerate(basis):
@@ -267,24 +269,7 @@ def _peel(basis):
         steps.append((c, k) + rows[c][k])
         for ks in pending.values():
             ks.discard(k)
-    sign = (_permutation_sign([c for c, _, _, _ in steps])
-            * _permutation_sign([k for _, k, _, _ in steps]))
-    for _, _, s, _ in steps:
-        sign *= s
-    return steps, (sign, sum(e for _, _, _, e in steps))
-
-
-def _permutation_sign(seq) -> int:
-    """Sign of the permutation taking sorted(seq) to seq (distinct items)."""
-    rank = {v: i for i, v in enumerate(sorted(seq))}
-    perm = [rank[v] for v in seq]
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
+    return steps, sum(e for _, _, _, e in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +301,7 @@ def certify_full_matrix_fiber(order: OrderTable, tau) -> bool:
     the fiber is Mat_n at every tau != 0.  At tau = 0 it holds iff sum e = 0.
     """
     structure_constants(order)
-    return tau != 0 or order._det[1] == 0
+    return tau != 0 or order._det == 0
 
 
 def diagonal_sign_match(t1: AlgebraTable, t2: AlgebraTable):

@@ -140,11 +140,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def degree_in(self, v: Var) -> int:
         if not self.terms:
             return -1

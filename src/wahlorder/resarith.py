@@ -11,7 +11,6 @@ Hirzebruch-Jung continued fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -33,8 +32,6 @@ def inverse_mod(a: int, r: int) -> int:
         raise InvalidParamsError(f"modulus must be positive, got {r}")
     if gcd(a, r) != 1:
         raise InvalidParamsError(f"{a} is not invertible modulo {r}")
-    if r == 1:
-        return 0
     return pow(a, -1, r)
 
 
@@ -129,11 +126,3 @@ def hj_fraction(r: int, d: int) -> list[int]:
         out.append(b)
         num, den = den, b * den - num
     return out
-
-
-def hj_evaluate(coeffs: list[int]) -> Fraction:
-    """Evaluate b_1 - 1/(b_2 - 1/(...)) exactly; oracle for hj_fraction."""
-    val = Fraction(coeffs[-1])
-    for b in reversed(coeffs[:-1]):
-        val = b - 1 / val
-    return val

@@ -114,6 +114,7 @@ def coprime_pairs(max_r: int):
 def _kk_pair_check(params: SingularityParams):
     r, a = params.r, params.a
     diag = young_diagram(params)
+    table = kk_table(params)
     for j in range(r):
         for i in range(r):
             c = kk_product_closed(params, j, i)
@@ -121,7 +122,8 @@ def _kk_pair_check(params: SingularityParams):
                 raise CheckFailed(f'({r},{a}): closed/rect disagree at ({j},{i})')
             if c != diag.product(j, i):
                 raise CheckFailed(f'({r},{a}): closed/young disagree at ({j},{i})')
-    table = kk_table(params)
+            if table.product(j, i) != ({} if c is None else {c: 1}):
+                raise CheckFailed(f'({r},{a}): closed/table disagree at ({j},{i})')
     _require(table.is_unital(), f'({r},{a}): not unital')
     bad = table.associator_violation()
     _require(not bad, f'({r},{a}): associativity fails at {bad}')

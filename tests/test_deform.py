@@ -12,7 +12,7 @@ from wahlorder.polyring import Poly, S, T, tsub, parse_poly, format_poly
 from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
 from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
                               insert_cochain, AinfTable, NotInsertableError,
-                              diff_matrix, def0_generators, CochainSpec,
+                              diff_matrix, CochainSpec,
                               check_point, deformed_table, SpecNotFlatError,
                               DeformedOps)
 from wahlorder.verify import (a1_diff_expected, component_specs_15_4,
@@ -339,7 +339,7 @@ def test_out_of_range_key_raises_even_when_it_cancels():
 ])
 def test_diff_matrix_invariants_raise_arithmetic_error(differentials):
     with pytest.raises(ArithmeticError):
-        diff_matrix(SingularityParams(3, 1), DeformedOps(3, differentials, {}))
+        diff_matrix(SingularityParams(3, 1), DeformedOps(differentials, {}))
 
 
 def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
@@ -434,8 +434,8 @@ def test_diff_matrix_examples():
 
 
 def test_def0_generators_3_1():
-    gens = def0_generators(SingularityParams(3, 1))
-    assert gens == [parse_poly('t_1 t_2 + s')]
+    gens = diff_matrix(SingularityParams(3, 1)).upper_entries()
+    assert [p for _, p in gens] == [parse_poly('t_1 t_2 + s')]
 
 
 def test_check_point_examples():

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from wahlorder.resarith import (SingularityParams, WahlParams,
                                 InvalidParamsError, bracket, inverse_mod,
-                                gamma, is_orange, m_of, hj_fraction,
-                                hj_evaluate)
+                                gamma, is_orange, m_of, hj_fraction)
 
 
 def test_bracket_examples():
@@ -35,6 +34,7 @@ def test_inverse_mod_examples():
     assert inverse_mod(3, 16) == 11
     assert inverse_mod(1, 7) == 1
     assert inverse_mod(2, 9) == 5
+    assert inverse_mod(0, 1) == inverse_mod(5, 1) == 0
 
 
 def test_inverse_mod_noncoprime():
@@ -124,6 +124,14 @@ def test_hj_fraction_examples():
         hj_fraction(4, 4)
     with pytest.raises(InvalidParamsError):
         hj_fraction(4, 0)
+
+
+def hj_evaluate(coeffs: list[int]) -> Fraction:
+    """Evaluate b_1 - 1/(b_2 - 1/(...)) exactly; oracle for hj_fraction."""
+    val = Fraction(coeffs[-1])
+    for b in reversed(coeffs[:-1]):
+        val = b - 1 / val
+    return val
 
 
 @given(st.integers(2, 400), st.data())

@@ -9,6 +9,7 @@ import pytest
 import wahlorder
 import wahlorder.order as order_mod
 import wahlorder.verify as verify_mod
+from wahlorder.kkalg import AlgebraTable
 from wahlorder.resarith import SingularityParams
 from wahlorder.verify import CheckFailed, VerifyReport, _require, _timed, suite_order
 
@@ -88,21 +89,42 @@ def test_kk_pair_check_names_the_disagreement(monkeypatch):
     with pytest.raises(CheckFailed) as info:
         verify_mod._kk_pair_check(SingularityParams(5, 2))
     assert str(info.value) == '(5,2): closed/rect disagree at (0,0)'
+    monkeypatch.undo()
+    monkeypatch.setattr(verify_mod, 'kk_table', lambda params: AlgebraTable(params.r))
+    with pytest.raises(CheckFailed) as info:
+        verify_mod._kk_pair_check(SingularityParams(5, 2))
+    assert str(info.value) == '(5,2): closed/table disagree at (0,0)'
 
 
 _SABOTAGE = """
 import wahlorder.verify as v
 from wahlorder.kkalg import AlgebraTable
-if {sabotage}:
-    v.kk_table = lambda p: AlgebraTable(p.r)
+kk_table = v.kk_table
+{sabotage}
 print(v.suite_kk(max_r=8).render(), end='')
 """
 
+# every non-unit product negated, except in the commutative families and
+# at r = 9, where the other kk checks would catch it
+_NEGATED = """
+def negated(p):
+    t = kk_table(p)
+    if p.r != 9 and p.a not in (1, p.r - 1):
+        t.products = {(j, i): {k: -c for k, c in cell.items()} if j and i else cell
+                      for (j, i), cell in t.products.items()}
+    return t
+v.kk_table = negated
+"""
 
-@pytest.mark.parametrize('sabotage,verdict', [(True, 'FAIL'), (False, 'PASS')])
+
+@pytest.mark.parametrize('sabotage,verdict', [
+    ('v.kk_table = lambda p: AlgebraTable(p.r)', 'FAIL'),
+    (_NEGATED, 'FAIL'),
+    ('', 'PASS'),
+], ids=['empty-table', 'negated-table', 'clean'])
 def test_kk_verdict_survives_python_O(sabotage, verdict):
-    # an empty kk_table must fail the suite even with assert statements
-    # compiled out
+    # an empty kk_table, or one whose products disagree with the closed
+    # rule, must fail the suite even with assert statements compiled out
     src = Path(wahlorder.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -145,7 +167,7 @@ print(v.suite_deform(max_r=2, max_n=2).render(), end='')
     ('',
      'PASS  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)\n'
      'suite deform: PASS\n'),
-])
+], ids=['stray-input', 'stray-output', 'flipped-degree', 'mc-entry', 'clean'])
 def test_degree_check_reads_codes_under_python_O(sabotage, tail):
     # an A-infinity table with a generator code outside range(2r) or an
     # entry off the grading must fail the degree check even with assert
