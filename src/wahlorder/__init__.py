@@ -4,7 +4,7 @@ smoothings of Wahl singularities, all cross-validated against exact oracles.
 """
 
 from .resarith import (SingularityParams, WahlParams, InvalidParamsError,
-                       bracket, inverse_mod, gamma, is_orange, m_of, hj_fraction)
+                       inverse_mod, gamma, is_orange, m_of, hj_fraction)
 from .polyring import Poly, S, T, tsub, acoef, parse_poly, format_poly
 from .kkalg import (AlgebraTable, kk_product_closed, kk_product_rect,
                     kk_table, dual_relabel, young_diagram, YoungDiagram,

@@ -51,7 +51,7 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
 #   deform  r = 64:     a = 1,   --ideal            1.0-1.1 s, 109 MB (--table: 0.5 s)
 #   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
-#   verify  --max-r 40: --suite kk                  4.2-4.9 s, 18 MB (r = 42: 5.4 s)
+#   verify  --max-r 40: --suite kk                  3.8-4.6 s, 18 MB (r = 42: 4.7-5.4 s)
 #           --max-n 7:  --suite deform              4.2 s,  32 MB (order 1.5 s,
 #                                                   cross 1.0 s)
 #           --max-n 8:  --suite deform              4.7 s,  37 MB (order 3.1 s,
@@ -138,9 +138,9 @@ def cmd_order(args) -> int:
     if args.fiber:
         if args.fiber == 'zero':
             rep = fiber_zero_report(ordr)
-            table = fiber_at(ordr, 0)
+            table = rep.table
             cert = (f'matches R_{{{ordr.r},{ordr.params.a}}} with signs '
-                    f'{rep.signs}' if rep.matches else 'MISMATCH')
+                    f'{[1] * ordr.r}' if rep.matches else 'MISMATCH')
         elif args.fiber == 'generic':
             tau = args.at if args.at is not None else 1
             table = fiber_at(ordr, tau)

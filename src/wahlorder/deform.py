@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .resarith import SingularityParams, bracket
+from .resarith import SingularityParams
 from .polyring import Poly, S, tsub, format_poly, parse_poly, PolyParseError
 from .kkalg import AlgebraTable
 
@@ -106,7 +106,7 @@ class AinfTable:
 def _second_half_pos(label: int, params: SingularityParams) -> int:
     # the second half of the Gauss word lists [-k b] at position k, so the
     # label x sits at position [-a x]
-    return bracket(-params.a * label, params.r)
+    return -params.a * label % params.r
 
 
 def _hidden_triples(params: SingularityParams, m3: dict):
@@ -178,7 +178,7 @@ def _permitted_rectangles(params: SingularityParams):
         # SW corner exempted
         thr = []
         for u in range(0, r + 1):
-            v = bracket(b * u - c, r)  # first orange at c + v
+            v = (b * u - c) % r  # first orange at c + v
             if u == 0 and c == 0:
                 v = r  # SW corner itself is exempt; next orange is at height r
             thr.append(v)
@@ -203,9 +203,9 @@ def _rectangle_readings(params: SingularityParams, t: AinfTable):
     m1, m2, m3 = t.m1, t.m2, t.m3
     for (c, X, Y, ne_or) in _permitted_rectangles(params):
         gSW = c
-        gSE = bracket(c - b * X, r)
-        gNW = bracket(c + Y, r)
-        gNE = bracket(c + Y - b * X, r)
+        gSE = (c - b * X) % r
+        gNW = (c + Y) % r
+        gNE = (c + Y - b * X) % r
         sw_or = (gSW == 0)
         if gSE == 0 or gNW == 0 or (gNE == 0) != ne_or:
             raise ArithmeticError(f"rectangle {(c, X, Y)}: misread orange corner")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .polyring import Poly
-from .resarith import SingularityParams, bracket, gamma, m_of
+from .resarith import SingularityParams, gamma, m_of
 
 
 class AlgebraTable:
@@ -38,13 +38,6 @@ class AlgebraTable:
 
     def product(self, j: int, i: int) -> dict:
         return self.products.get((j, i), {})
-
-    def set_product(self, j: int, i: int, cell: dict):
-        cell = {k: c for k, c in cell.items() if c}
-        if cell:
-            self.products[(j, i)] = cell
-        else:
-            self.products.pop((j, i), None)
 
     def is_unital(self) -> bool:
         """w_0 w_x = w_x w_0 = w_x for every x, the coefficient 1 read as
@@ -117,7 +110,8 @@ class AlgebraTable:
         out = {}
         for (j, i), cell in self.products.items():
             s = signs[j] * signs[i]
-            out[(j, i)] = {k: c * (s * signs[k]) for k, c in cell.items()}
+            out[(j, i)] = {k: c if s == signs[k] else -c
+                           for k, c in cell.items()}
         return AlgebraTable(self.dim, out)
 
     def __eq__(self, other):
@@ -209,7 +203,7 @@ def _clean(d):
 def kk_product_closed(params: SingularityParams, j: int, i: int):
     """w_j * w_i by the gap-function rule; returns the output index or None."""
     r = params.r
-    j, i = bracket(j, r), bracket(i, r)
+    j, i = j % r, i % r
     return (j + i) % r if m_of(j, params) > i else None
 
 
@@ -217,11 +211,11 @@ def kk_product_rect(params: SingularityParams, j: int, i: int):
     """w_j * w_i by the rectangle oracle: the closed box [0,[-aj]] x [0,[i]]
     must contain no orange point except the origin."""
     r, b = params.r, params.b
-    j, i = bracket(j, r), bracket(i, r)
-    X = bracket(-params.a * j, r)
+    j, i = j % r, i % r
+    X = -params.a * j % r
     Y = i
     for u in range(0, X + 1):
-        v = bracket(b * u, r)  # lowest orange height >= 0 in column u
+        v = b * u % r  # lowest orange height >= 0 in column u
         if v <= Y and (u, v) != (0, 0):
             return None
     return (j + i) % r
@@ -260,7 +254,7 @@ def dual_relabel(params: SingularityParams) -> list:
     R_{9,5} has w_1^2 = w_2 while R_{9,2} has w_1^2 = 0.)
     """
     r, b = params.r, params.b
-    return [bracket(-b * k, r) for k in range(r)]
+    return [-b * k % r for k in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,7 @@ class YoungDiagram:
         self.column_heights = heights = [r]
         cur = r
         for u in range(1, r):
-            cur = min(cur, bracket(b * u, r))
+            cur = min(cur, b * u % r)
             heights.append(min(cur, r))
 
     def contains(self, x: int, y: int) -> bool:
@@ -309,10 +303,10 @@ class YoungDiagram:
         """Product rule: the box rectangle spanned by the factors must lie
         inside the diagram.  Must agree with kk_product_closed."""
         r = self.params.r
-        j, i = bracket(j, r), bracket(i, r)
+        j, i = j % r, i % r
         if j == 0 or i == 0:
             return (j + i) % r
-        c = bracket(-self.params.a * j, r)  # bottom-row box labeled j
+        c = -self.params.a * j % r  # bottom-row box labeled j
         h = i                               # left-column box labeled i
         return (j + i) % r if self.contains(c, h) else None
 
@@ -325,7 +319,7 @@ def gauss_word(params: SingularityParams) -> list:
     """Self-intersection labels along the curve, each appearing twice:
     r-1, r-2, ..., 1, [-b], [-2b], ..., [-(r-1)b]."""
     r, b = params.r, params.b
-    return list(range(r - 1, 0, -1)) + [bracket(-k * b, r) for k in range(1, r)]
+    return list(range(r - 1, 0, -1)) + [-k * b % r for k in range(1, r)]
 
 
 def self_intersection_count(params: SingularityParams) -> int:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .resarith import SingularityParams, WahlParams, bracket
-from .polyring import Poly, T, S, tsub, _from_uni
+from .resarith import SingularityParams, WahlParams
+from .polyring import Poly, T, S, tsub, acoef, format_poly, _from_uni
 from .kkalg import AlgebraTable, kk_table
 from .deform import CochainSpec, deformed_table
 
@@ -151,7 +151,7 @@ def structure_constants(order: OrderTable) -> dict:
         return order._constants
     r, a = order.r, order.params.a
     mats = order.monomial_basis()
-    basis = [mats[bracket(-a * k, r)] for k in range(r)]
+    basis = [mats[-a * k % r] for k in range(r)]
     by_row = []
     for entries in basis:
         rows = {}
@@ -307,13 +307,11 @@ def certify_full_matrix_fiber(order: OrderTable, tau) -> bool:
 def diagonal_sign_match(t1: AlgebraTable, t2: AlgebraTable):
     """Signs eps (eps_0 = 1) with t1 = t2.rescale(eps), or None.
 
-    Equal tables give all signs +1 at once.  Otherwise the sparsity patterns
-    must be equal with entrywise c1 = +-c2; the sign constraints
-    eps_j eps_i eps_k = sgn form a GF(2) linear system.  Only infinity_fiber
-    needs the search: every other certificate compares on the nose.
+    The sparsity patterns must be equal with entrywise c1 = +-c2; the sign
+    constraints eps_j eps_i eps_k = sgn form a GF(2) linear system.  Only
+    infinity_fiber needs the search: every other certificate compares on the
+    nose.
     """
-    if t1 == t2:
-        return [1] * t1.dim
     if t1.dim != t2.dim:
         return None
     if set(t1.products) != set(t2.products):
@@ -378,14 +376,14 @@ def _gf2_solve(rows, rhs, nvars):
 @dataclass
 class FiberZeroReport:
     matches: bool
-    signs: list | None
+    table: AlgebraTable
 
 
 def fiber_zero_report(order: OrderTable) -> FiberZeroReport:
     """The t = 0 fiber is R_{n^2, nq-1} on the nose: equal structure
-    constants, with no change of basis.  A match reports the signs [1] * r."""
-    matches = fiber_at(order, 0) == kk_table(order.params)
-    return FiberZeroReport(matches, [1] * order.r if matches else None)
+    constants, with no change of basis.  The report keeps the fiber table."""
+    table = fiber_at(order, 0)
+    return FiberZeroReport(table == kk_table(order.params), table)
 
 
 @dataclass
@@ -483,23 +481,10 @@ def cross_check(n: int, q: int) -> CrossCheckReport:
 # ---------------------------------------------------------------------------
 
 def format_cell(terms) -> str:
-    """Render one cell the way the displays print it: descending t-powers,
-    e.g. '-t^2 a_6 - t a_3 + a_0'."""
-    if not terms:
-        return '0'
-    parts = []
-    for (sign, exp, k) in sorted(terms, key=lambda t3: (-t3[1], t3[2])):
-        if exp == 0:
-            body = f'a_{k}'
-        elif exp == 1:
-            body = f't a_{k}'
-        else:
-            body = f't^{exp} a_{k}'
-        if not parts:
-            parts.append(body if sign > 0 else f'-{body}')
-        else:
-            parts.append(f'+ {body}' if sign > 0 else f'- {body}')
-    return ' '.join(parts)
+    """Render one cell the way the displays print it: the Poly
+    sum sign * t^exp * a_k, e.g. '-t^2 a_6 - t a_3 + a_0'."""
+    return format_poly(sum((Poly.var(T, exp, sign) * Poly.var(acoef(k))
+                            for sign, exp, k in terms), Poly()))
 
 
 def format_order_matrix(order: OrderTable) -> str:

@@ -36,9 +36,7 @@ def table_text(table: AlgebraTable, header: str) -> str:
 
 def table_json(table: AlgebraTable, r: int, a: int) -> dict:
     products = []
-    for (j, i), cell in sorted(table.products.items()):
-        if j == 0 or i == 0:
-            continue
+    for (j, i), cell in table.nontrivial_products():
         for k, c in sorted(cell.items()):
             entry = {'j': j, 'i': i, 'k': k}
             cs = _coeff_str(c)

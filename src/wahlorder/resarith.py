@@ -1,11 +1,12 @@
 """Residue arithmetic for cyclic quotient singularities 1/r(1,a).
 
 Every construction in this package is indexed by a coprime pair (r, a) with
-0 < a < r, together with the inverse b of a modulo r.  This module provides
-the canonical representative [x] in [0, r), the labelling homomorphism
-gamma(i, j) = [j - b*i] on the integer lattice, its kernel sublattice of
-"orange" points, the gap function m(j) that controls products, and
-Hirzebruch-Jung continued fractions.
+0 < a < r, together with the inverse b of a modulo r.  The representative
+[x] in [0, r) is Python's x % r, taken only for an r >= 2 that
+SingularityParams or OrderTable has validated.  This module provides the
+labelling homomorphism gamma(i, j) = [j - b*i] on the integer lattice, its
+kernel sublattice of "orange" points, the gap function m(j) that controls
+products, and Hirzebruch-Jung continued fractions.
 """
 
 from __future__ import annotations
@@ -17,13 +18,6 @@ from math import gcd
 
 class InvalidParamsError(ValueError):
     """Raised for parameter triples that do not define a singularity."""
-
-
-def bracket(x: int, r: int) -> int:
-    """Canonical representative of x modulo r, in [0, r)."""
-    if r <= 0:
-        raise InvalidParamsError(f"modulus must be positive, got {r}")
-    return x % r
 
 
 def inverse_mod(a: int, r: int) -> int:
@@ -94,7 +88,7 @@ def gamma(p: LatticePoint, params: SingularityParams) -> int:
     sublattice of orange points.
     """
     x, y = p
-    return bracket(y - params.b * x, params.r)
+    return (y - params.b * x) % params.r
 
 
 def is_orange(p: LatticePoint, params: SingularityParams) -> bool:
@@ -107,12 +101,12 @@ def m_of(j: int, params: SingularityParams) -> int:
     The product w_j * w_i is nonzero exactly when m(j) > [i].
     """
     r = params.r
-    j = bracket(j, r)
+    j %= r
     if j == 0:
         return r
-    lim = bracket(-params.a * j, r)
+    lim = -params.a * j % r
     b = params.b
-    return min(bracket(k * b, r) for k in range(1, lim + 1))
+    return min(k * b % r for k in range(1, lim + 1))
 
 
 def hj_fraction(r: int, d: int) -> list[int]:

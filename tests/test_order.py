@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import wahlorder.order as order_mod
-from wahlorder.resarith import SingularityParams, bracket
+from wahlorder.resarith import SingularityParams
 from wahlorder.polyring import Poly, T, tsub, S, format_poly
 from wahlorder.kkalg import kk_table
 from wahlorder.order import (order_entry, build_order, structure_constants,
@@ -35,6 +35,38 @@ def test_golden_matrices_term_for_term():
         for i in range(n):
             for j in range(n):
                 assert format_cell(ordr.cells[i][j]) == rows[i][j], (n, q, i, j)
+
+
+def _format_cell_oracle(terms):
+    # an independent term printer: descending t-powers, then ascending a_k,
+    # each term printed as +-t^e a_k
+    if not terms:
+        return '0'
+    parts = []
+    for (sign, exp, k) in sorted(terms, key=lambda t3: (-t3[1], t3[2])):
+        if exp == 0:
+            body = f'a_{k}'
+        elif exp == 1:
+            body = f't a_{k}'
+        else:
+            body = f't^{exp} a_{k}'
+        if not parts:
+            parts.append(body if sign > 0 else f'-{body}')
+        else:
+            parts.append(f'+ {body}' if sign > 0 else f'- {body}')
+    return ' '.join(parts)
+
+
+def test_format_cell_matches_the_term_printer_up_to_n_10():
+    assert format_cell([]) == _format_cell_oracle([]) == '0'
+    count = 0
+    for n, q in _wahl_pairs(10):
+        for row in build_order(n, q).cells:
+            for cell in row:
+                assert format_cell(cell) == _format_cell_oracle(cell), \
+                    (n, q, cell)
+                count += 1
+    assert count == sum(n * n for n, _ in _wahl_pairs(10))
 
 
 def test_build_order_2_1_vs_example_display():
@@ -88,9 +120,8 @@ def test_fiber_at_zero_is_kk():
         ordr = build_order(n, q)
         rep = fiber_zero_report(ordr)
         assert rep.matches
-        assert fiber_at(ordr, 0) == kk_table(ordr.params).rescale(rep.signs)
-        # at present the match is exact
-        assert rep.signs == [1] * ordr.r
+        # the match is exact, and the report keeps the t = 0 table
+        assert rep.table == fiber_at(ordr, 0) == kk_table(ordr.params)
 
 
 def test_unit_row():
@@ -185,7 +216,7 @@ def _wahl_pairs(max_n):
 
 def _order_basis(ordr):
     mats = ordr.monomial_basis()
-    return [mats[bracket(-ordr.params.a * k, ordr.r)] for k in range(ordr.r)]
+    return [mats[-ordr.params.a * k % ordr.r] for k in range(ordr.r)]
 
 
 def _combination(basis, coords, n):
@@ -355,7 +386,7 @@ def test_is_unital_on_fraction_and_poly_tables():
     half = fiber_at(build_order(3, 2), Fraction(1, 2))
     assert any(isinstance(c, Fraction)
                for cell in half.products.values() for c in cell.values())
-    half.set_product(0, 4, {4: Fraction(1, 2)})
+    half.products[(0, 4)] = {4: Fraction(1, 2)}
     assert not half.is_unital()
 
 
@@ -364,8 +395,9 @@ def test_on_the_nose_certificates_never_search_signs(monkeypatch):
         raise AssertionError('diagonal sign search called')
     monkeypatch.setattr(order_mod, 'diagonal_sign_match', no_search)
     for (n, q) in ((2, 1), (3, 1), (3, 2), (4, 3)):
-        rep0 = fiber_zero_report(build_order(n, q))
-        assert rep0.matches and rep0.signs == [1] * n * n, (n, q)
+        ordr = build_order(n, q)
+        rep0 = fiber_zero_report(ordr)
+        assert rep0.matches and rep0.table == fiber_at(ordr, 0), (n, q)
         rep = cross_check(n, q)
         assert rep.matched and rep.identical and rep.first_mismatch is None
 
@@ -380,7 +412,7 @@ def test_sign_flipped_fiber_zero_mismatches(monkeypatch):
     assert found is not None and target.rescale(found) == flipped
     monkeypatch.setattr(order_mod, 'fiber_at', lambda o, tau: flipped)
     rep = fiber_zero_report(ordr)
-    assert not rep.matches and rep.signs is None
+    assert not rep.matches and rep.table is flipped
 
 
 def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
@@ -391,8 +423,8 @@ def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
     def tampered(params, spec):
         table = real(params, spec)
         # a sign flip in one cell, and the last cell dropped
-        table.set_product(*low, {k: -c for k, c in table.product(*low).items()})
-        table.set_product(*high, {})
+        table.products[low] = {k: -c for k, c in table.product(*low).items()}
+        del table.products[high]
         return table
 
     monkeypatch.setattr(order_mod, 'deformed_table', tampered)
@@ -403,10 +435,7 @@ def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
     assert rep.first_mismatch == (low, cell, {k: -c for k, c in cell.items()})
 
 
-def test_diagonal_sign_match_equal_tables_skip_the_search(monkeypatch):
-    def no_solve(rows, rhs, nvars):
-        raise AssertionError('GF(2) solve called')
-    monkeypatch.setattr(order_mod, '_gf2_solve', no_solve)
+def test_diagonal_sign_match_on_equal_tables_gives_plus_signs():
     for params in (SingularityParams(9, 2), SingularityParams(16, 11)):
         t = kk_table(params)
         assert diagonal_sign_match(t, kk_table(params)) == [1] * params.r

@@ -5,29 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wahlorder.resarith import (SingularityParams, WahlParams,
-                                InvalidParamsError, bracket, inverse_mod,
+                                InvalidParamsError, inverse_mod,
                                 gamma, is_orange, m_of, hj_fraction)
-
-
-def test_bracket_examples():
-    assert bracket(-2, 9) == 7
-    assert bracket(9, 9) == 0
-    # consistent with the (16, 3, 11) triple: 3 * 11 = 33 = 1 mod 16
-    assert bracket(3 * 5, 16) == 15
-    assert bracket(3 * 11, 16) == 1
-
-
-def test_bracket_invalid_modulus():
-    with pytest.raises(InvalidParamsError):
-        bracket(1, 0)
-    with pytest.raises(InvalidParamsError):
-        bracket(1, -4)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 500))
-def test_bracket_reflection(x, r):
-    assert bracket(x, r) + bracket(-x, r) in (0, r)
-    assert 0 <= bracket(x, r) < r
 
 
 def test_inverse_mod_examples():
@@ -89,7 +68,7 @@ def test_gamma_examples():
 def test_gamma_is_homomorphism(x1, y1, x2, y2):
     p = SingularityParams(16, 3)
     s = ((x1 + x2), (y1 + y2))
-    assert gamma(s, p) == bracket(gamma((x1, y1), p) + gamma((x2, y2), p), p.r)
+    assert gamma(s, p) == (gamma((x1, y1), p) + gamma((x2, y2), p)) % p.r
 
 
 def test_orange_index():
@@ -111,8 +90,8 @@ def test_m_of_bounds():
         p = SingularityParams(r, a)
         for j in range(1, r):
             assert 1 <= m_of(j, p)
-            if bracket(-a * j, r) >= 1:
-                assert m_of(j, p) <= bracket(p.b, r)
+            if -a * j % r >= 1:
+                assert m_of(j, p) <= p.b % r
 
 
 def test_hj_fraction_examples():
