@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from .resarith import SingularityParams, InvalidParamsError, hj_fraction
 from .polyring import format_poly, PolyParseError
-from .kkalg import kk_table, gauss_word, self_intersection_count
-from .deform import (diff_matrix, deformed_table, CochainSpec,
-                     SpecNotFlatError)
-from .order import (build_order, fiber_at,
-                    fiber_zero_report, certify_full_matrix_fiber,
-                    infinity_fiber, format_order_matrix)
 from . import render
-from .verify import run_suite
 
 
 def _write(args, text: str):
@@ -80,6 +73,7 @@ def _params(args, max_r: int) -> SingularityParams:
 
 
 def cmd_kk(args) -> int:
+    from .kkalg import kk_table, self_intersection_count
     params = _params(args, MAX_KK_R)
     if args.format == 'svg':
         _write(args, render.lattice_svg(params))
@@ -93,6 +87,7 @@ def cmd_kk(args) -> int:
 
 
 def cmd_gauss(args) -> int:
+    from .kkalg import gauss_word, self_intersection_count
     params = _params(args, MAX_GAUSS_R)
     if args.format == 'json':
         _write(args, render.dumps(render.gauss_json(params)))
@@ -104,6 +99,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    from .deform import (diff_matrix, deformed_table, CochainSpec,
+                         SpecNotFlatError)
     params = _params(args, MAX_DEFORM_R)
     if args.table:
         if not args.spec:
@@ -133,6 +130,9 @@ def cmd_deform(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .order import (build_order, fiber_at, fiber_zero_report,
+                        certify_full_matrix_fiber, infinity_fiber,
+                        format_order_matrix)
     _within_budget('order', 'n', args.n, MAX_ORDER_N)
     ordr = build_order(args.n, args.q)
     if args.fiber:
@@ -174,6 +174,7 @@ def _verify_bound(flag: str, value: int, budget: int):
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
     if args.max_r is not None:
         _verify_bound('--max-r', args.max_r, MAX_VERIFY_R)
     if args.max_n is not None:
@@ -187,7 +188,11 @@ def cmd_verify(args) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f'not a rational number: {text!r}') from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,8 +269,7 @@ def main(argv=None) -> int:
     args.out = getattr(args, 'out', None)
     try:
         return args.fn(args)
-    except (InvalidParamsError, PolyParseError, FileNotFoundError,
-            ValueError) as exc:
+    except (InvalidParamsError, PolyParseError, OSError, ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
     except ArithmeticError as exc:

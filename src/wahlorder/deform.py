@@ -530,7 +530,11 @@ class CochainSpec:
             if lhs == 's':
                 key = S
             elif lhs.startswith('t_'):
-                idx = int(lhs[2:])
+                try:
+                    idx = int(lhs[2:])
+                except ValueError:
+                    raise PolyParseError(f"line {lineno}: index of {lhs!r} "
+                                         f"is not an integer") from None
                 if not 0 <= idx < r:
                     raise PolyParseError(f"line {lineno}: t_{idx} out of range for r={r}")
                 if idx == 0:

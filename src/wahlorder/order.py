@@ -29,7 +29,6 @@ from heapq import heapify, heappop, heappush
 from .resarith import SingularityParams, WahlParams
 from .polyring import Poly, T, S, tsub, acoef, format_poly, _from_uni
 from .kkalg import AlgebraTable, kk_table
-from .deform import CochainSpec, deformed_table
 
 _NEG_INF = float('-inf')
 
@@ -444,6 +443,7 @@ def wahl_cochain(n: int, q: int) -> CochainSpec:
     Q-Gorenstein component, and all cross-checks against the matrix order
     confirm s = -t^n for every (n, q) tested.
     """
+    from .deform import CochainSpec
     WahlParams(n, q)
     r = n * n
     assignments = {}
@@ -465,6 +465,7 @@ def cross_check(n: int, q: int) -> CrossCheckReport:
     multiplication table under wahl_cochain, on the nose.  On a mismatch,
     first_mismatch is (least differing key, order cell, deformed cell).
     matched and identical always agree: both name the one comparison."""
+    from .deform import deformed_table
     order = build_order(n, q)
     left = constants_table(order)
     right = deformed_table(order.params, wahl_cochain(n, q))

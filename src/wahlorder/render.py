@@ -11,7 +11,6 @@ import json
 from .resarith import SingularityParams, is_orange
 from .polyring import Poly, format_poly
 from .kkalg import AlgebraTable, YoungDiagram, gauss_word
-from .order import structure_constants
 
 
 def _coeff_str(c) -> str:
@@ -61,6 +60,7 @@ def diff_matrix_json(dm) -> dict:
 
 
 def order_json(order) -> dict:
+    from .order import structure_constants
     consts = structure_constants(order)
     return {
         'n': order.n, 'q': order.q,

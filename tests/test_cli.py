@@ -10,6 +10,10 @@ import jsonschema
 import pytest
 
 import wahlorder.cli as cli_mod
+import wahlorder.deform as deform_mod
+import wahlorder.kkalg as kkalg_mod
+import wahlorder.order as order_mod
+import wahlorder.verify as verify_mod
 from wahlorder import schemas
 from wahlorder.cli import main
 
@@ -137,6 +141,39 @@ def test_out_file(tmp_path):
     ET.parse(target)
 
 
+@pytest.mark.parametrize('value', ['1/0', 'abc'])
+def test_bad_fraction_exits_2_without_a_traceback(value):
+    proc = subprocess.run([sys.executable, '-m', 'wahlorder', 'order',
+                           '--n', '2', '--q', '1', '--at', value],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ''
+    assert 'Traceback' not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"wahlorder order: error: argument --at: not a rational number: "
+        f"'{value}'")
+
+
+def test_a_directory_as_a_file_exits_2(capsys, tmp_path):
+    for argv in (['deform', '--r', '2', '--a', '1', '--table',
+                  '--spec', str(tmp_path)],
+                 ['kk', '--r', '4', '--a', '1', '--out', str(tmp_path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert captured.err == (f"error: [Errno 21] Is a directory: "
+                                f"'{tmp_path}'\n")
+
+
+def test_a_bad_spec_index_exits_2_with_its_line(capsys, tmp_path):
+    spec = tmp_path / 'bad.spec'
+    spec.write_text('t_1 = t_1\nt_x = 1\n')
+    assert main(['deform', '--r', '4', '--a', '1', '--table',
+                 '--spec', str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: index of 't_x' is not an integer\n")
+
+
 def test_main_entry_in_process(capsys):
     rc = main(['gauss', '--r', '5', '--a', '1'])
     assert rc == 0
@@ -145,8 +182,6 @@ def test_main_entry_in_process(capsys):
 
 
 def test_arithmetic_error_exits_1(monkeypatch, capsys):
-    import wahlorder.order as order_mod
-
     def not_closed(basis, targets):
         raise ArithmeticError('product (1, 1): coordinate 2 is not in Z[t]')
 
@@ -162,9 +197,12 @@ def test_size_budget_exits_2_before_building(monkeypatch, capsys):
     def must_not_build(*args, **kw):
         raise AssertionError('built past the size budget')
 
-    for name in ('SingularityParams', 'kk_table', 'gauss_word',
-                 'diff_matrix', 'build_order', 'run_suite'):
-        monkeypatch.setattr(cli_mod, name, must_not_build)
+    for module, name in ((cli_mod, 'SingularityParams'),
+                         (kkalg_mod, 'kk_table'), (kkalg_mod, 'gauss_word'),
+                         (deform_mod, 'diff_matrix'),
+                         (order_mod, 'build_order'),
+                         (verify_mod, 'run_suite')):
+        monkeypatch.setattr(module, name, must_not_build)
     calls = [
         (['kk', '--r', str(cli_mod.MAX_KK_R + 1), '--a', '1'],
          f'r = {cli_mod.MAX_KK_R + 1} is over the size budget of kk '
@@ -218,12 +256,20 @@ def test_readme_calls_are_within_the_size_budget():
 
 def test_unprinted_results_are_not_built(monkeypatch, capsys, tmp_path):
     # kk --format svg never reads the multiplication table, and
-    # deform --table never prints the differential matrix
+    # deform --table never prints the universal differential matrix (its
+    # flatness check builds the matrix of the inserted spec)
     def must_not_build(*args, **kw):
         raise AssertionError('built a result that is never printed')
 
-    monkeypatch.setattr(cli_mod, 'kk_table', must_not_build)
-    monkeypatch.setattr(cli_mod, 'diff_matrix', must_not_build)
+    real_diff_matrix = deform_mod.diff_matrix
+
+    def spec_diff_matrix(params, ops=None):
+        if ops is None:
+            must_not_build()
+        return real_diff_matrix(params, ops)
+
+    monkeypatch.setattr(kkalg_mod, 'kk_table', must_not_build)
+    monkeypatch.setattr(deform_mod, 'diff_matrix', spec_diff_matrix)
     assert main(['kk', '--r', '7', '--a', '6', '--format', 'svg']) == 0
     ET.fromstring(capsys.readouterr().out)
     spec = tmp_path / 'free.spec'

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import wahlorder.deform as deform_mod
 from wahlorder.resarith import SingularityParams
-from wahlorder.polyring import Poly, S, T, tsub, parse_poly, format_poly
+from wahlorder.polyring import (Poly, S, T, tsub, parse_poly, format_poly,
+                                PolyParseError)
 from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
 from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
                               insert_cochain, AinfTable, NotInsertableError,
@@ -512,6 +513,9 @@ def test_cochain_spec_parse():
         CochainSpec.parse('t_0 = 1', 5)
     with pytest.raises(ValueError):
         CochainSpec.parse('bogus', 5)
+    with pytest.raises(PolyParseError, match="^line 2: index of 't_x' is "
+                       "not an integer$"):
+        CochainSpec.parse('t_1 = 1\nt_x = 1', 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""Each entry point loads only the layers its work runs: `import wahlorder`
+resolves its names on first use, and a CLI command imports its layer when it
+runs.  Each footprint is read from a fresh interpreter, so an eager import
+that comes back shows here."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import wahlorder
+
+_CLI = {'cli', 'render', 'resarith', 'polyring', 'kkalg'}
+
+
+def _loaded(code: str) -> set:
+    """The wahlorder submodules loaded by a fresh interpreter after `code`."""
+    report = ("import sys; print(*sorted(m.split('.', 1)[1] for m in "
+              "sys.modules if m.startswith('wahlorder.')))")
+    proc = subprocess.run([sys.executable, '-c', f'{code}\n{report}'],
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _main(*argv) -> str:
+    return f'from wahlorder.cli import main; main({list(argv)!r})'
+
+
+def test_import_wahlorder_loads_no_layer():
+    assert _loaded('import wahlorder') == set()
+
+
+@pytest.mark.parametrize('argv,extra', [
+    (['kk', '--r', '9', '--a', '2'], set()),
+    (['--format', 'svg', 'kk', '--r', '7', '--a', '6'], set()),
+    (['gauss', '--r', '16', '--a', '3'], set()),
+    (['--format', 'json', 'gauss', '--r', '16', '--a', '3'], set()),
+    (['deform', '--r', '15', '--a', '4', '--ideal'], {'deform'}),
+    (['--format', 'paper', 'order', '--n', '3', '--q', '2'], {'order'}),
+    (['--format', 'json', 'order', '--n', '3', '--q', '2'], {'order'}),
+    (['order', '--n', '3', '--q', '1', '--fiber', 'zero'], {'order'}),
+    (['order', '--n', '2', '--q', '1', '--fiber', 'infinity'], {'order'}),
+])
+def test_a_command_loads_only_its_layers(argv, extra):
+    assert _loaded(_main(*argv)) == _CLI | extra
+
+
+def test_the_names_are_the_objects_of_their_modules():
+    assert sorted(dir(wahlorder)) == sorted(wahlorder.__all__)
+    for module, names in wahlorder._EXPORTS.items():
+        defining = importlib.import_module(f'wahlorder.{module}')
+        for name in names:
+            value = getattr(wahlorder, name)
+            assert value is getattr(defining, name), name
+            # the table names the defining module, not one that re-imports
+            # the name (the constants S and T carry no __module__)
+            assert getattr(value, '__module__',
+                           defining.__name__) == defining.__name__, name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match='no_such_name'):
+        wahlorder.no_such_name
+    assert not hasattr(wahlorder, 'no_such_name')

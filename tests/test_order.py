@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import wahlorder.deform as deform_mod
 import wahlorder.order as order_mod
 from wahlorder.resarith import SingularityParams
 from wahlorder.polyring import Poly, T, tsub, S, format_poly
@@ -416,7 +417,7 @@ def test_sign_flipped_fiber_zero_mismatches(monkeypatch):
 
 
 def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
-    real = order_mod.deformed_table
+    real = deform_mod.deformed_table
     keys = sorted(real(SingularityParams(9, 5), wahl_cochain(3, 2)).products)
     low, high = keys[len(keys) // 2], keys[-1]
 
@@ -427,7 +428,7 @@ def test_cross_check_reports_the_least_tampered_cell(monkeypatch):
         del table.products[high]
         return table
 
-    monkeypatch.setattr(order_mod, 'deformed_table', tampered)
+    monkeypatch.setattr(deform_mod, 'deformed_table', tampered)
     left = constants_table(build_order(3, 2))
     rep = cross_check(3, 2)
     assert not rep.matched and not rep.identical
