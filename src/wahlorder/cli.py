@@ -2,8 +2,8 @@
 
 Subcommands: kk | gauss | deform | order | verify, with --format and --out.
 Exit codes: 0 success, 1 a check failed, a cochain is not flat or an exact
-computation failed (ArithmeticError), 2 bad parameters, parse errors or a
-size over the budget of its command.
+computation failed (ArithmeticError), 2 bad parameters, an option the call
+would not read, parse errors or a size over the budget of its command.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def cmd_deform(args) -> int:
     from .deform import (diff_matrix, deformed_table, CochainSpec,
                          SpecNotFlatError)
     params = _params(args, MAX_DEFORM_R)
+    if args.table != bool(args.spec):
+        raise ValueError('--table requires --spec FILE' if args.table
+                         else '--spec FILE is read only with --table')
     if args.table:
-        if not args.spec:
-            print('error: --table requires --spec FILE', file=sys.stderr)
-            return 2
         with open(args.spec) as fh:
             spec = CochainSpec.parse(fh.read(), params.r)
         try:
@@ -134,6 +134,8 @@ def cmd_order(args) -> int:
                         certify_full_matrix_fiber, infinity_fiber,
                         format_order_matrix)
     _within_budget('order', 'n', args.n, MAX_ORDER_N)
+    if args.at is not None and args.fiber in ('zero', 'infinity'):
+        raise ValueError(f'--at TAU is not read with --fiber {args.fiber}')
     ordr = build_order(args.n, args.q)
     if args.fiber:
         if args.fiber == 'zero':
@@ -268,6 +270,8 @@ def main(argv=None) -> int:
     args.format = getattr(args, 'format', 'table')
     args.out = getattr(args, 'out', None)
     try:
+        if args.format == 'svg' and args.command != 'kk':
+            raise ValueError(f'--format svg is drawn only by kk, not {args.command}')
         return args.fn(args)
     except (InvalidParamsError, PolyParseError, OSError, ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)

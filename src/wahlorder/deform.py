@@ -28,6 +28,7 @@ the emission site for the alternatives that fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .resarith import SingularityParams
@@ -41,12 +42,7 @@ _S_MONO = ((S, 1),)
 
 class NotInsertableError(ValueError):
     """The table cannot be deformed: an entry has an input or slot index
-    that is not in Z_r."""
-
-
-def _generator(code: int) -> tuple:
-    """The generator (index in Z_r, degree 0 or 1) of a code 2i + d."""
-    return (code >> 1, code & 1)
+    that is not in Z_r, or an output code that is not in range(2r)."""
 
 
 def _accumulate(entries):
@@ -273,8 +269,9 @@ def full_ainf(params: SingularityParams) -> AinfTable:
 class DeformedOps:
     """m_1^b and m_2^b, the values of the inserted cochain in the coefficients.
 
-    differentials[i] maps output generators to Poly; products[(j, i)]
-    likewise, for inputs w_j, w_i of degree 0.
+    differentials[i] = m_1^b(w_i) as {j: coefficient of wbar_j}, for every i
+    in Z_r; products[(j, i)] = m_2^b(w_j, w_i) as {k: coefficient of w_k},
+    for every pair in Z_r.  Coefficients are nonzero Poly.
     """
 
     differentials: dict
@@ -338,18 +335,6 @@ def _monomial(code: int, r: int) -> tuple:
     return mono + tuple((tsub(i), 1) for i in (lo, hi) if i)
 
 
-class _Decoded(dict):
-    """code -> fn(code), computed once per distinct code."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, code):
-        value = self[code] = self.fn(code)
-        return value
-
-
 def insert_cochain(ainf: AinfTable, r: int,
                    spec: CochainSpec | None = None) -> DeformedOps:
     """Deform by the cochain b = sum_i t_i wbar_i with the values of spec;
@@ -368,12 +353,19 @@ def insert_cochain(ainf: AinfTable, r: int,
     Cells accumulate as {output code: {monomial code: int}}, a monomial code
     built from the sorted t-indices and an s-flag (see _weight), and a term
     or an output is dropped as soon as it reaches zero, so every dict keeps
-    the order that Poly arithmetic gives it.  At the end each code is
-    decoded once to a generator or a Poly monomial, and each distinct list
-    of terms is wrapped once into a Poly, shared by every output that has
-    it; the values other than 0 and the variable itself are substituted
-    there, and an output that cancels is dropped.  An input or slot index
-    outside Z_r raises NotInsertableError, even where its entries cancel.
+    the order that Poly arithmetic gives it.  At the end each output code is
+    decoded once to its index (wbar_j in a differential, w_k in a product),
+    each monomial code once to a Poly monomial, and each distinct list of
+    terms is wrapped once into a Poly, shared by every output that has it;
+    the values other than 0 and the variable itself are substituted there,
+    and an output that cancels is dropped.
+
+    An input or slot index outside Z_r raises NotInsertableError, even where
+    its entries cancel, and so does an output code outside range(2r); an
+    output of degree 0 in a differential or 1 in a product raises
+    ArithmeticError.  Outputs are checked at their decode, so an output that
+    cancels is not checked; an entry that a zero-valued slot drops is never
+    read past its slot indices, so its inputs and outputs are not checked.
     """
     dropped, keep_s, images = frozenset((0,)), True, {}
     if spec is not None:
@@ -419,24 +411,33 @@ def insert_cochain(ainf: AinfTable, r: int,
         if not (0 <= key[0] < r and 0 <= key[1] < r):
             raise NotInsertableError(f"product key {key!r} is not a pair in Z_{r}")
 
-    gens = _Decoded(_generator)
-    monos = _Decoded(lambda code: _monomial(code, r))
+    monomial = cache(lambda code: _monomial(code, r))
 
+    @cache
     def poly(items):
-        p = Poly.from_nonzero({monos[m]: c for m, c in items})
+        p = Poly.from_nonzero({monomial(m): c for m, c in items})
         return p.substitute(images) if images else p
 
-    polys = _Decoded(poly)
+    def decoded(key, cell, codes):
+        """{index: Poly} of the cell of key, its output codes all in codes."""
+        out_cell = {}
+        for out, terms in (cell or {}).items():
+            if out not in codes:
+                name = f'dw_{key}' if codes is wbars else 'w_{} w_{}'.format(*key)
+                if not 0 <= out < 2 * r:
+                    raise NotInsertableError(
+                        f"{name} hit output code {out}, not a generator over Z_{r}")
+                raise ArithmeticError(
+                    f"{name} hit w{'bar' * (out & 1)}_{out >> 1} of degree {out & 1}")
+            if (p := poly(tuple(terms.items()))).terms:
+                out_cell[out >> 1] = p
+        return out_cell
 
-    def wrapped(cell):
-        if not cell:
-            return {}
-        return {gens[out]: p for out, terms in cell.items()
-                if (p := polys[tuple(terms.items())]).terms}
-
+    wbars, ws = range(1, 2 * r, 2), range(0, 2 * r, 2)
     return DeformedOps(
-        {i: wrapped(diffs.get(i)) for i in range(r)},
-        {(j, i): wrapped(prods.get((j, i))) for j in range(r) for i in range(r)})
+        {i: decoded(i, diffs.get(i), wbars) for i in range(r)},
+        {(j, i): decoded((j, i), prods.get((j, i)), ws)
+         for j in range(r) for i in range(r)})
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +449,7 @@ class DiffMatrix:
     """Skew-symmetric (r-1) x (r-1) matrix with dw_i = sum_j entry(i,j) wbar_j."""
 
     params: SingularityParams
-    entries: dict  # (i, j), 1-based -> Poly
+    entries: dict  # (i, j), i and j in 1..r-1 of Z_r -> Poly
 
     def entry(self, i: int, j: int) -> Poly:
         return self.entries.get((i, j), Poly.zero())
@@ -475,10 +476,10 @@ def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> Di
     if ops.differentials[0]:
         raise ArithmeticError("the unit must stay closed")
     for i in range(1, params.r):
-        for out, coeff in ops.differentials[i].items():
-            if out[1] != 1 or out[0] == 0:
-                raise ArithmeticError(f"dw_{i} hit {out}")
-            entries[(i, out[0])] = coeff
+        for j, coeff in ops.differentials[i].items():
+            if j == 0:
+                raise ArithmeticError(f"dw_{i} hit wbar_0")
+            entries[(i, j)] = coeff
     return DiffMatrix(params, entries)
 
 
@@ -564,11 +565,4 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     upper = diff_matrix(params, ops).upper_entries()
     if upper:
         raise SpecNotFlatError(*upper[0])
-    products = {}
-    for (j, i), cell in ops.products.items():
-        newcell = products[(j, i)] = {}
-        for out, coeff in cell.items():
-            if out[1] != 0:
-                raise ArithmeticError(f"product w_{j} w_{i} hit degree-1 output {out}")
-            newcell[out[0]] = coeff
-    return AlgebraTable(params.r, products)
+    return AlgebraTable(params.r, ops.products)

@@ -248,17 +248,17 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
                     for j in range(k + 1, r):
                         l = i + j - k
                         tt = Poly.var(tsub(k)) * Poly.var(tsub(l))
-                        want[(j, 1)] = want.get((j, 1), Poly.zero()) + tt
+                        want[j] = want.get(j, Poly.zero()) + tt
                 for jj in range(1, i):
                     for k in range(jj + 1, i):
                         l = jj + i - k
                         tt = Poly.var(tsub(k)) * Poly.var(tsub(l))
-                        want[(jj, 1)] = want.get((jj, 1), Poly.zero()) - tt
+                        want[jj] = want.get(jj, Poly.zero()) - tt
                 if r > 2:
                     if i == 1:
-                        want[(r - 1, 1)] = want.get((r - 1, 1), Poly.zero()) + Poly.var(S)
+                        want[r - 1] = want.get(r - 1, Poly.zero()) + Poly.var(S)
                     if i == r - 1:
-                        want[(1, 1)] = want.get((1, 1), Poly.zero()) - Poly.var(S)
+                        want[1] = want.get(1, Poly.zero()) - Poly.var(S)
                 want = {k: v for k, v in want.items() if not v.is_zero()}
                 _require(ops.differentials[i] == want,
                          f'a=1 r={r}: visible dw_{i} = {ops.differentials[i]} want {want}')
@@ -269,11 +269,11 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
                     for j in range(k + 1, r):
                         l = i + j - k
                         cell = want_pr.setdefault((i, j), {})
-                        cell[(l, 0)] = cell.get((l, 0), Poly.zero()) + Poly.var(tsub(k))
+                        cell[l] = cell.get(l, Poly.zero()) + Poly.var(tsub(k))
                         cell2 = want_pr.setdefault((j, i), {})
-                        cell2[(k, 0)] = cell2.get((k, 0), Poly.zero()) - Poly.var(tsub(l))
+                        cell2[k] = cell2.get(k, Poly.zero()) - Poly.var(tsub(l))
             cell = want_pr.setdefault((r - 1, 1), {})
-            cell[(0, 0)] = cell.get((0, 0), Poly.zero()) + Poly.var(S)
+            cell[0] = cell.get(0, Poly.zero()) + Poly.var(S)
             for key, cell in ops.products.items():
                 want = {k: v for k, v in want_pr.get(key, {}).items() if not v.is_zero()}
                 _require(cell == want,

@@ -236,6 +236,44 @@ def test_size_budget_exits_2_before_building(monkeypatch, capsys):
         assert captured.err == f'error: {message}\n'
 
 
+@pytest.mark.parametrize('argv,message', [
+    (['deform', '--r', '2', '--a', '1', '--spec', '/nonexistent'],
+     '--spec FILE is read only with --table'),
+    (['deform', '--r', '2', '--a', '1', '--ideal', '--spec', '/nonexistent'],
+     '--spec FILE is read only with --table'),
+    (['deform', '--r', '2', '--a', '1', '--table'],
+     '--table requires --spec FILE'),
+    (['order', '--n', '2', '--q', '1', '--fiber', 'zero', '--at', '5'],
+     '--at TAU is not read with --fiber zero'),
+    (['order', '--n', '2', '--q', '1', '--at', '5', '--fiber', 'infinity'],
+     '--at TAU is not read with --fiber infinity'),
+    (['--format', 'svg', 'gauss', '--r', '5', '--a', '2'],
+     '--format svg is drawn only by kk, not gauss'),
+    (['deform', '--r', '4', '--a', '1', '--format', 'svg'],
+     '--format svg is drawn only by kk, not deform'),
+    (['order', '--n', '2', '--q', '1', '--format', 'svg'],
+     '--format svg is drawn only by kk, not order'),
+    (['--format', 'svg', 'verify', '--suite', 'kk'],
+     '--format svg is drawn only by kk, not verify'),
+], ids=['spec-without-table', 'spec-with-ideal', 'table-without-spec',
+        'at-with-fiber-zero', 'at-with-fiber-infinity', 'svg-gauss',
+        'svg-deform', 'svg-order', 'svg-verify'])
+def test_an_option_the_call_would_not_read_exits_2(argv, message, monkeypatch,
+                                                     capsys):
+    def must_not_build(*args, **kw):
+        raise AssertionError('built for a refused call')
+
+    for module, name in ((kkalg_mod, 'gauss_word'),
+                         (deform_mod, 'diff_matrix'),
+                         (order_mod, 'build_order'),
+                         (verify_mod, 'run_suite')):
+        monkeypatch.setattr(module, name, must_not_build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == f'error: {message}\n'
+
+
 def test_readme_calls_are_within_the_size_budget():
     readme = open(Path(__file__).resolve().parent.parent / 'README.md').read()
     calls = [line.split('#')[0].split()[1:] for line in readme.splitlines()

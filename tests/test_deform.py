@@ -37,11 +37,18 @@ def _add(table, slots, out, coeff):
     deform_mod._accumulate(((cells, key, _code(out), coeff),))
 
 
+def _degree(slots):
+    """The output degree that the grading gives an m_k entry with inputs
+    slots: sum deg(inputs) + 2 - k."""
+    return sum(d for _, d in slots) + 2 - len(slots)
+
+
 def _as_poly(table):
     """{'m1': ..., 'm2': ..., 'm3': ...} of table decoded: keyed by generator
-    tuples (m1 by the input, m2 and m3 by tuples of inputs), with Poly
-    coefficients, in the table's order."""
-    gen = deform_mod._generator
+    tuples (index, degree) (m1 by the input, m2 and m3 by tuples of inputs),
+    with Poly coefficients, in the table's order."""
+    def gen(code):
+        return (code >> 1, code & 1)
 
     def cell(c):
         return {gen(out): Poly({(): c0, ((S, 1),): c1})
@@ -163,7 +170,8 @@ def _t(*indices):
 
 
 # (input slots, highest first) -> (differential or product, its key, the
-# weight) or None when the insertion rule drops the entry
+# weight) or None when the insertion rule drops the entry; the output has the
+# degree that the grading gives the inputs (its parity where none can exist)
 INSERTION_CASES = [
     (((1, 0),), ('d', 1, ONE)),                            # m_1(x)
     (((1, 1),), None),                                     # degree-1 m_1 input
@@ -189,9 +197,9 @@ INSERTION_CASES = [
 
 @pytest.mark.parametrize('slots,expected', INSERTION_CASES)
 def test_insertion_rule(slots, expected):
-    r, out, coeff = 4, (1, 1), Poly.var(S).scale(3)
+    r, coeff = 4, Poly.var(S).scale(3)
     table = AinfTable()
-    _add(table, slots, out, (0, 3))
+    _add(table, slots, (1, _degree(slots) % 2), (0, 3))
     ops = insert_cochain(table, r)
     assert list(ops.differentials) == list(range(r))
     assert list(ops.products) == [(j, i) for j in range(r) for i in range(r)]
@@ -201,7 +209,7 @@ def test_insertion_rule(slots, expected):
         assert found == {}
     else:
         kind, key, weight = expected
-        assert found == {(kind, key): {out: coeff * weight}}
+        assert found == {(kind, key): {1: coeff * weight}}
 
 
 def test_insertion_accumulates_across_arities():
@@ -218,15 +226,16 @@ def test_insertion_accumulates_across_arities():
     _add(table, ((2, 0), (3, 0)), (1, 0), (1, 0))
     _add(table, ((1, 1), (2, 0), (3, 0)), (1, 0), (1, 0))
     ops = insert_cochain(table, 4)
-    assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {(1, 1): s + _t(2)}}
+    assert ops.differentials == {0: {}, 1: {}, 2: {}, 3: {1: s + _t(2)}}
     assert {k: c for k, c in ops.products.items() if c} == {
-        (2, 3): {(1, 0): ONE + _t(1)}}
+        (2, 3): {1: ONE + _t(1)}}
 
 
 def _reference_insertion(ainf, r):
     """insert_cochain read entry by entry in Poly arithmetic: the weight is a
     product of Poly.var factors, each contribution a Poly sum, and an output
-    or key is dropped as soon as it reaches zero."""
+    or key is dropped as soon as it reaches zero.  Cells are keyed by the
+    index of each output."""
     diffs, prods = {}, {}
     table = _as_poly(ainf)
     for slots, cell in ([((x,), c) for x, c in table['m1'].items()]
@@ -248,8 +257,13 @@ def _reference_insertion(ainf, r):
                     del target[key]
             else:
                 cur[out] = new
-    return ({i: diffs.get(i, {}) for i in range(r)},
-            {(j, i): prods.get((j, i), {}) for j in range(r) for i in range(r)})
+
+    def indexed(cell):
+        return {index: c for (index, _), c in cell.items()}
+
+    return ({i: indexed(diffs.get(i, {})) for i in range(r)},
+            {(j, i): indexed(prods.get((j, i), {}))
+             for j in range(r) for i in range(r)})
 
 
 def _ordered(cells):
@@ -292,11 +306,11 @@ def test_insertion_drops_on_zero_and_reappends():
     _add(table, ((2, 0), (1, 1), x), C, (-1, 0))  # products[(2, 3)] cancels
     _add(table, ((2, 0), x, (2, 1)), C, (1, 0))   # ... and comes back
     ops = _assert_matches_reference(table, 4)
-    assert list(ops.differentials[3]) == [B, A]
-    assert ops.differentials[3] == {B: s * _t(1, 3) + _t(1, 2), A: _t(1, 2)}
-    assert list(ops.differentials[3][B].terms) == [
+    assert list(ops.differentials[3]) == [2, 1]  # B, then A
+    assert ops.differentials[3] == {2: s * _t(1, 3) + _t(1, 2), 1: _t(1, 2)}
+    assert list(ops.differentials[3][2].terms) == [
         ((S, 1), (tsub(1), 1), (tsub(3), 1)), ((tsub(1), 1), (tsub(2), 1))]
-    assert {k: c for k, c in ops.products.items() if c} == {(2, 3): {C: _t(2)}}
+    assert {k: c for k, c in ops.products.items() if c} == {(2, 3): {1: _t(2)}}
 
 
 def test_accumulate_stores_once_and_leaves_no_empty_cell():
@@ -320,7 +334,7 @@ def test_accumulate_stores_once_and_leaves_no_empty_cell():
 ])
 def test_insertion_rejects_indices_outside_z_r(slots, key):
     table = AinfTable()
-    _add(table, slots, (1, 1), (1, 0))
+    _add(table, slots, (1, _degree(slots)), (1, 0))
     with pytest.raises(NotInsertableError, match=re.escape(key)):
         insert_cochain(table, 4)
 
@@ -333,10 +347,54 @@ def test_out_of_range_key_raises_even_when_it_cancels():
         insert_cochain(table, 4)
 
 
+@pytest.mark.parametrize('slots,out,message', [
+    (((1, 0),), (2, 0), 'dw_1 hit w_2 of degree 0'),
+    (((3, 0), (2, 1)), (0, 0), 'dw_3 hit w_0 of degree 0'),
+    (((2, 0), (3, 0)), (1, 1), 'w_2 w_3 hit wbar_1 of degree 1'),
+    (((1, 1), (2, 0), (3, 0)), (0, 1), 'w_2 w_3 hit wbar_0 of degree 1'),
+], ids=['m1-to-w', 'm2-to-w', 'm2-to-wbar', 'm3-to-wbar'])
+def test_insertion_rejects_an_output_of_the_wrong_degree(slots, out, message):
+    # m_1^b(w_i) lands in degree 1 and m_2^b(w_j, w_i) in degree 0
+    table = AinfTable()
+    _add(table, slots, out, (1, 0))
+    with pytest.raises(ArithmeticError, match=f'^{message}$'):
+        insert_cochain(table, 4)
+
+
+@pytest.mark.parametrize('slots,out,message', [
+    (((2, 0), (3, 0)), (4, 0), 'w_2 w_3 hit output code 8'),  # m_2 output w_4
+    (((1, 0),), (4, 1), 'dw_1 hit output code 9'),
+    (((1, 0),), (-1, 1), 'dw_1 hit output code -1'),
+], ids=['product-w4', 'differential-wbar4', 'differential-negative'])
+def test_insertion_rejects_an_output_outside_z_r(slots, out, message):
+    table = AinfTable()
+    _add(table, slots, out, (1, 0))
+    with pytest.raises(NotInsertableError,
+                       match=f'^{message}, not a generator over Z_4$'):
+        insert_cochain(table, 4)
+
+
+def test_entries_a_zero_slot_drops_are_not_checked():
+    # m_2(wbar_1, w_4) at r = 4: the input index 4 is read under the
+    # universal cochain, but a spec with t_1 = 0 drops the entry unread;
+    # so does an output that cancels
+    table = AinfTable()
+    _add(table, ((1, 1), (4, 0)), (1, 1), (1, 0))
+    with pytest.raises(NotInsertableError, match='differential key 4'):
+        insert_cochain(table, 4)
+    ops = insert_cochain(table, 4, CochainSpec(4, {S: Poly.zero()}))
+    assert not any(ops.differentials.values())
+    table = AinfTable()
+    _add(table, ((2, 0), (3, 0)), (4, 1), (1, 0))
+    _add(table, ((2, 0), (3, 0)), (4, 1), (-1, 0))
+    _add(table, ((1, 0),), (1, 1), (0, 1))
+    assert insert_cochain(table, 4).differentials[1] == {1: Poly.var(S)}
+
+
 @pytest.mark.parametrize('differentials', [
-    {0: {(1, 1): ONE}, 1: {}, 2: {}},          # the unit is not closed
-    {0: {}, 1: {(2, 0): ONE}, 2: {}},          # dw_1 hits degree 0
-    {0: {}, 1: {(0, 1): ONE}, 2: {}},          # dw_1 hits wbar_0
+    {0: {1: ONE}, 1: {}, 2: {}},               # the unit is not closed
+    {0: {}, 1: {}, 2: {0: ONE}},               # dw_2 hits wbar_0
+    {0: {}, 1: {0: ONE}, 2: {}},               # dw_1 hits wbar_0
 ])
 def test_diff_matrix_invariants_raise_arithmetic_error(differentials):
     with pytest.raises(ArithmeticError):
@@ -363,7 +421,7 @@ def test_insert_cochain_zero_is_identity():
         for out, c in cell.items():
             cz = c.substitute(zero)
             if not cz.is_zero():
-                got[out[0]] = cz
+                got[out] = cz
         want = {k: Poly.const(v) for k, v in table.product(j, i).items()}
         assert got == want
     for i in range(5):
@@ -375,8 +433,7 @@ def test_insert_cochain_r2():
     params = SingularityParams(2, 1)
     ops = insert_cochain(full_ainf(params), 2)
     # w_1^2 = s w_0 - t_1 w_1
-    assert ops.products[(1, 1)] == {(0, 0): Poly.var(S),
-                                    (1, 0): Poly.var(tsub(1), 1, -1)}
+    assert ops.products[(1, 1)] == {0: Poly.var(S), 1: Poly.var(tsub(1), 1, -1)}
     assert ops.differentials[1] == {}
 
 
@@ -412,7 +469,7 @@ def test_hidden_insertion_a1_differentials():
             if j == i:
                 continue
             coeff = Poly.var(tsub(i)) * Poly.var(tsub(j))
-            want[(j, 1)] = coeff if i < j else -coeff
+            want[j] = coeff if i < j else -coeff
         assert ops.differentials[i] == want
 
 
@@ -568,8 +625,7 @@ def _assert_spec_matches_oracle(params, spec):
         assert not check_point(params, spec)
     else:
         table = deformed_table(params, spec)
-        want = AlgebraTable(r, {key: {out[0]: c for out, c in cell.items()}
-                                for key, cell in prods.items()})
+        want = AlgebraTable(r, prods)
         assert (_ordered_outputs_sorted(table.products)
                 == _ordered_outputs_sorted(want.products))
         assert check_point(params, spec)
@@ -683,7 +739,7 @@ def test_spec_assigning_a_variable_outside_the_cochain_is_rejected(var):
 def test_full_ainf_is_graded(r):
     # every m_k entry has deg(out) = sum of the input degrees + 2 - k, the
     # degree of a code its parity bit; a spec drops entries before the
-    # degree checks of diff_matrix and deformed_table see them
+    # output check of insert_cochain sees them
     for a in range(1, r):
         if gcd(a, r) != 1:
             continue
