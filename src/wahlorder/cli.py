@@ -9,6 +9,7 @@ would not read, parse errors or a size over the budget of its command.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,10 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
 #   deform  r = 64:     a = 1,   --ideal            1.0-1.1 s, 109 MB (--table: 0.5 s)
 #   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
+#           --at P/Q, P and Q of 200 digits: n = 10, q = 1 or 9, table or
+#           json, with or without --fiber generic   0.9-1.3 s, 89 MB (the
+#           largest t-degree, 18, keeps each value under 3600 digits; Python
+#           refuses to print an int of more than 4300)
 #   verify  --max-r 40: --suite kk                  3.8-4.6 s, 18 MB (r = 42: 4.7-5.4 s)
 #           --max-n 7:  --suite deform              4.2 s,  32 MB (order 1.5 s,
 #                                                   cross 1.0 s)
@@ -57,6 +62,7 @@ MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
+MAX_TAU_DIGITS = 200
 MAX_VERIFY_R = 40
 MAX_VERIFY_N = 7
 
@@ -189,12 +195,36 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# the decimal exponent of a TAU, in Fraction's syntax
+_EXPONENT = re.compile(r'(?<=e)([-+]?)(\d+(?:_\d+)*)\Z', re.I)
+
+
 def _fraction(text: str) -> Fraction:
+    """TAU, refused over the budget: a numerator or a denominator of more
+    than MAX_TAU_DIGITS digits in lowest terms.
+
+    Fraction expands a decimal exponent to a power of 10, so the exponent
+    is bounded first.  With a nonzero mantissa, an exponent of absolute
+    value over MAX_TAU_DIGITS + len(literal) puts the value over the budget
+    whatever the digits; such an exponent is cut to that bound plus one,
+    which keeps a nonzero value over the budget and a zero value 0."""
+    literal = text.strip()
+    bound = MAX_TAU_DIGITS + len(literal)
+    exponent = _EXPONENT.search(literal)
+    if exponent:
+        digits = exponent[2].replace('_', '').lstrip('0')
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            literal = f'{literal[:exponent.start()]}{exponent[1]}{bound + 1}'
     try:
-        return Fraction(text)
+        tau = Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f'not a rational number: {text!r}') from None
+    if max(abs(tau.numerator), tau.denominator) >= 10 ** MAX_TAU_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f'TAU is over the size budget of order (numerator and '
+            f'denominator <= {MAX_TAU_DIGITS} digits in lowest terms)')
+    return tau
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--q', type=int, required=True)
     p.add_argument('--at', type=_fraction, metavar='TAU',
-                   help='evaluate structure constants at t = TAU')
+                   help='evaluate structure constants at t = TAU (numerator '
+                        f'and denominator <= {MAX_TAU_DIGITS} digits)')
     p.add_argument('--fiber', choices=['zero', 'generic', 'infinity'])
     p.set_defaults(fn=cmd_order)
 

@@ -6,9 +6,10 @@ every degree-1 element b = sum t_i wbar_i is a bounding cochain.
 
 The operations m_2, m_3 have two sources:
 
-* a "hidden" part given by closed lists over the Gauss word (unit products,
-  per-crossing triples, and six families indexed by ordered occurrence pairs
-  in the word), and
+* a "hidden" part read off the Gauss word of kkalg.gauss_word (unit
+  products, per-crossing triples, and six families: for each ordered pair
+  of occurrences in the word, the two entries picked by the halves of the
+  word the two occurrences lie in), and
 * "visible" contributions from axis-aligned lattice rectangles, enumerated
   modulo the orange sublattice, with degenerate corners at orange points.
   A rectangle passing the marked point just SW of an orange point picks up a
@@ -33,7 +34,7 @@ from itertools import chain
 
 from .resarith import SingularityParams
 from .polyring import Poly, S, tsub, format_poly, parse_poly, PolyParseError
-from .kkalg import AlgebraTable
+from .kkalg import AlgebraTable, gauss_word
 
 # coefficients c0 + c1 s as pairs (c0, c1)
 _ONE, _MINUS, _S, _MINUS_S = (1, 0), (-1, 0), (0, 1), (0, -1)
@@ -99,60 +100,55 @@ class AinfTable:
 # hidden part
 # ---------------------------------------------------------------------------
 
-def _second_half_pos(label: int, params: SingularityParams) -> int:
-    # the second half of the Gauss word lists [-k b] at position k, so the
-    # label x sits at position [-a x]
-    return -params.a * label % params.r
-
-
-def _hidden_triples(params: SingularityParams, m3: dict):
-    """Yield the hidden m_3 entries as (m3, key, out, coeff)."""
-    r = params.r
+def _hidden_entries(params: SingularityParams, table: AinfTable):
+    """Yield the hidden entries as (cells, key, out, coeff) into table: the
+    units and the pairing, the per-crossing triples, and for each pair of
+    occurrences p < q in the Gauss word, x at p and y at q, the two entries
+    of the family picked by the halves of the word they lie in."""
+    m2, m3 = table.m2, table.m3
+    # units and the pairing with the degree-1 partners (w_0 and wbar_0 are
+    # the codes 0 and 1)
+    for i in range(params.r):
+        w, wbar = 2 * i, 2 * i + 1
+        yield m2, (w, 0), w, _ONE
+        if i != 0:
+            yield m2, (0, w), w, _ONE
+        yield m2, (wbar, 0), wbar, _ONE
+        yield m2, (0, wbar), wbar, _MINUS
+        if i != 0:
+            yield m2, (wbar, w), 1, _ONE
+            yield m2, (w, wbar), 1, _MINUS
     # per-crossing triples
-    for i in range(1, r):
+    for i in range(1, params.r):
         w, wbar = 2 * i, 2 * i + 1
         yield m3, (wbar, w, wbar), wbar, _MINUS
         yield m3, (wbar, w, 1), 1, _MINUS
         yield m3, (w, wbar, 1), 1, _ONE
-
-    # Gauss-word families; (x, y) ranges over ordered occurrence pairs
-    pos = [0] + [_second_half_pos(x, params) for x in range(1, r)]
-    for x in range(1, r):
+    word = gauss_word(params)
+    half = len(word) // 2
+    for p, x in enumerate(word):
         wx, bx = 2 * x, 2 * x + 1
-        for y in range(1, r):
-            wy, by = 2 * y, 2 * y + 1
-            if x != y and pos[x] < pos[y]:
-                # both occurrences in the second half
+        for q in range(p + 1, len(word)):
+            wy = 2 * word[q]
+            by = wy + 1
+            if p >= half:  # both occurrences in the second half
                 yield m3, (wy, bx, wx), wy, _ONE
                 yield m3, (bx, wx, by), by, _MINUS
-            # x in the first half, y in the second: every pair, x = y allowed
-            yield m3, (wx, bx, by), by, _ONE
-            yield m3, (wy, wx, bx), wy, _MINUS
-            if x > y:
-                # both occurrences in the first half
+            elif q >= half:  # x in the first half, y in the second
+                yield m3, (wx, bx, by), by, _ONE
+                yield m3, (wy, wx, bx), wy, _MINUS
+            else:  # both occurrences in the first half
                 yield m3, (by, wx, bx), by, _MINUS
                 yield m3, (wx, bx, wy), wy, _MINUS
 
 
 def hidden_ainf(params: SingularityParams) -> AinfTable:
-    """Products of the undeformed complex: units, per-crossing triples, and
-    the six Gauss-word families.  m_1 = 0 and m_k = 0 for k >= 4."""
-    t = AinfTable()
-    m2 = t.m2
-    # units and the pairing with the degree-1 partners (w_0 and wbar_0 are
-    # the codes 0 and 1)
-    for i in range(params.r):
-        w, wbar = 2 * i, 2 * i + 1
-        m2[(w, 0)] = {w: _ONE}
-        if i != 0:
-            m2[(0, w)] = {w: _ONE}
-        m2[(wbar, 0)] = {wbar: _ONE}
-        m2[(0, wbar)] = {wbar: _MINUS}
-        if i != 0:
-            m2[(wbar, w)] = {1: _ONE}
-            m2[(w, wbar)] = {1: _MINUS}
-    _accumulate(_hidden_triples(params, t.m3))
-    return t
+    """Products of the undeformed complex, read off kkalg.gauss_word: units,
+    per-crossing triples, and the six families of occurrence pairs in the
+    word.  m_1 = 0 and m_k = 0 for k >= 4."""
+    table = AinfTable()
+    _accumulate(_hidden_entries(params, table))
+    return table
 
 
 # ---------------------------------------------------------------------------

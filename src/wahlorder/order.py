@@ -444,13 +444,11 @@ def wahl_cochain(n: int, q: int) -> CochainSpec:
     confirm s = -t^n for every (n, q) tested.
     """
     from .deform import CochainSpec
-    WahlParams(n, q)
-    r = n * n
     assignments = {}
     for k in range(1, n):
         assignments[tsub(k * n)] = Poly.var(T, k)
     assignments[S] = Poly.var(T, n, -1)
-    return CochainSpec(r, assignments)
+    return CochainSpec(WahlParams(n, q).params.r, assignments)
 
 
 @dataclass

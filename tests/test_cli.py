@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -152,6 +153,42 @@ def test_bad_fraction_exits_2_without_a_traceback(value):
     assert proc.stderr.splitlines()[-1] == (
         f"wahlorder order: error: argument --at: not a rational number: "
         f"'{value}'")
+
+
+@pytest.mark.parametrize('value', ['1e10000000', '1e-10000000', '1' * 201])
+def test_tau_over_the_digit_budget_exits_2_before_anything_is_built(value):
+    # Fraction('1e10000000') alone builds a 33-million-bit integer
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, '-m', 'wahlorder', 'order',
+                           '--n', '10', '--q', '9', '--at', value],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ''
+    assert 'Traceback' not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if 'error' in line] == [
+        f"wahlorder order: error: argument --at: TAU is over the size budget "
+        f"of order (numerator and denominator <= {cli_mod.MAX_TAU_DIGITS} "
+        f"digits in lowest terms)"]
+
+
+# sha256 of stdout of `order --n 3 --q 2 --at TAU`, recorded before TAU had
+# a digit budget
+@pytest.mark.parametrize('value,digest,json_digest', [
+    ('1e3', '8f631c7051942addddb29e37df5c5529da5d39ce1037b414ab2de31625d19475',
+     '78d99fce8e21b17f27330aaa7fd83839a74db39a738e4daa7c3e053ceb8a6a8d'),
+    ('1/2', '3c62e7c3b082df0debc178f307dfd526c751da12da9bde90a0a57886ef9f9f7b',
+     '139b29247e7a9b8b6ae92b78b50928ceec70a4f03c75ffd64c74cad58b63596c'),
+    ('0.5', '3c62e7c3b082df0debc178f307dfd526c751da12da9bde90a0a57886ef9f9f7b',
+     '139b29247e7a9b8b6ae92b78b50928ceec70a4f03c75ffd64c74cad58b63596c'),
+])
+def test_tau_within_the_digit_budget_prints_as_before(value, digest,
+                                                      json_digest, capsys):
+    for prefix, want in (([], digest), (['--format', 'json'], json_digest)):
+        assert main([*prefix, 'order', '--n', '3', '--q', '2',
+                     '--at', value]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_a_directory_as_a_file_exits_2(capsys, tmp_path):
@@ -415,3 +452,36 @@ def test_verify_order_output_bytes(capsys):
     assert main(['verify', '--suite', 'order', '--max-n', '5']) == 0
     out = re.sub(r'\(\d+\.\d+s\)', '(-s)', capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ORDER_DIGEST
+
+
+# sha256 of stdout with the elapsed times masked, as (-s) in text and as X
+# in JSON, recorded before the hidden A-infinity operations were read off
+# gauss_word and before these suites' unit, commutativity and Wahl-parameter
+# checks called the functions that define them
+_VERIFY_KK_DEFORM_DIGESTS = [
+    (['verify', '--suite', 'kk', '--max-r', '16'],
+     '39324d969a8f2d3275a4e1ce5c75770530818c7aff6b13c7d18181042cdaae1d',
+     '2e43e07b26d4785b7c8836494ca85a916b8a03454348fbb469c29fc8b2627ced'),
+    (['verify', '--suite', 'deform'],
+     '45353fd52442abdba2f7feb6b19b834bf24305a3c35c20b891e2bf440b18e755',
+     'f4d9c7ce7a24e0bb4d8e581f4ea176cb7cbfcda26ab631f90f183d3cc23a241c'),
+]
+
+
+@pytest.mark.parametrize('argv,digest,json_digest', _VERIFY_KK_DEFORM_DIGESTS)
+def test_verify_kk_and_deform_output_bytes(argv, digest, json_digest, capsys,
+                                           monkeypatch):
+    # both formats render one run of the suite
+    real_run_suite, reports = verify_mod.run_suite, []
+
+    def run_once(*args):
+        if not reports:
+            reports.append(real_run_suite(*args))
+        return reports[0]
+
+    monkeypatch.setattr(verify_mod, 'run_suite', run_once)
+    for prefix, want in (([], digest), (['--format', 'json'], json_digest)):
+        assert main([*prefix, *argv]) == 0
+        out = re.sub(r'\(\d+\.\d+s\)', '(-s)', capsys.readouterr().out)
+        out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": X', out)
+        assert hashlib.sha256(out.encode()).hexdigest() == want

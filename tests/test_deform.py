@@ -92,6 +92,59 @@ def test_hidden_unit_and_pairing():
     assert table.degrees_present() <= {0, 1}
 
 
+def _hidden_by_position(params):
+    """The hidden m_2 and m_3 as code dicts, enumerated by label instead of
+    by occurrence: the label x sits at position [-a x] of the second half of
+    the Gauss word, and the first half lists the labels descending, so x
+    comes before y there iff x > y.  Sums are kept in plain ints (every
+    hidden coefficient is an integer) and zeros dropped at the end."""
+    r = params.r
+    m2, m3 = {}, {}
+
+    def add(cells, key, out, c):
+        cell = cells.setdefault(key, {})
+        cell[out] = cell.get(out, 0) + c
+
+    for i in range(r):
+        w, wbar = 2 * i, 2 * i + 1
+        add(m2, (w, 0), w, 1)
+        add(m2, (wbar, 0), wbar, 1)
+        add(m2, (0, wbar), wbar, -1)
+        if i != 0:
+            add(m2, (0, w), w, 1)
+            add(m2, (wbar, w), 1, 1)
+            add(m2, (w, wbar), 1, -1)
+    for i in range(1, r):
+        w, wbar = 2 * i, 2 * i + 1
+        add(m3, (wbar, w, wbar), wbar, -1)
+        add(m3, (wbar, w, 1), 1, -1)
+        add(m3, (w, wbar, 1), 1, 1)
+    pos = [0] + [-params.a * x % r for x in range(1, r)]
+    for x in range(1, r):
+        wx, bx = 2 * x, 2 * x + 1
+        for y in range(1, r):
+            wy, by = 2 * y, 2 * y + 1
+            if x != y and pos[x] < pos[y]:  # both in the second half
+                add(m3, (wy, bx, wx), wy, 1)
+                add(m3, (bx, wx, by), by, -1)
+            # x in the first half, y in the second
+            add(m3, (wx, bx, by), by, 1)
+            add(m3, (wy, wx, bx), wy, -1)
+            if x > y:  # both in the first half
+                add(m3, (by, wx, bx), by, -1)
+                add(m3, (wx, bx, wy), wy, -1)
+    return tuple({key: {out: (c, 0) for out, c in cell.items() if c}
+                  for key, cell in cells.items() if any(cell.values())}
+                 for cells in (m2, m3))
+
+
+def test_hidden_ainf_matches_the_position_enumeration():
+    for params in coprime_pairs(24):
+        table = hidden_ainf(params)
+        assert not table.m1
+        assert (table.m2, table.m3) == _hidden_by_position(params), params
+
+
 def test_visible_r2_bigon():
     t = _as_poly(visible_contributions(SingularityParams(2, 1)))
     s = Poly.var(S)
