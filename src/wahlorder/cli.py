@@ -13,8 +13,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .resarith import SingularityParams, InvalidParamsError, hj_fraction
-from .polyring import format_poly, PolyParseError
+from .resarith import SingularityParams, hj_fraction
+from .polyring import format_poly
 from . import render
 
 
@@ -63,6 +63,7 @@ MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
+MAX_TAU_LITERAL = 640  # Python's least int-string limit
 MAX_VERIFY_R = 40
 MAX_VERIFY_N = 7
 
@@ -201,30 +202,33 @@ _EXPONENT = re.compile(r'(?<=e)([-+]?)(\d+(?:_\d+)*)\Z', re.I)
 
 def _fraction(text: str) -> Fraction:
     """TAU, refused over the budget: a numerator or a denominator of more
-    than MAX_TAU_DIGITS digits in lowest terms.
+    than MAX_TAU_DIGITS digits in lowest terms, or unread, a literal of more
+    than MAX_TAU_LITERAL digits.
 
-    Fraction expands a decimal exponent to a power of 10, so the exponent
-    is bounded first.  With a nonzero mantissa, an exponent of absolute
-    value over MAX_TAU_DIGITS + len(literal) puts the value over the budget
-    whatever the digits; such an exponent is cut to that bound plus one,
-    which keeps a nonzero value over the budget and a zero value 0."""
+    Fraction expands a decimal exponent to a power of 10, so the exponent is
+    bounded first, without its leading zeros.  With a nonzero mantissa, an
+    exponent over MAX_TAU_DIGITS + len(literal) in absolute value puts the
+    value over the budget whatever the digits; it is cut to that bound plus
+    one, which keeps a nonzero value over the budget and a zero value 0."""
     literal = text.strip()
     bound = MAX_TAU_DIGITS + len(literal)
     exponent = _EXPONENT.search(literal)
     if exponent:
-        digits = exponent[2].replace('_', '').lstrip('0')
-        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
-            literal = f'{literal[:exponent.start()]}{exponent[1]}{bound + 1}'
-    try:
-        tau = Fraction(literal)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f'not a rational number: {text!r}') from None
-    if max(abs(tau.numerator), tau.denominator) >= 10 ** MAX_TAU_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f'TAU is over the size budget of order (numerator and '
-            f'denominator <= {MAX_TAU_DIGITS} digits in lowest terms)')
-    return tau
+        digits = exponent[2].replace('_', '').lstrip('0') or '0'
+        if len(digits) > len(str(bound)) or int(digits) > bound:
+            digits = str(bound + 1)
+        literal = f'{literal[:exponent.start()]}{exponent[1]}{digits}'
+    if sum(map(str.isdecimal, literal)) <= MAX_TAU_LITERAL:
+        try:
+            tau = Fraction(literal)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f'not a rational number: {text!r}') from None
+        if max(abs(tau.numerator), tau.denominator) < 10 ** MAX_TAU_DIGITS:
+            return tau
+    raise argparse.ArgumentTypeError(
+        f'TAU is over the size budget of order (numerator and '
+        f'denominator <= {MAX_TAU_DIGITS} digits in lowest terms)')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--q', type=int, required=True)
     p.add_argument('--at', type=_fraction, metavar='TAU',
                    help='evaluate structure constants at t = TAU (numerator '
-                        f'and denominator <= {MAX_TAU_DIGITS} digits)')
+                        f'and denominator <= {MAX_TAU_DIGITS} digits); write '
+                        'a negative fraction as --at=-1/2')
     p.add_argument('--fiber', choices=['zero', 'generic', 'infinity'])
     p.set_defaults(fn=cmd_order)
 
@@ -304,7 +309,7 @@ def main(argv=None) -> int:
         if args.format == 'svg' and args.command != 'kk':
             raise ValueError(f'--format svg is drawn only by kk, not {args.command}')
         return args.fn(args)
-    except (InvalidParamsError, PolyParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
     except ArithmeticError as exc:

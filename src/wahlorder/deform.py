@@ -491,6 +491,13 @@ class SpecNotFlatError(ValueError):
             f"differential matrix entry {position} does not vanish: {format_poly(value)}")
 
 
+def _check_assignable(v, r: int):
+    """Refuse a variable a spec at r may not assign: all but s and t_i, 0 < i < r."""
+    if v != S and not (v[0] == 'ts' and 0 < v[1] < r):
+        raise ValueError(f"cochain spec for r = {r} assigns "
+                         f"{format_poly(Poly.var(v))}")
+
+
 @dataclass
 class CochainSpec:
     """Assignment of each t_i (t_0 = 0 fixed) and s to a polynomial.
@@ -503,43 +510,38 @@ class CochainSpec:
     assignments: dict
 
     def substitution(self) -> dict:
-        """{variable: value} for t_0..t_{r-1}, and s when assigned; like
-        parse, rejects any other variable, t_0 and t_i with i >= r."""
+        """{variable: value} for t_0..t_{r-1}, and s when assigned."""
         for v in self.assignments:
-            if v != S and not (v[0] == 'ts' and 0 < v[1] < self.r):
-                raise ValueError(f"cochain spec for r = {self.r} assigns "
-                                 f"{format_poly(Poly.var(v))}")
+            _check_assignable(v, self.r)
         return {**{tsub(i): Poly.zero() for i in range(self.r)}, **self.assignments}
 
     @staticmethod
     def parse(text: str, r: int) -> 'CochainSpec':
         """One assignment per line: `t_<i> = <poly>` or `s = <poly>`;
-        `#` starts a comment."""
+        `#` starts a comment.  Every error names its line."""
         assignments = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split('#', 1)[0].strip()
             if not line:
                 continue
-            if '=' not in line:
-                raise PolyParseError(f"line {lineno}: expected `lhs = poly`")
-            lhs, rhs = line.split('=', 1)
-            lhs = lhs.strip()
-            if lhs == 's':
-                key = S
-            elif lhs.startswith('t_'):
-                try:
-                    idx = int(lhs[2:])
-                except ValueError:
-                    raise PolyParseError(f"line {lineno}: index of {lhs!r} "
-                                         f"is not an integer") from None
-                if not 0 <= idx < r:
-                    raise PolyParseError(f"line {lineno}: t_{idx} out of range for r={r}")
-                if idx == 0:
-                    raise PolyParseError(f"line {lineno}: t_0 is fixed to 0")
-                key = tsub(idx)
-            else:
-                raise PolyParseError(f"line {lineno}: unknown left-hand side {lhs!r}")
-            assignments[key] = parse_poly(rhs)
+            try:
+                if '=' not in line:
+                    raise ValueError("expected `lhs = poly`")
+                lhs, rhs = line.split('=', 1)
+                lhs = lhs.strip()
+                if lhs == 's':
+                    key = S
+                elif lhs.startswith('t_'):
+                    try:
+                        key = tsub(int(lhs[2:]))
+                    except ValueError:
+                        raise ValueError(f"index of {lhs!r} is not an integer")
+                else:
+                    raise ValueError(f"unknown left-hand side {lhs!r}")
+                _check_assignable(key, r)
+                assignments[key] = parse_poly(rhs)
+            except ValueError as exc:
+                raise PolyParseError(f"line {lineno}: {exc}") from None
         return CochainSpec(r, assignments)
 
 

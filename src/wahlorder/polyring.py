@@ -130,11 +130,6 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c: int) -> 'Poly':
-        if c == 0:
-            return Poly()
-        return Poly({m: c * v for m, v in self.terms.items()})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -253,21 +248,25 @@ class PolyParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r'\s*(?:(\d+)|([st])(?:_(\d+))?|(a)_(\d+)'
-                    r'|(\^)|(\*)|([()+\-]))')
+_TOKEN = re.compile(r'\s*(?:(\d+)|([st])(?:_(\d+))?|(a)_(\d+)|([()+\-^*]))')
+
+# deepest parenthesis nesting parse_poly reads, checked as it tokenizes;
+# each level costs three frames, well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 def parse_poly(text: str) -> Poly:
     """Parse the display style: 't^2 a_8 + t a_5', 't_1 t_14 + s', '-(s + 2)^2'.
 
-    Braces as in 't^{2} a_{8}' are accepted and ignored.
+    Braces as in 't^{2} a_{8}' are accepted and ignored.  A sign applies to
+    the factor right after it, so '-s^2' is -(s^2) and '2*-t' is -2 t.
     """
     text = text.replace('{', '').replace('}', '')
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip():
                 raise PolyParseError(f'unexpected input at {text[pos:]!r}')
             break
@@ -284,12 +283,12 @@ def parse_poly(text: str) -> Poly:
                 tokens.append(('var', tsub(int(idx))))
         elif m.group(4):
             tokens.append(('var', acoef(int(m.group(5)))))
-        elif m.group(6):
-            tokens.append(('op', '^'))
-        elif m.group(7):
-            tokens.append(('op', '*'))
         else:
-            tokens.append(('op', m.group(8)))
+            depth += (m.group(6) == '(') - (m.group(6) == ')')
+            if depth > MAX_NESTING:
+                raise PolyParseError(f'parentheses nested deeper than '
+                                     f'{MAX_NESTING} levels')
+            tokens.append(('op', m.group(6)))
 
     ix = 0
 
@@ -297,17 +296,10 @@ def parse_poly(text: str) -> Poly:
         return tokens[ix] if ix < len(tokens) else (None, None)
 
     def expr():
-        nonlocal ix
-        sign = 1
-        while peek() == ('op', '+') or peek() == ('op', '-'):
-            if tokens[ix][1] == '-':
-                sign = -sign
-            ix += 1
-        result = term().scale(sign)
-        while peek()[0] == 'op' and peek()[1] in '+-':
-            sgn = 1 if tokens[ix][1] == '+' else -1
-            ix += 1
-            result = result + term().scale(sgn)
+        # the sign between two terms is read by the second term's factor
+        result = term()
+        while peek() in (('op', '+'), ('op', '-')):
+            result = result + term()
         return result
 
     def term():
@@ -325,12 +317,13 @@ def parse_poly(text: str) -> Poly:
 
     def factor():
         nonlocal ix
+        negate = False
+        while peek() in (('op', '+'), ('op', '-')):
+            negate ^= tokens[ix][1] == '-'
+            ix += 1
         kind, val = peek()
         if kind is None:
             raise PolyParseError('unexpected end of input')
-        if kind == 'op' and val == '-':
-            ix += 1
-            return -factor()
         if kind == 'int':
             ix += 1
             base = Poly.const(val)
@@ -352,7 +345,7 @@ def parse_poly(text: str) -> Poly:
                 raise PolyParseError('exponent must be an integer')
             ix += 1
             base = base ** v2
-        return base
+        return -base if negate else base
 
     result = expr()
     if ix != len(tokens):

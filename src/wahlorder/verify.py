@@ -76,16 +76,15 @@ def _require(cond, msg=''):
         raise CheckFailed(msg)
 
 
-def _timed(report: VerifyReport, name: str, fn):
-    """Run one check: fn returns None (pass) or (passed, detail), and fails
-    by raising; any exception is recorded as a FAIL of this check only."""
+def _timed(report: VerifyReport, name: str, fn, detail: str = ''):
+    """Run one check: fn returns None and fails by raising; a pass records
+    detail.  Any exception is recorded as a FAIL of this check only."""
     start = time.perf_counter()
     try:
         result = fn()
-        if result is not None and not isinstance(result, tuple):
-            raise TypeError(f'check returned {result!r}, '
-                            f'not None or (passed, detail)')
-        passed, detail = (True, '') if result is None else result
+        if result is not None:
+            raise TypeError(f'check returned {result!r}, not None')
+        passed = True
     except AssertionError as exc:
         passed, detail = False, str(exc)
     except Exception as exc:  # an error fails this check, not the suite
@@ -544,9 +543,9 @@ def suite_cross(max_n: int = 6) -> VerifyReport:
         def one(n=n, q=q):
             rep = cross_check(n, q)
             _require(rep.matched, f'({n},{q}) mismatch at {rep.first_mismatch}')
-            return (True, 'identical')
 
-        _timed(report, f'deformed table vs order constants ({n},{q})', one)
+        _timed(report, f'deformed table vs order constants ({n},{q})', one,
+               'identical')
     return report
 
 

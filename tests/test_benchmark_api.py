@@ -1,5 +1,5 @@
 """The benchmark in perfbench/ drives wahlorder through its public names and
-reads fields off the order reports.  These tests read perfbench/sweeps.py
+reads attributes off what they return.  These tests read perfbench/sweeps.py
 with ast (without importing it) so that a change to the library cannot
 silently break the benchmark."""
 
@@ -8,15 +8,25 @@ import inspect
 from pathlib import Path
 
 import wahlorder
-from wahlorder import build_order, cross_check, fiber_zero_report, infinity_fiber
+from wahlorder import (AlgebraTable, SingularityParams, build_order, cross_check,
+                       diff_matrix, fiber_zero_report, full_ainf, infinity_fiber,
+                       kk_table, structure_constants, young_diagram)
 
 SWEEPS = Path(__file__).resolve().parents[1] / 'perfbench' / 'sweeps.py'
 
-# the report fields the sweeps read, by the function that returns the report
-REPORT_FIELDS = {
-    'fiber_zero_report': {'matches'},
-    'infinity_fiber': {'degree_bounds_ok', 'matches_negated'},
+# the attributes the sweeps read, by the function whose result they read
+READS = {
+    'AlgebraTable': {'associator_violation'},
+    'SingularityParams': {'b'},
+    'build_order': {'r'},
     'cross_check': {'matched', 'identical', 'first_mismatch'},
+    'diff_matrix': {'is_skew', 'upper_entries'},
+    'fiber_zero_report': {'matches'},
+    'full_ainf': {'m2', 'm3', 'degrees_present'},
+    'infinity_fiber': {'degree_bounds_ok', 'matches_negated'},
+    'kk_table': {'products', 'is_unital', 'associator_violation'},
+    'structure_constants': {'items', 'values'},
+    'young_diagram': {'product'},
 }
 
 
@@ -30,9 +40,11 @@ def _imported_names(tree) -> list:
             for alias in node.names]
 
 
-def _report_reads(tree) -> dict:
+def _reads(tree) -> dict:
     """{function: attributes read} for every `x = function(...)` in a
-    function body whose callee is in REPORT_FIELDS, and each x.attr there."""
+    function body whose callee is imported from wahlorder, and each x.attr
+    there."""
+    names = set(_imported_names(tree))
     reads = {}
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
@@ -43,7 +55,7 @@ def _report_reads(tree) -> dict:
                     and isinstance(node.targets[0], ast.Name)
                     and isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Name)
-                    and node.value.func.id in REPORT_FIELDS):
+                    and node.value.func.id in names):
                 bound[node.targets[0].id] = node.value.func.id
         for node in ast.walk(fn):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -75,14 +87,23 @@ def test_benchmark_imports_are_exported():
 
 
 def test_benchmark_report_fields_exist():
-    assert _report_reads(_sweeps()) == REPORT_FIELDS
+    assert _reads(_sweeps()) == READS
+    params = SingularityParams(3, 1)
     ordr = build_order(2, 1)
-    reports = {'fiber_zero_report': fiber_zero_report(ordr),
+    results = {'AlgebraTable': AlgebraTable(2, {}),
+               'SingularityParams': params,
+               'build_order': ordr,
+               'cross_check': cross_check(2, 1),
+               'diff_matrix': diff_matrix(params),
+               'fiber_zero_report': fiber_zero_report(ordr),
+               'full_ainf': full_ainf(params),
                'infinity_fiber': infinity_fiber(ordr),
-               'cross_check': cross_check(2, 1)}
-    for fn, fields in REPORT_FIELDS.items():
-        for f in fields:
-            assert hasattr(reports[fn], f), (fn, f)
+               'kk_table': kk_table(params),
+               'structure_constants': structure_constants(ordr),
+               'young_diagram': young_diagram(params)}
+    for fn, attrs in READS.items():
+        for attr in attrs:
+            assert hasattr(results[fn], attr), (fn, attr)
 
 
 def test_benchmark_calls_bind_to_the_signatures():

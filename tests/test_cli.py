@@ -155,7 +155,9 @@ def test_bad_fraction_exits_2_without_a_traceback(value):
         f"'{value}'")
 
 
-@pytest.mark.parametrize('value', ['1e10000000', '1e-10000000', '1' * 201])
+# 5000 digits are more than Python converts from a string by default
+@pytest.mark.parametrize('value', ['1e10000000', '1e-10000000', '1' * 201,
+                                   pytest.param('1' * 5000, id='1x5000')])
 def test_tau_over_the_digit_budget_exits_2_before_anything_is_built(value):
     # Fraction('1e10000000') alone builds a 33-million-bit integer
     start = time.perf_counter()
@@ -170,6 +172,14 @@ def test_tau_over_the_digit_budget_exits_2_before_anything_is_built(value):
         f"wahlorder order: error: argument --at: TAU is over the size budget "
         f"of order (numerator and denominator <= {cli_mod.MAX_TAU_DIGITS} "
         f"digits in lowest terms)"]
+
+
+def test_a_negative_fraction_tau_is_given_with_an_equals_sign(capsys):
+    # argparse reads `--at -1/2` as an option; `--at=-1/2` is a value
+    assert main(['order', '--n', '2', '--q', '1', '--at=-1/2']) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == 'structure constants at t=-1/2'
+    assert captured.err == ''
 
 
 # sha256 of stdout of `order --n 3 --q 2 --at TAU`, recorded before TAU had
@@ -209,6 +219,33 @@ def test_a_bad_spec_index_exits_2_with_its_line(capsys, tmp_path):
                  '--spec', str(spec)]) == 2
     assert capsys.readouterr().err == (
         "error: line 2: index of 't_x' is not an integer\n")
+
+
+@pytest.mark.parametrize('line,message', [
+    ('t_2 = 1 +', 'unexpected end of input'),
+    ('t_0 = 1', 'cochain spec for r = 5 assigns t_0'),
+    ('t_9 = 1', 'cochain spec for r = 5 assigns t_9'),
+])
+def test_a_bad_spec_line_exits_2_with_its_line(capsys, tmp_path, line, message):
+    spec = tmp_path / 'bad.spec'
+    spec.write_text(f't_1 = t_1\n{line}\n')
+    assert main(['deform', '--r', '5', '--a', '2', '--table',
+                 '--spec', str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == f'error: line 2: {message}\n'
+
+
+def test_deeply_nested_spec_exits_2_without_a_traceback(tmp_path):
+    spec = tmp_path / 'deep.spec'
+    spec.write_text('t_1 = ' + '(' * 400 + 't_1' + ')' * 400 + '\n')
+    proc = subprocess.run([sys.executable, '-m', 'wahlorder', 'deform',
+                           '--r', '3', '--a', '1', '--table', '--spec', str(spec)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ''
+    assert proc.stderr == ('error: line 1: parentheses nested deeper than '
+                           '100 levels\n')
 
 
 def test_main_entry_in_process(capsys):

@@ -250,7 +250,7 @@ INSERTION_CASES = [
 
 @pytest.mark.parametrize('slots,expected', INSERTION_CASES)
 def test_insertion_rule(slots, expected):
-    r, coeff = 4, Poly.var(S).scale(3)
+    r, coeff = 4, Poly.var(S, 1, 3)
     table = AinfTable()
     _add(table, slots, (1, _degree(slots) % 2), (0, 3))
     ops = insert_cochain(table, r)
@@ -626,6 +626,39 @@ def test_cochain_spec_parse():
     with pytest.raises(PolyParseError, match="^line 2: index of 't_x' is "
                        "not an integer$"):
         CochainSpec.parse('t_1 = 1\nt_x = 1', 5)
+
+
+@pytest.mark.parametrize('line,message', [
+    ('t_2 = 1 +', 'unexpected end of input'),
+    ('t_2 = (t_1', 'missing closing parenthesis'),
+    ('t_2 = t_1 ? 1', "unexpected input at ' ? 1'"),
+    ('t_2 == 1', "unexpected input at '= 1'"),
+    ('t_2', 'expected `lhs = poly`'),
+    ('u = 1', "unknown left-hand side 'u'"),
+    ('t_x = 1', "index of 't_x' is not an integer"),
+    ('t_0 = 1', 'cochain spec for r = 5 assigns t_0'),
+    ('t_5 = 1', 'cochain spec for r = 5 assigns t_5'),
+    ('t_-1 = 1', 'cochain spec for r = 5 assigns t_-1'),
+    pytest.param('s = ' + '(' * 400 + 't_1' + ')' * 400,
+                 'parentheses nested deeper than 100 levels', id='400 pairs'),
+])
+def test_every_spec_error_names_its_line(line, message):
+    text = f'# comment\nt_1 = t_1\n{line}  # trailing comment\nt_3 = 1\n'
+    with pytest.raises(PolyParseError) as info:
+        CochainSpec.parse(text, 5)
+    assert str(info.value) == f'line 3: {message}'
+
+
+def test_parse_and_substitution_refuse_with_one_message():
+    for v in (tsub(0), tsub(5), T):
+        with pytest.raises(ValueError) as by_hand:
+            CochainSpec(5, {v: Poly.const(1)}).substitution()
+        assert str(by_hand.value) == (f'cochain spec for r = 5 assigns '
+                                      f'{format_poly(Poly.var(v))}')
+        if v != T:
+            with pytest.raises(PolyParseError) as parsed:
+                CochainSpec.parse(f'{format_poly(Poly.var(v))} = 1', 5)
+            assert str(parsed.value) == f'line 1: {by_hand.value}'
 
 
 # ---------------------------------------------------------------------------

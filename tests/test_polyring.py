@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
-                                format_poly)
+                                format_poly, PolyParseError, MAX_NESTING)
 from bareiss_oracle import (solve_in_span, solve_in_span_many, is_polynomial,
                             RationalCoord, DeficientBasisError, OutOfSpanError,
                             _udivides)
@@ -120,12 +120,38 @@ def test_parse_print_round_trip():
 def test_parse_variants():
     assert parse_poly('t^{2} a_{8}+t a_{5}') == parse_poly('t^2 a_8 + t a_5')
     assert parse_poly('t_{14}') == Poly.var(tsub(14))
-    assert parse_poly('2*t_1*t_14') == Poly.var(tsub(1)) * Poly.var(tsub(14)).scale(2)
+    assert parse_poly('2*t_1*t_14') == Poly.var(tsub(1)) * Poly.var(tsub(14)) * Poly.const(2)
     assert parse_poly('-(s + 1)^2') == -(Poly.var(S) + Poly.const(1)) ** 2
     with pytest.raises(ValueError):
         parse_poly('t_1 +')
     with pytest.raises(ValueError):
         parse_poly('x_3')
+
+
+def test_a_sign_applies_to_the_factor_after_it():
+    s, t = Poly.var(S), Poly.var(T)
+    assert parse_poly('-s^2') == -(s * s)
+    assert parse_poly('-2 s + t') == Poly.var(S, 1, -2) + t
+    assert parse_poly('2*-t') == parse_poly('-2*t') == Poly.var(T, 1, -2)
+    assert parse_poly('2*+t') == parse_poly('+2 t') == Poly.var(T, 1, 2)
+    assert parse_poly('s++s') == parse_poly('s--s') == Poly.var(S, 1, 2)
+    assert parse_poly('0-+3') == parse_poly('-+-+-3') == Poly.const(-3)
+    assert parse_poly('(-s)(+t)') == -(s * t)
+    # a run of signs is read in a loop, not one frame per sign
+    assert parse_poly('-' * 5001 + 's') == -s
+    for text in ('s^-2', 's^+2', 's*', '-', 's+*t'):
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+
+
+def test_parenthesis_nesting_is_bounded():
+    deepest = '(' * MAX_NESTING + 't_1' + ')' * MAX_NESTING
+    assert parse_poly(deepest) == Poly.var(tsub(1))
+    assert parse_poly(f'-{deepest}^2 + {deepest}') == parse_poly('-t_1^2 + t_1')
+    for pairs in (MAX_NESTING + 1, 400, 5000):
+        with pytest.raises(PolyParseError, match=f'^parentheses nested deeper '
+                           f'than {MAX_NESTING} levels$'):
+            parse_poly('(' * pairs + 't_1' + ')' * pairs)
 
 
 def _mat(entries):

@@ -65,16 +65,22 @@ def test_run_suite_rejects_an_unknown_bound():
         verify_mod.run_suite('cross', max_m=2)
 
 
-def test_timed_accepts_only_none_or_a_pair():
+def test_timed_passes_only_on_none():
     report = VerifyReport('x')
     _timed(report, 'str', lambda: 'ok')
     _timed(report, 'true', lambda: True)
     _timed(report, 'pair', lambda: (True, 'identical'))
     _timed(report, 'require', lambda: _require(1 + 1 == 3, 'arithmetic'))
+    _timed(report, 'none', lambda: None, 'identical')
+    _timed(report, 'failing', lambda: _require(False, 'broken'), 'identical')
     assert [(c.name, c.passed) for c in report.checks] == [
-        ('str', False), ('true', False), ('pair', True), ('require', False)]
-    assert report.checks[0].detail.startswith('TypeError: ')
+        ('str', False), ('true', False), ('pair', False), ('require', False),
+        ('none', True), ('failing', False)]
+    assert report.checks[2].detail == (
+        "TypeError: check returned (True, 'identical'), not None")
     assert report.checks[3].detail == 'arithmetic'
+    assert report.checks[4].detail == 'identical'
+    assert report.checks[5].detail == 'broken'
 
 
 def test_require_raises_check_failed():
