@@ -33,7 +33,8 @@ from functools import cache
 from itertools import chain
 
 from .resarith import SingularityParams
-from .polyring import Poly, S, tsub, format_poly, parse_poly, PolyParseError
+from .polyring import (Poly, S, tsub, format_poly, parse_poly, PolyParseError,
+                       MAX_TERMS)
 from .kkalg import AlgebraTable, gauss_word
 
 # coefficients c0 + c1 s as pairs (c0, c1)
@@ -518,8 +519,10 @@ class CochainSpec:
     @staticmethod
     def parse(text: str, r: int) -> 'CochainSpec':
         """One assignment per line: `t_<i> = <poly>` or `s = <poly>`;
-        `#` starts a comment.  Every error names its line."""
+        `#` starts a comment.  The values hold at most MAX_TERMS terms in
+        all.  Every error names its line."""
         assignments = {}
+        terms = 0
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split('#', 1)[0].strip()
             if not line:
@@ -539,7 +542,11 @@ class CochainSpec:
                 else:
                     raise ValueError(f"unknown left-hand side {lhs!r}")
                 _check_assignable(key, r)
-                assignments[key] = parse_poly(rhs)
+                assignments[key] = value = parse_poly(rhs)
+                terms += len(value.terms)
+                if terms > MAX_TERMS:
+                    raise ValueError(f"the values hold more than {MAX_TERMS} "
+                                     f"terms in all")
             except ValueError as exc:
                 raise PolyParseError(f"line {lineno}: {exc}") from None
         return CochainSpec(r, assignments)

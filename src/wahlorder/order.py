@@ -387,11 +387,17 @@ def fiber_zero_report(order: OrderTable) -> FiberZeroReport:
 
 @dataclass
 class InfinityReport:
-    degree_bounds_ok: bool
     violations: list
     table: AlgebraTable | None
-    matches_negated: bool
     signs: list | None
+
+    @property
+    def degree_bounds_ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def matches_negated(self) -> bool:
+        return self.signs is not None
 
 
 def infinity_fiber(order: OrderTable) -> InfinityReport:
@@ -420,12 +426,11 @@ def infinity_fiber(order: OrderTable) -> InfinityReport:
                 continue
             newcell[k] = poly.terms.get(((T, bound),), 0)
     if violations:
-        return InfinityReport(False, violations, None, False, None)
+        return InfinityReport(violations, None, None)
     limit = AlgebraTable(r, products)
     neg = [(-k) % r for k in range(r)]
     target = kk_table(order.params).relabel(neg)
-    signs = diagonal_sign_match(limit, target)
-    return InfinityReport(True, [], limit, signs is not None, signs)
+    return InfinityReport([], limit, diagonal_sign_match(limit, target))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +458,13 @@ def wahl_cochain(n: int, q: int) -> CochainSpec:
 
 @dataclass
 class CrossCheckReport:
-    matched: bool
-    identical: bool
     first_mismatch: tuple | None
+
+    @property
+    def matched(self) -> bool:
+        return self.first_mismatch is None
+
+    identical = matched  # the benchmark reads both names
 
 
 def cross_check(n: int, q: int) -> CrossCheckReport:
@@ -468,11 +477,10 @@ def cross_check(n: int, q: int) -> CrossCheckReport:
     left = constants_table(order)
     right = deformed_table(order.params, wahl_cochain(n, q))
     if left == right:
-        return CrossCheckReport(True, True, None)
+        return CrossCheckReport(None)
     key = min(k for k in left.products.keys() | right.products.keys()
               if left.product(*k) != right.product(*k))
-    return CrossCheckReport(False, False,
-                            (key, left.product(*key), right.product(*key)))
+    return CrossCheckReport((key, left.product(*key), right.product(*key)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ degree first; _from_uni wraps a finished list as a Poly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 import re
 
 Var = tuple  # (kind, index)
@@ -126,8 +127,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- queries -----------------------------------------------------------
@@ -254,12 +256,37 @@ _TOKEN = re.compile(r'\s*(?:(\d+)|([st])(?:_(\d+))?|(a)_(\d+)|([()+\-^*]))')
 # each level costs three frames, well inside Python's recursion limit
 MAX_NESTING = 100
 
+# most terms parse_poly lets a product or a power form, counted before it is
+# formed: x*y holds at most len(x) * len(y) terms and p^k at most
+# C(n + k - 1, k), n the terms of p.  An exponent is held to the same number,
+# so a one-term power cannot grow its coefficient without end.
+# CochainSpec.parse holds the values of a spec to MAX_TERMS terms in all.
+# Set so that the slowest spec measured stays under about 5 s in
+# `deform --r 64 --table --spec`, run as a fresh process on 2 CPUs with
+# Python 3.11.7; a = 1 is the slowest a, and the values are chosen so that
+# products of their terms rarely share a monomial:
+#   every t_i = t_i (63 terms)                                   0.8-1.0 s
+#   t_32 a 66-term value, every other t_i free (128 terms)       3.2 s
+#   4, 8 or 16 central values sharing 65-68 terms, the rest free 2.8-3.4 s
+#   63 values of 2 terms (126 terms)                             2.8 s
+#   s a 65-term value, every t_i free (128 terms)                1.7 s
+#   a = 63, where such specs are flat, --format json (8 MB)      2.5-2.7 s
+# The 630-term spec of 63 values (t_i + t_(i+1) + 1)^3 takes 29 s.
+MAX_TERMS = 128
+
+
+def _refuse_over(count: int, what: str):
+    if count > MAX_TERMS:
+        raise PolyParseError(f'{what} could hold more than {MAX_TERMS} terms')
+
 
 def parse_poly(text: str) -> Poly:
     """Parse the display style: 't^2 a_8 + t a_5', 't_1 t_14 + s', '-(s + 2)^2'.
 
     Braces as in 't^{2} a_{8}' are accepted and ignored.  A sign applies to
     the factor right after it, so '-s^2' is -(s^2) and '2*-t' is -2 t.
+    A product or power that could hold more than MAX_TERMS terms, and an
+    exponent over MAX_TERMS, are refused before anything is multiplied.
     """
     text = text.replace('{', '').replace('}', '')
     tokens = []
@@ -309,11 +336,11 @@ def parse_poly(text: str) -> Poly:
             kind, val = peek()
             if kind == 'op' and val == '*':
                 ix += 1
-                result = result * factor()
-            elif kind in ('int', 'var') or (kind == 'op' and val == '('):
-                result = result * factor()
-            else:
+            elif not (kind in ('int', 'var') or (kind == 'op' and val == '(')):
                 return result
+            rhs = factor()
+            _refuse_over(len(result.terms) * len(rhs.terms), 'a product')
+            result = result * rhs
 
     def factor():
         nonlocal ix
@@ -344,6 +371,10 @@ def parse_poly(text: str) -> Poly:
             if k2 != 'int':
                 raise PolyParseError('exponent must be an integer')
             ix += 1
+            if v2 > MAX_TERMS:
+                raise PolyParseError(f'exponent {v2} is over {MAX_TERMS}')
+            n = len(base.terms)
+            _refuse_over(comb(n + v2 - 1, v2) if n > 1 else n, 'a power')
             base = base ** v2
         return -base if negate else base
 

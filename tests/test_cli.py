@@ -248,6 +248,44 @@ def test_deeply_nested_spec_exits_2_without_a_traceback(tmp_path):
                            '100 levels\n')
 
 
+@pytest.mark.parametrize('values,message', [
+    ([f't_{i} = (t_{i} + t_{i + 1} + 1)^3' for i in range(1, 63)]
+     + ['t_63 = (t_63 + t_1 + 1)^3'],
+     'line 13: the values hold more than 128 terms in all'),
+    (['t_1 = (t_1 + t_2 + 1)^100'],
+     'line 1: a power could hold more than 128 terms'),
+], ids=['630-terms', 'power-100'])
+def test_a_spec_over_the_term_budget_exits_2_at_once(tmp_path, values, message):
+    spec = tmp_path / 'big.spec'
+    spec.write_text('\n'.join(values) + '\n')
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, '-m', 'wahlorder', 'deform',
+                           '--r', '64', '--a', '1', '--table', '--spec', str(spec)],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ''
+    assert proc.stderr == f'error: {message}\n'
+
+
+@pytest.mark.parametrize('argv,message', [
+    (['--suite', 'cross', '--max-r', '5'], 'the cross suite does not read max_r'),
+    (['--suite', 'order', '--max-r', '5'], 'the order suite does not read max_r'),
+    (['--suite', 'kk', '--max-n', '3'], 'the kk suite does not read max_n'),
+], ids=['cross-max-r', 'order-max-r', 'kk-max-n'])
+def test_verify_refuses_a_bound_its_suite_does_not_read(argv, message,
+                                                        monkeypatch, capsys):
+    def must_not_run(**bounds):
+        raise AssertionError('ran a suite for a refused call')
+
+    for name, (_, axes) in verify_mod.SUITES.items():
+        monkeypatch.setitem(verify_mod.SUITES, name, (must_not_run, axes))
+    assert main(['verify', *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == f'error: {message}\n'
+
+
 def test_main_entry_in_process(capsys):
     rc = main(['gauss', '--r', '5', '--a', '1'])
     assert rc == 0

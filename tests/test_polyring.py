@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
-                                format_poly, PolyParseError, MAX_NESTING)
+                                format_poly, PolyParseError, MAX_NESTING,
+                                MAX_TERMS)
 from bareiss_oracle import (solve_in_span, solve_in_span_many, is_polynomial,
                             RationalCoord, DeficientBasisError, OutOfSpanError,
                             _udivides)
@@ -152,6 +153,26 @@ def test_parenthesis_nesting_is_bounded():
         with pytest.raises(PolyParseError, match=f'^parentheses nested deeper '
                            f'than {MAX_NESTING} levels$'):
             parse_poly('(' * pairs + 't_1' + ')' * pairs)
+
+
+def test_products_and_powers_are_bounded_before_they_are_formed():
+    t1, t2 = Poly.var(tsub(1)), Poly.var(tsub(2))
+    twelve = ' + '.join(f't_{i}' for i in range(1, 13))
+    assert parse_poly(f't_1^{MAX_TERMS}') == Poly.var(tsub(1), MAX_TERMS)
+    one = Poly.const(1)
+    assert parse_poly(f'(t_1 + 1)^{MAX_TERMS - 1}') == (t1 + one) ** (MAX_TERMS - 1)
+    assert parse_poly('(t_1 + t_2 + 1)^14') == (t1 + t2 + one) ** 14  # 120 terms
+    for text, what in ((f'(t_1 + 1)^{MAX_TERMS}', 'a power'),
+                       ('(t_1 + t_2 + 1)^15', 'a power'),
+                       ('(t_1 + t_2 + 1)^100', 'a power'),
+                       (f'({twelve})({twelve})', 'a product'),
+                       (f'({twelve}) * ({twelve})', 'a product')):
+        with pytest.raises(PolyParseError, match=f'^{what} could hold more '
+                           f'than {MAX_TERMS} terms$'):
+            parse_poly(text)
+    for text in (f't_1^{MAX_TERMS + 1}', f'2^{10 ** 12}'):
+        with pytest.raises(PolyParseError, match=f'^exponent .* is over {MAX_TERMS}$'):
+            parse_poly(text)
 
 
 def _mat(entries):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -11,27 +12,36 @@ import wahlorder.order as order_mod
 import wahlorder.verify as verify_mod
 from wahlorder.kkalg import AlgebraTable
 from wahlorder.resarith import SingularityParams
-from wahlorder.verify import CheckFailed, VerifyReport, _require, _timed, suite_order
+from wahlorder.verify import CheckFailed, VerifyReport, _require, suite_order
 
 
-def test_timed_records_any_exception_as_fail():
+def test_check_records_a_block_and_passes_unless_it_raises():
     report = VerifyReport('x')
-
-    def boom():
+    with report.check('error'):
         raise ZeroDivisionError('division by zero')
-
-    def failing():
+    with report.check('assertion'):
         raise AssertionError('identity fails')
-
-    _timed(report, 'error', boom)
-    _timed(report, 'assertion', failing)
-    _timed(report, 'fine', lambda: None)
+    with report.check('fine'):
+        pass
+    with report.check('require'):
+        _require(1 + 1 == 3, 'arithmetic')
+    with report.check('detail', 'identical'):
+        pass
+    with report.check('failing', 'identical'):
+        _require(False, 'broken')
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [
         ('error', False, 'ZeroDivisionError: division by zero'),
         ('assertion', False, 'identity fails'),
         ('fine', True, ''),
+        ('require', False, 'arithmetic'),
+        ('detail', True, 'identical'),
+        ('failing', False, 'broken'),
     ]
     assert not report.passed
+    with pytest.raises(KeyboardInterrupt):
+        with report.check('interrupted'):
+            raise KeyboardInterrupt
+    assert len(report.checks) == 6
 
 
 def test_solver_error_fails_one_check_not_the_suite(monkeypatch):
@@ -65,22 +75,9 @@ def test_run_suite_rejects_an_unknown_bound():
         verify_mod.run_suite('cross', max_m=2)
 
 
-def test_timed_passes_only_on_none():
-    report = VerifyReport('x')
-    _timed(report, 'str', lambda: 'ok')
-    _timed(report, 'true', lambda: True)
-    _timed(report, 'pair', lambda: (True, 'identical'))
-    _timed(report, 'require', lambda: _require(1 + 1 == 3, 'arithmetic'))
-    _timed(report, 'none', lambda: None, 'identical')
-    _timed(report, 'failing', lambda: _require(False, 'broken'), 'identical')
-    assert [(c.name, c.passed) for c in report.checks] == [
-        ('str', False), ('true', False), ('pair', False), ('require', False),
-        ('none', True), ('failing', False)]
-    assert report.checks[2].detail == (
-        "TypeError: check returned (True, 'identical'), not None")
-    assert report.checks[3].detail == 'arithmetic'
-    assert report.checks[4].detail == 'identical'
-    assert report.checks[5].detail == 'broken'
+def test_each_suite_takes_the_bounds_it_is_listed_with():
+    for name, (suite, axes) in verify_mod.SUITES.items():
+        assert tuple(inspect.signature(suite).parameters) == axes, name
 
 
 def test_require_raises_check_failed():
