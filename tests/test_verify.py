@@ -15,7 +15,8 @@ from wahlorder.resarith import SingularityParams
 from wahlorder.verify import CheckFailed, VerifyReport, _require, suite_order
 
 
-def test_check_records_a_block_and_passes_unless_it_raises():
+def test_timed_records_any_exception_as_fail():
+    # report.check times its block and records an exception as a fail
     report = VerifyReport('x')
     with report.check('error'):
         raise ZeroDivisionError('division by zero')
@@ -23,6 +24,21 @@ def test_check_records_a_block_and_passes_unless_it_raises():
         raise AssertionError('identity fails')
     with report.check('fine'):
         pass
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ('error', False, 'ZeroDivisionError: division by zero'),
+        ('assertion', False, 'identity fails'),
+        ('fine', True, ''),
+    ]
+    assert not report.passed
+    with pytest.raises(KeyboardInterrupt):
+        with report.check('interrupted'):
+            raise KeyboardInterrupt
+    assert len(report.checks) == 3
+
+
+def test_timed_passes_only_on_none():
+    # a block passes, with its detail, only when it raises nothing
+    report = VerifyReport('x')
     with report.check('require'):
         _require(1 + 1 == 3, 'arithmetic')
     with report.check('detail', 'identical'):
@@ -30,18 +46,11 @@ def test_check_records_a_block_and_passes_unless_it_raises():
     with report.check('failing', 'identical'):
         _require(False, 'broken')
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [
-        ('error', False, 'ZeroDivisionError: division by zero'),
-        ('assertion', False, 'identity fails'),
-        ('fine', True, ''),
         ('require', False, 'arithmetic'),
         ('detail', True, 'identical'),
         ('failing', False, 'broken'),
     ]
-    assert not report.passed
-    with pytest.raises(KeyboardInterrupt):
-        with report.check('interrupted'):
-            raise KeyboardInterrupt
-    assert len(report.checks) == 6
+    assert all(c.elapsed >= 0 for c in report.checks)
 
 
 def test_solver_error_fails_one_check_not_the_suite(monkeypatch):
