@@ -49,14 +49,14 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.9-1.3 s, 89 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 40: --suite kk                  3.8-4.6 s, 18 MB (r = 42: 4.7-5.4 s)
+#   verify  --max-r 40: --suite kk                  1.5-2.6 s, 19 MB (r = 42: 2.3-2.4 s)
 #           --max-n 7:  --suite deform              4.2 s,  32 MB (order 1.5 s,
 #                                                   cross 1.0 s)
 #           --max-n 8:  --suite deform              4.7 s,  37 MB (order 3.1 s,
 #                                                   cross 1.5 s): near budget
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (7.0-9.2 s at the default
+# --suite all runs the suites one after another (3.7-4.6 s at the default
 # bounds, six runs on a noisy host).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000

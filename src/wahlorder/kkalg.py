@@ -48,34 +48,100 @@ class AlgebraTable:
                     return False
         return True
 
+    def generating_rows(self) -> list:
+        """The ascending rows G that associator_violation reads.
+
+        Indices are taken in ascending order: one not yet reached joins G
+        and is reached, and then, until nothing changes, a product w_x w_y
+        of two reached indices whose cell has exactly one nonzero output k
+        not yet reached reaches k.  A counter per cell of its factors and
+        outputs not yet reached finds every such k, whatever the order in
+        which reached indices are visited.  If a product of two basis
+        indices has a nonzero output outside range(dim), the span of the
+        basis is not closed and G is every index.
+        """
+        d = self.dim
+        span = range(d)
+        watchers = [[] for _ in span]
+        for (j, i), cell in self.products.items():
+            if j not in span or i not in span:
+                continue
+            members = {j, i}
+            for k, c in cell.items():
+                if c:
+                    if k not in span:
+                        return list(span)
+                    members.add(k)
+            clause = [len(members), members, (j, i)]
+            for u in members:
+                watchers[u].append(clause)
+        reached = [False] * d
+        rows = []
+        for g in span:
+            if reached[g]:
+                continue
+            rows.append(g)
+            reached[g] = True
+            stack = [g]
+            while stack:
+                # a clause counts its members not yet taken off the stack;
+                # at 1, the one member not reached, if it is an output, is
+                # reached
+                for clause in watchers[stack.pop()]:
+                    clause[0] -= 1
+                    if clause[0] == 1:
+                        k = next((k for k in clause[1] if not reached[k]), None)
+                        if k is not None and k not in clause[2]:
+                            reached[k] = True
+                            stack.append(k)
+        return rows
+
     def associator_violation(self):
         """First triple (k, j, i) with (w_k w_j) w_i != w_k (w_j w_i), or None.
 
-        Triples are taken in lexicographic order with k, j, i in range(dim),
-        so the answer is the least (k, j) with a failing i, completed by the
-        least such i.  The stored products are indexed once by row,
-        m -> [(i, cell)] for the i in range(dim); m itself may lie outside
-        range(dim), as an output index of a cell may.  For each (k, j) both
-        sides are then formed for every i at once: (w_k w_j) w_i sums
+        Triples are ordered lexicographically with k, j, i in range(dim),
+        and the answer is that of the triple-by-triple definition, although
+        only the rows k in generating_rows() are read:
+
+        - The left nucleus N = {x : (x, y, z) = 0 for all y, z} is a
+          subspace closed under products, by the Teichmueller identity
+          (wx, y, z) - (w, xy, z) + (w, x, yz) = w(x, y, z) + (w, x, y)z,
+          which holds in any bilinear algebra (Schafer, An Introduction to
+          Nonassociative Algebras, ch. II).  A reached k has c w_k =
+          w_x w_y minus the other terms of that cell, c != 0 in the field
+          of fractions of the coefficients (ints, Fractions or Poly over
+          Z), whose outputs are reached.  So if every w_g with g in G lies in N, so does every
+          reached w_k, and the table is associative.
+        - If some row fails, the least failing row k is in G, so no rerun
+          is needed to name the least triple.  Were k not in G, it would
+          have been reached from the last member g of G taken before it,
+          and k > g, as g was the least index not reached when it was
+          taken; so w_k would be derived from the members of G up to g,
+          all below k and so passing, and would lie in N.  The first
+          failing row in G is the least failing row, and the row loop
+          completes it to the least failing triple.
+
+        The stored products are indexed once by row, m -> [(i, cell)] for
+        the i in range(dim); m itself may lie outside range(dim), as an
+        output index of a cell may.  For each k in G and each j, both sides
+        are then formed for every i at once: (w_k w_j) w_i sums
         c * row_m over the entries m: c of the cell (k, j), and w_k (w_j w_i)
         pushes each cell (j, i) of row_j through the products (k, m).  Only
         products that can make a side nonzero are read.  Each coefficient is
-        compared with zero coefficients dropped, so the answer is that of the
-        triple-by-triple definition.
+        compared with zero coefficients dropped.
 
         Poly coefficients are first replaced by exact integer codes
         (_integer_coded), so the loop only ever multiplies ints or Fractions;
         a table without a Poly is read as it is.
         """
-        d = self.dim
-        span = range(d)
+        span = range(self.dim)
         products = _integer_coded(self.products)
         get = products.get
         rows = {}
         for (m, i), cell in products.items():
             if i in span:
                 rows.setdefault(m, []).append((i, cell))
-        for k in span:
+        for k in self.generating_rows():
             for j in span:
                 left, right = {}, {}
                 for m, c in get((k, j), {}).items():
@@ -224,10 +290,10 @@ def kk_product_rect(params: SingularityParams, j: int, i: int):
 def kk_table(params: SingularityParams) -> AlgebraTable:
     """R_{r,a} by the gap rule, row by row.
 
-    m(j) is computed once per row j, and w_j w_i = w_{j+i} is stored for
-    i < m(j) (m(0) = r; every other m(j) is below r).  Keys come out in the
-    order (j, i) ascending, the order in which kk_product_closed over all
-    pairs would give them.
+    m(j) is read once per row j off params.gaps, and w_j w_i = w_{j+i} is
+    stored for i < m(j) (m(0) = r; every other m(j) is below r).  Keys come
+    out in the order (j, i) ascending, the order in which kk_product_closed
+    over all pairs would give them.
     """
     r = params.r
     products = {}
@@ -278,12 +344,10 @@ class YoungDiagram:
     column_heights: list = field(init=False)
 
     def __post_init__(self):
-        r, b = self.params.r, self.params.b
-        self.column_heights = heights = [r]
-        cur = r
-        for u in range(1, r):
-            cur = min(cur, b * u % r)
-            heights.append(min(cur, r))
+        # the lowest orange point with u >= 1 in column u is at [b*u] >= 1,
+        # so column x is as high as the least of them over u = 1..x: the
+        # gap table
+        self.column_heights = list(self.params.gaps)
 
     def contains(self, x: int, y: int) -> bool:
         r = self.params.r

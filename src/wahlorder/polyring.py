@@ -122,15 +122,15 @@ class Poly:
     def __pow__(self, n: int) -> 'Poly':
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
+        result = None  # 1, left out of the first product
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return Poly.const(1) if result is None else result
 
     # -- queries -----------------------------------------------------------
 
@@ -160,17 +160,32 @@ class Poly:
     # -- substitution / evaluation ------------------------------------------
 
     def substitute(self, sub: dict) -> 'Poly':
-        """Simultaneous substitution; unmapped variables pass through."""
-        out = Poly()
+        """Simultaneous substitution; unmapped variables pass through.
+
+        Each power img^e of a mapped variable is formed once per call.  A
+        term is its coefficient times its unmapped variables times those
+        powers, and the terms are summed into one dict, a monomial that
+        cancels leaving it, so they come out in the order that summing the
+        terms one by one with + gives.
+        """
+        powers = {}
+        out = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v, e in m:
-                img = sub.get(v)
-                if img is None:
-                    img = Poly.var(v)
-                term = term * img ** e
-            out = out + term
-        return out
+            term = Poly.from_nonzero(
+                {tuple(ve for ve in m if ve[0] not in sub): c})
+            for ve in m:
+                if ve[0] in sub:
+                    power = powers.get(ve)
+                    if power is None:
+                        power = powers[ve] = sub[ve[0]] ** ve[1]
+                    term = term * power
+            for m2, c2 in term.terms.items():
+                c2 += out.get(m2, 0)
+                if c2:
+                    out[m2] = c2
+                else:
+                    del out[m2]
+        return Poly.from_nonzero(out)
 
     def eval_at(self, point: dict) -> Fraction:
         """Exact rational evaluation; every variable must be assigned.

@@ -54,6 +54,16 @@ class SingularityParams:
         # the dataclass fields, so ==, hash and repr see only (r, a)
         return inverse_mod(self.a, self.r)
 
+    @cached_property
+    def gaps(self) -> tuple:
+        """Prefix minima of [k*b]: entry L is min of [k*b] over k = 1..L for
+        0 < L < r, and entry 0 is r.  Kept like b, outside the fields."""
+        r, b = self.r, self.b
+        out = [r]
+        for k in range(1, r):
+            out.append(min(out[-1], k * b % r))
+        return tuple(out)
+
     def __str__(self):
         return f"1/{self.r}({1},{self.a})"
 
@@ -98,15 +108,10 @@ def is_orange(p: LatticePoint, params: SingularityParams) -> bool:
 def m_of(j: int, params: SingularityParams) -> int:
     """Gap function: min of [k*b] over k = 1..[-a*j] for j != 0, and r for j = 0.
 
-    The product w_j * w_i is nonzero exactly when m(j) > [i].
+    The product w_j * w_i is nonzero exactly when m(j) > [i].  Reads one
+    entry of params.gaps.
     """
-    r = params.r
-    j %= r
-    if j == 0:
-        return r
-    lim = -params.a * j % r
-    b = params.b
-    return min(k * b % r for k in range(1, lim + 1))
+    return params.gaps[-params.a * j % params.r]
 
 
 def hj_fraction(r: int, d: int) -> list[int]:

@@ -1,5 +1,12 @@
+import inspect
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
+
+import wahlorder
 
 from wahlorder.resarith import SingularityParams, is_orange
 from wahlorder.polyring import Poly, S, T, tsub
@@ -150,6 +157,16 @@ def test_young_diagram_families():
     assert d.column_heights == [7, 6, 5, 4, 3, 2, 1]
 
 
+def _column_heights_by_definition(params):
+    """Column x holds the boxes (x, y), 0 <= y < r, with no orange point
+    (u, v), 1 <= u <= x and 1 <= v <= y."""
+    r = params.r
+    return [sum(all(not is_orange((u, v), params)
+                    for u in range(1, x + 1) for v in range(1, y + 1))
+                for y in range(r))
+            for x in range(r)]
+
+
 def test_young_diagram_rule_matches_closed_many():
     for r in range(2, 21):
         for a in range(1, r):
@@ -160,6 +177,8 @@ def test_young_diagram_rule_matches_closed_many():
             for j in range(r):
                 for i in range(r):
                     assert d.product(j, i) == kk_product_closed(p, j, i)
+            assert d.column_heights == _column_heights_by_definition(p)
+            assert d.column_heights == list(p.gaps)
 
 
 def test_gauss_word():
@@ -410,3 +429,131 @@ def test_is_unital():
     t = kk_table(SingularityParams(5, 2))
     del t.products[(0, 4)]
     assert not t.is_unital()
+
+
+# ---------------------------------------------------------------------------
+# the rows associator_violation reads
+# ---------------------------------------------------------------------------
+
+def _generating_rows_by_passes(table):
+    """Reference for generating_rows: the first index not reached joins G,
+    then whole passes over the cells, each reaching the one nonzero output
+    not yet reached of a cell whose factors are reached, until a pass
+    reaches nothing."""
+    d = table.dim
+    cells = [((j, i), [k for k, c in cell.items() if c])
+             for (j, i), cell in table.products.items()
+             if 0 <= j < d and 0 <= i < d]
+    if any(not 0 <= k < d for _, outs in cells for k in outs):
+        return list(range(d))
+    reached, rows = set(), []
+    for g in range(d):
+        if g in reached:
+            continue
+        rows.append(g)
+        reached.add(g)
+        grew = True
+        while grew:
+            grew = False
+            for (j, i), outs in cells:
+                new = [k for k in outs if k not in reached]
+                if j in reached and i in reached and len(new) == 1:
+                    reached.add(new[0])
+                    grew = True
+    return rows
+
+
+def _order_table(n, q):
+    return AlgebraTable(n * n, {key: dict(cell) for key, cell in
+                                structure_constants(build_order(n, q)).items()})
+
+
+def _random_closed_table(rng):
+    d = rng.randint(1, 5)
+    products = {(0, x): {x: 1} for x in range(d)} if rng.random() < 0.5 else {}
+    for j in range(d):
+        for i in range(d):
+            if rng.random() < 0.4:
+                products[(j, i)] = {rng.randrange(d): rng.choice((1, -1, 2))
+                                    for _ in range(rng.randint(1, 2))}
+    return AlgebraTable(d, products)
+
+
+def test_generating_rows_match_the_pass_by_pass_reading():
+    rng = random.Random(29)
+    tables = [kk_table(p) for p in coprime_params(24)]
+    tables += [_order_table(n, q) for n, q in ((2, 1), (3, 1), (3, 2),
+                                               (4, 1), (4, 3))]
+    tables += [_first_component_table(r) for r in range(3, 9)]
+    tables += [_random_closed_table(rng) for _ in range(300)]
+    for table in tables:
+        assert table.generating_rows() == _generating_rows_by_passes(table)
+    # an output outside the basis leaves every row to be read
+    table = AlgebraTable(3, {(0, 0): {0: 1}, (1, 1): {3: 1}})
+    assert table.generating_rows() == [0, 1, 2]
+
+
+def test_generating_rows_stay_few():
+    # a silent fall back to every row would pass every associativity test
+    for r in range(2, 25):
+        assert kk_table(SingularityParams(r, r - 1)).generating_rows() == [0, 1]
+    for n, q in ((3, 1), (3, 2), (4, 1), (4, 3)):
+        assert len(_order_table(n, q).generating_rows()) < n * n
+
+
+def test_least_failing_row_is_a_generating_row():
+    """The lemma behind reading only the rows in G: the dense oracle's
+    least failing k is in G, on mutants of each kind of table and on small
+    random tables closed in their basis."""
+    rng = random.Random(41)
+    bases = [kk_table(p) for p in coprime_params(10)]
+    bases += [_order_table(n, q) for n, q in ((2, 1), (3, 1), (3, 2))]
+    bases += [_first_component_table(r) for r in range(3, 7)]
+    tables = []
+    for n in range(240):
+        table = rng.choice(bases)
+        mutant = AlgebraTable(table.dim, table.products)
+        j, i = rng.randrange(table.dim), rng.randrange(table.dim)
+        cell = dict(table.product(j, i))
+        k = rng.randrange(table.dim)
+        # a coefficient of the table times 1, -1 or 2
+        c = rng.choice(sorted({c for cell in table.products.values()
+                               for c in cell.values()}, key=str))
+        s = rng.choice((1, -1, 2))
+        c = c * (Poly.const(s) if isinstance(c, Poly) else s)
+        mutant.products[(j, i)] = {**cell, k: c} if n % 2 else {k: c}
+        tables.append(mutant)
+    tables += [_random_closed_table(rng) for _ in range(300)]
+    failing = 0
+    for table in tables:
+        want = dense_associator_violation(table)
+        if want is not None:
+            failing += 1
+            assert want[0] in table.generating_rows(), table.products
+        assert table.associator_violation() == want
+    assert failing > 200
+
+
+_ASSOC_SABOTAGE = """
+import sys
+from wahlorder.kkalg import kk_table
+from wahlorder.resarith import SingularityParams
+{oracle}
+table = kk_table(SingularityParams(16, 3))
+table.products[(10, 3)] = {{13: -1}}
+want = dense_associator_violation(table)
+sys.exit(0 if want is not None and table.associator_violation() == want else 1)
+"""
+
+
+def test_a_corrupt_cell_outside_the_read_rows_fails_under_python_O():
+    # w_10 w_3 = -w_13 breaks (w_5 w_5) w_3 = w_5 (w_5 w_3); row 10 is not
+    # read, row 5 is, and the check must hold with asserts compiled out
+    assert kk_table(SingularityParams(16, 3)).generating_rows() == [0, 1, 2, 3, 4, 5]
+    src = Path(wahlorder.__file__).resolve().parents[1]
+    script = _ASSOC_SABOTAGE.format(
+        oracle=inspect.getsource(dense_associator_violation))
+    proc = subprocess.run([sys.executable, '-O', '-c', script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,17 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@settings(max_examples=40)
+@given(polys(), st.integers(0, 5))
+def test_power_is_the_repeated_product(p, n):
+    want = Poly.const(1)
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+    if n <= 2:  # one product or none: the same terms in the same order
+        assert list((p ** n).terms.items()) == list(want.terms.items())
 
 
 @settings(max_examples=40)
@@ -329,3 +341,37 @@ def test_solve_in_span_random_vs_fraction_oracle():
 ])
 def test_udivides(q, p, want):
     assert _udivides(q, p) == want
+
+
+def _substitute_by_sums(p, sub):
+    """Reference for Poly.substitute: each term's image, img ** e per
+    variable, the terms summed with +."""
+    out = Poly()
+    for m, c in p.terms.items():
+        term = Poly.const(c)
+        for v, e in m:
+            img = sub.get(v)
+            term = term * (Poly.var(v) if img is None else img) ** e
+        out = out + term
+    return out
+
+
+def test_substitute_matches_the_term_by_term_sum():
+    rng = random.Random(13)
+
+    def rand_poly(nterms, max_exp):
+        p = Poly.zero()
+        for _ in range(nterms):
+            term = Poly.const(rng.choice((1, -1, 2, -3)))
+            for v in rng.sample(VARS, rng.randint(0, 3)):
+                term = term * Poly.var(v, rng.randint(1, max_exp))
+            p = p + term
+        return p
+
+    for _ in range(300):
+        p = rand_poly(rng.randint(0, 8), 3)
+        sub = {v: rand_poly(rng.randint(0, 3), 2)
+               for v in rng.sample(VARS, rng.randint(0, 4))}
+        got, want = p.substitute(sub), _substitute_by_sums(p, sub)
+        # the same terms, in the same order
+        assert list(got.terms.items()) == list(want.terms.items())

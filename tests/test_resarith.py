@@ -1,5 +1,6 @@
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,34 @@ def test_m_of_bounds():
             assert 1 <= m_of(j, p)
             if -a * j % r >= 1:
                 assert m_of(j, p) <= p.b % r
+
+
+def _m_by_definition(j, p):
+    """The gap function as defined: min of [k*b] over k = 1..[-a*j], and r
+    at j = 0, in O(r)."""
+    r = p.r
+    if j % r == 0:
+        return r
+    return min(k * p.b % r for k in range(1, -p.a * j % r + 1))
+
+
+def test_gaps_and_m_of_match_the_definition():
+    for r in range(2, 41):
+        for a in range(1, r):
+            if gcd(a, r) != 1:
+                continue
+            p = SingularityParams(r, a)
+            assert p.gaps[0] == r and len(p.gaps) == r
+            for L in range(1, r):
+                assert p.gaps[L] == min(k * p.b % r for k in range(1, L + 1))
+            for j in range(-r, 2 * r):
+                assert m_of(j, p) == _m_by_definition(j, p), (r, a, j)
+    # reading gaps changes neither ==, hash nor repr
+    p, fresh = SingularityParams(16, 3), SingularityParams(16, 3)
+    assert p.gaps == (16, 11, 6, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) == 'SingularityParams(r=16, a=3)'
+    assert [f.name for f in fields(p)] == ['r', 'a']
 
 
 def test_hj_fraction_examples():
