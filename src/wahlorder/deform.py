@@ -34,7 +34,7 @@ from itertools import chain
 
 from .resarith import SingularityParams
 from .polyring import (Poly, S, tsub, format_poly, parse_poly, PolyParseError,
-                       MAX_TERMS)
+                       MAX_TERMS, MAX_BITS)
 from .kkalg import AlgebraTable, gauss_word
 
 # coefficients c0 + c1 s as pairs (c0, c1)
@@ -494,7 +494,7 @@ class SpecNotFlatError(ValueError):
 
 def _check_assignable(v, r: int):
     """Refuse a variable a spec at r may not assign: all but s and t_i, 0 < i < r."""
-    if v != S and not (v[0] == 'ts' and 0 < v[1] < r):
+    if v != S and not (v == tsub(v[1]) and 0 < v[1] < r):
         raise ValueError(f"cochain spec for r = {r} assigns "
                          f"{format_poly(Poly.var(v))}")
 
@@ -519,10 +519,10 @@ class CochainSpec:
     @staticmethod
     def parse(text: str, r: int) -> 'CochainSpec':
         """One assignment per line: `t_<i> = <poly>` or `s = <poly>`;
-        `#` starts a comment.  The values hold at most MAX_TERMS terms in
-        all.  Every error names its line."""
+        `#` starts a comment.  The values hold at most MAX_TERMS terms and
+        MAX_BITS bits of coefficients in all.  Every error names its line."""
         assignments = {}
-        terms = 0
+        terms = bits = 0
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split('#', 1)[0].strip()
             if not line:
@@ -547,6 +547,10 @@ class CochainSpec:
                 if terms > MAX_TERMS:
                     raise ValueError(f"the values hold more than {MAX_TERMS} "
                                      f"terms in all")
+                bits += sum(c.bit_length() for c in value.terms.values())
+                if bits > MAX_BITS:
+                    raise ValueError(f"the values hold more than {MAX_BITS} "
+                                     f"bits of coefficients in all")
             except ValueError as exc:
                 raise PolyParseError(f"line {lineno}: {exc}") from None
         return CochainSpec(r, assignments)

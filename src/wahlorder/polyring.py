@@ -1,15 +1,16 @@
 """Exact sparse polynomials over Z: arithmetic, substitution, evaluation,
 printing and parsing.
 
-Variables are tagged tuples:
+A variable is an int pair (kind, index), the kinds numbered in print order:
 
-    S         = ('s', 0)    deformation / divisor parameter
-    T         = ('t', 0)    one-parameter smoothing coordinate
-    tsub(i)   = ('ts', i)   cochain coefficient t_i
-    acoef(k)  = ('a', k)    symbolic order coefficient a_k
+    S         = (0, 0)    s, deformation / divisor parameter
+    T         = (1, 0)    t, one-parameter smoothing coordinate
+    tsub(i)   = (2, i)    t_i, cochain coefficient
+    acoef(k)  = (3, k)    a_k, symbolic order coefficient
 
-A Poly is a canonical map {monomial: nonzero int}; a monomial is a tuple of
-((var, exp), ...) pairs sorted by the fixed variable order s < t < t_i < a_k.
+so tuple order is the variable order s < t < t_i < a_k.  A Poly is a
+canonical map {monomial: nonzero int}; a monomial is a tuple of
+((var, exp), ...) pairs sorted as tuples, that is by variable.
 Printing uses graded-lex descending order so output is byte-stable, and the
 printer/parser round-trip on the style "t^2 a_8 + t a_5".
 
@@ -25,33 +26,23 @@ import re
 
 Var = tuple  # (kind, index)
 
-S: Var = ('s', 0)
-T: Var = ('t', 0)
-
-_KIND_ORDER = {'s': 0, 't': 1, 'ts': 2, 'a': 3}
+S: Var = (0, 0)
+T: Var = (1, 0)
 
 
 def tsub(i: int) -> Var:
-    return ('ts', i)
+    return (2, i)
 
 
 def acoef(k: int) -> Var:
-    return ('a', k)
+    return (3, k)
 
 
-def _var_key(v: Var):
-    return (_KIND_ORDER[v[0]], v[1])
+_NAMES = ('s', 't', 't_{}', 'a_{}')
 
 
 def _var_str(v: Var) -> str:
-    kind, idx = v
-    if kind == 's':
-        return 's'
-    if kind == 't':
-        return 't'
-    if kind == 'ts':
-        return f't_{idx}'
-    return f'a_{idx}'
+    return _NAMES[v[0]].format(v[1])
 
 
 class Poly:
@@ -99,10 +90,10 @@ class Poly:
                 out[m] = c2
             else:
                 out.pop(m, None)
-        return Poly(out)
+        return Poly.from_nonzero(out)
 
     def __neg__(self) -> 'Poly':
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly.from_nonzero({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: 'Poly') -> 'Poly':
         return self + (-other)
@@ -117,7 +108,7 @@ class Poly:
                     out[m] = c
                 else:
                     del out[m]
-        return Poly(out)
+        return Poly.from_nonzero(out)
 
     def __pow__(self, n: int) -> 'Poly':
         if n < 0:
@@ -220,7 +211,7 @@ def _mono_mul(m1, m2):
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+    return tuple(sorted(d.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +222,14 @@ def _mono_sort_key(m):
     # graded-lex, descending: higher total degree first, then larger exponent
     # on the earliest variable (monomials are stored sorted by variable).
     deg = sum(e for _, e in m)
-    return (-deg, tuple((_var_key(v), -e) for v, e in m))
-
-
-def sorted_terms(p: Poly):
-    return sorted(p.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+    return (-deg, tuple((v, -e) for v, e in m))
 
 
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return '0'
     parts = []
-    for m, c in sorted_terms(p):
+    for m, c in sorted(p.terms.items(), key=lambda kv: _mono_sort_key(kv[0])):
         factors = []
         for v, e in m:
             factors.append(_var_str(v) if e == 1 else f'{_var_str(v)}^{e}')
@@ -271,28 +258,46 @@ _TOKEN = re.compile(r'\s*(?:(\d+)|([st])(?:_(\d+))?|(a)_(\d+)|([()+\-^*]))')
 # each level costs three frames, well inside Python's recursion limit
 MAX_NESTING = 100
 
-# most terms parse_poly lets a product or a power form, counted before it is
-# formed: x*y holds at most len(x) * len(y) terms and p^k at most
-# C(n + k - 1, k), n the terms of p.  An exponent is held to the same number,
-# so a one-term power cannot grow its coefficient without end.
-# CochainSpec.parse holds the values of a spec to MAX_TERMS terms in all.
-# Set so that the slowest spec measured stays under about 5 s in
-# `deform --r 64 --table --spec`, run as a fresh process on 2 CPUs with
-# Python 3.11.7; a = 1 is the slowest a, and the values are chosen so that
-# products of their terms rarely share a monomial:
-#   every t_i = t_i (63 terms)                                   0.8-1.0 s
-#   t_32 a 66-term value, every other t_i free (128 terms)       3.2 s
-#   4, 8 or 16 central values sharing 65-68 terms, the rest free 2.8-3.4 s
-#   63 values of 2 terms (126 terms)                             2.8 s
-#   s a 65-term value, every t_i free (128 terms)                1.7 s
-#   a = 63, where such specs are flat, --format json (8 MB)      2.5-2.7 s
-# The 630-term spec of 63 values (t_i + t_(i+1) + 1)^3 takes 29 s.
+# The spec budget, checked before anything is multiplied out.  MAX_TERMS is
+# the most terms parse_poly lets a product or a power form: x*y holds at most
+# len(x) * len(y) terms and p^k at most C(n + k - 1, k), n the terms of p;
+# an exponent is held to the same number.  MAX_BITS is the most bits of one
+# coefficient they may form: none passes the sum of absolute coefficients,
+# and that sum of x*y is at most the product of those of x and y, so a nested
+# power such as ((2^128)^128)^128 is refused unformed.  CochainSpec.parse
+# holds a spec's values to MAX_TERMS terms and MAX_BITS bits (int.bit_length)
+# of coefficients in all.  Set so that the slowest spec measured stays under
+# about 5 s and 200 MB in `deform --r 64 --a 1 --table --spec` (a = 1 is the
+# slowest a), three fresh processes each on 2 CPUs with Python 3.11.7, peak
+# RSS the largest of a row; products of the terms of a value rarely share a
+# monomial:
+#                                          coefficients 1    4096 bits
+#   every t_i = c_i t_i (63 terms)         0.8-0.9 s 109 MB  1.5 s 119 MB
+#   t_32 a 66-term value, other t_i free   2.5-2.9 s 192 MB  2.9-3.0 s 205 MB
+#     the bits over all 128 terms                            3.1-3.4 s 212 MB
+#     3700 of them in one coefficient                        2.7-3.1 s 202 MB
+#   4, 8 or 16 central values share them   1.5-2.4 s 188 MB  2.1-2.6 s 200 MB
+#   63 values t_i + t_(i+1) (126 terms)    1.2-1.6 s 136 MB
+#   s a 65-term value, every t_i free      0.8 s 111 MB      1.2-1.3 s 111 MB
+#   at a = 63, flat there, --format json   2.2-2.6 s 131 MB  2.0-2.6 s 134 MB
+# Without the budget, the 630-term spec of 63 values (t_i + t_(i+1) + 1)^3
+# took 29 s, and the 66-term t_32 value with coefficients 10^4000 + i took
+# 53 s and 900 MB.
 MAX_TERMS = 128
+MAX_BITS = 4096
 
 
-def _refuse_over(count: int, what: str):
-    if count > MAX_TERMS:
+def _refuse_over(what: str, terms: int, bits: int):
+    if terms > MAX_TERMS:
         raise PolyParseError(f'{what} could hold more than {MAX_TERMS} terms')
+    if bits > MAX_BITS:
+        raise PolyParseError(f'{what} could hold a coefficient of more than '
+                             f'{MAX_BITS} bits')
+
+
+def _norm_bits(p: Poly) -> int:
+    """Bits of the sum of p's absolute coefficients, a bound on each."""
+    return sum(map(abs, p.terms.values())).bit_length()
 
 
 def parse_poly(text: str) -> Poly:
@@ -300,8 +305,9 @@ def parse_poly(text: str) -> Poly:
 
     Braces as in 't^{2} a_{8}' are accepted and ignored.  A sign applies to
     the factor right after it, so '-s^2' is -(s^2) and '2*-t' is -2 t.
-    A product or power that could hold more than MAX_TERMS terms, and an
-    exponent over MAX_TERMS, are refused before anything is multiplied.
+    A product or power that could hold more than MAX_TERMS terms or a
+    coefficient of more than MAX_BITS bits, and an exponent over MAX_TERMS,
+    are refused before anything is multiplied.
     """
     text = text.replace('{', '').replace('}', '')
     tokens = []
@@ -354,7 +360,8 @@ def parse_poly(text: str) -> Poly:
             elif not (kind in ('int', 'var') or (kind == 'op' and val == '(')):
                 return result
             rhs = factor()
-            _refuse_over(len(result.terms) * len(rhs.terms), 'a product')
+            _refuse_over('a product', len(result.terms) * len(rhs.terms),
+                         _norm_bits(result) + _norm_bits(rhs))
             result = result * rhs
 
     def factor():
@@ -389,7 +396,8 @@ def parse_poly(text: str) -> Poly:
             if v2 > MAX_TERMS:
                 raise PolyParseError(f'exponent {v2} is over {MAX_TERMS}')
             n = len(base.terms)
-            _refuse_over(comb(n + v2 - 1, v2) if n > 1 else n, 'a power')
+            _refuse_over('a power', comb(n + v2 - 1, v2) if n > 1 else n,
+                         v2 * _norm_bits(base))
             base = base ** v2
         return -base if negate else base
 

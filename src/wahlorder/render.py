@@ -26,8 +26,7 @@ def table_text(table: AlgebraTable, header: str) -> str:
         lines.append('all products of non-unit basis vectors vanish')
     for (j, i), cell in nontrivial:
         rhs = ' + '.join(
-            (f'w_{k}' if _coeff_str(c) == '1'
-             else f'({_coeff_str(c)}) w_{k}')
+            f'w_{k}' if (cs := _coeff_str(c)) == '1' else f'({cs}) w_{k}'
             for k, c in sorted(cell.items()))
         lines.append(f'w_{j} w_{i} = {rhs}')
     return '\n'.join(lines) + '\n'

@@ -321,26 +321,14 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
             t1, tr = Poly.var(tsub(1)), Poly.var(tsub(r - 1))
             spec = CochainSpec(r, {tsub(1): t1, tsub(r - 1): tr, S: -(t1 * tr)})
             table = deformed_table(params, spec)
+            # the nonzero cells; every other product vanishes
+            want = {(j, 1): {j: -t1} for j in range(1, r - 1)}
+            want.update({(r - 1, i): {i: -tr} for i in range(2, r)})
+            want[r - 1, 1] = {1: -tr, r - 1: -t1, 0: -(t1 * tr)}
             for j in range(1, r):
                 for i in range(1, r):
                     got = table.product(j, i)
-                    if (j, i) == (r - 1, 1):
-                        want = {1: -tr, r - 1: -t1, 0: -(t1 * tr)}
-                    elif j == i == 1:
-                        want = {1: -t1}
-                    elif j == i == r - 1:
-                        want = {r - 1: -tr}
-                    elif j == i:
-                        want = {}
-                    elif j < i:
-                        want = {}
-                    elif i == 1:
-                        want = {j: -t1}
-                    elif j == r - 1:
-                        want = {i: -tr}
-                    else:
-                        want = {}
-                    _require(got == want,
+                    _require(got == want.get((j, i), {}),
                              f'(r,1) r={r} first component ({j},{i}): {got}')
             _require(table.associator_violation() is None)
 

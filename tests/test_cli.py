@@ -254,7 +254,16 @@ def test_deeply_nested_spec_exits_2_without_a_traceback(tmp_path):
      'line 13: the values hold more than 128 terms in all'),
     (['t_1 = (t_1 + t_2 + 1)^100'],
      'line 1: a power could hold more than 128 terms'),
-], ids=['630-terms', 'power-100'])
+    ([f't_{i} = {2 ** 1000} t_{i}' for i in range(1, 64)],
+     'line 5: the values hold more than 4096 bits of coefficients in all'),
+    (['t_32 = ' + ' + '.join(f'{10 ** 4000 + i} t_{i} t_{i % 63 + 1}'
+                             for i in range(1, 67))]
+     + [f't_{i} = t_{i}' for i in range(1, 64) if i != 32],
+     'line 1: a product could hold a coefficient of more than 4096 bits'),
+    (['t_1 = ((2^128)^128)^128 t_1'],
+     'line 1: a power could hold a coefficient of more than 4096 bits'),
+], ids=['630-terms', 'power-100', '5-lines-of-1001-bits', '4000-digits',
+        'nested-power'])
 def test_a_spec_over_the_term_budget_exits_2_at_once(tmp_path, values, message):
     spec = tmp_path / 'big.spec'
     spec.write_text('\n'.join(values) + '\n')

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import wahlorder.deform as deform_mod
 from wahlorder.resarith import SingularityParams
-from wahlorder.polyring import (Poly, S, T, tsub, parse_poly, format_poly,
-                                PolyParseError)
+from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly, format_poly,
+                                PolyParseError, MAX_BITS)
 from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
 from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
                               insert_cochain, AinfTable, NotInsertableError,
@@ -641,12 +641,29 @@ def test_cochain_spec_parse():
     ('t_-1 = 1', 'cochain spec for r = 5 assigns t_-1'),
     pytest.param('s = ' + '(' * 400 + 't_1' + ')' * 400,
                  'parentheses nested deeper than 100 levels', id='400 pairs'),
+    pytest.param(f't_2 = {2 ** 4096}',
+                 'the values hold more than 4096 bits of coefficients in all',
+                 id='wide literal'),
+    pytest.param(f't_2 = {2 ** 4000} {2 ** 96}',
+                 'a product could hold a coefficient of more than 4096 bits',
+                 id='wide product'),
 ])
 def test_every_spec_error_names_its_line(line, message):
     text = f'# comment\nt_1 = t_1\n{line}  # trailing comment\nt_3 = 1\n'
     with pytest.raises(PolyParseError) as info:
         CochainSpec.parse(text, 5)
     assert str(info.value) == f'line 3: {message}'
+
+
+def test_spec_coefficients_are_budgeted_in_all():
+    half = 2 ** (MAX_BITS // 2 - 1)  # MAX_BITS // 2 bits
+    text = f't_1 = {half} t_1\nt_2 = -{half}\n'
+    spec = CochainSpec.parse(text, 5)
+    assert sum(c.bit_length() for v in spec.assignments.values()
+               for c in v.terms.values()) == MAX_BITS
+    with pytest.raises(PolyParseError, match=f'^line 3: the values hold more '
+                       f'than {MAX_BITS} bits of coefficients in all$'):
+        CochainSpec.parse(text + 't_3 = 1\n', 5)
 
 
 def test_parse_and_substitution_refuse_with_one_message():
@@ -811,7 +828,7 @@ def test_spec_for_another_r_is_rejected():
             call(params, CochainSpec(2, values))
 
 
-@pytest.mark.parametrize('var', [tsub(0), tsub(4), tsub(7), T])
+@pytest.mark.parametrize('var', [tsub(0), tsub(4), tsub(7), T, acoef(1)])
 def test_spec_assigning_a_variable_outside_the_cochain_is_rejected(var):
     # parse rejects t_0 and t_i with i >= r; a constructed spec must too
     spec = CochainSpec(4, {tsub(1): Poly.var(tsub(1)), var: Poly.const(1)})

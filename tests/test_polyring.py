@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
                                 format_poly, PolyParseError, MAX_NESTING,
-                                MAX_TERMS)
+                                MAX_TERMS, MAX_BITS)
 from bareiss_oracle import (solve_in_span, solve_in_span_many, is_polynomial,
                             RationalCoord, DeficientBasisError, OutOfSpanError,
                             _udivides)
@@ -43,6 +43,15 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@settings(max_examples=60)
+@given(polys(), polys(), st.integers(0, 4), st.sampled_from(VARS))
+def test_ring_results_hold_no_zero_and_sorted_monomials(p, q, n, v):
+    for got in (p + q, p - q, p - p, -p, p * q, p ** n, p.substitute({v: q})):
+        assert all(got.terms.values())
+        assert all(m == tuple(sorted(m)) for m in got.terms)
+    assert not (p - p).terms
 
 
 @settings(max_examples=40)
@@ -124,7 +133,8 @@ def test_eval_at_matches_per_term_fractions(p, values):
 
 def test_parse_print_round_trip():
     for text in ('t^2 a_8 + t a_5', '-t^2 a_6 - t a_3 + a_0',
-                 't_1 t_14 + s', 't_1 t_3 + t_2^2 + s', '0', '-3 t^4 a_20 + 7'):
+                 't_1 t_14 + s', 't_1 t_3 + t_2^2 + s', '0', '-3 t^4 a_20 + 7',
+                 's t^2 t_3 a_1 + s^2 a_0 - t t_1^2', 't t_1 a_0 + s a_1 + t t_2'):
         p = parse_poly(text)
         assert format_poly(p) == text
         assert parse_poly(format_poly(p)) == p
@@ -184,6 +194,20 @@ def test_products_and_powers_are_bounded_before_they_are_formed():
             parse_poly(text)
     for text in (f't_1^{MAX_TERMS + 1}', f'2^{10 ** 12}'):
         with pytest.raises(PolyParseError, match=f'^exponent .* is over {MAX_TERMS}$'):
+            parse_poly(text)
+    # a product or power is refused when the sum of the absolute
+    # coefficients of its factors could pass MAX_BITS bits
+    assert MAX_BITS == 4096
+    assert parse_poly('(2^31)^128') == Poly.const(2 ** 3968)  # 128 * 32 bits
+    assert parse_poly(f'{2 ** 4000} * {2 ** 94}') == Poly.const(2 ** 4094)
+    assert parse_poly(f'{2 ** 4094} t_1') == Poly.var(tsub(1), 1, 2 ** 4094)
+    for text, what in (('(2^32)^127', 'a power'),
+                       ('((2^128)^128)^128', 'a power'),
+                       (f'{2 ** 4000} * {2 ** 95}', 'a product'),
+                       (f'{2 ** 4095} t_1', 'a product'),
+                       (f'(t_1 + {2 ** 4094})(t_2 + 1)', 'a product')):
+        with pytest.raises(PolyParseError, match=f'^{what} could hold a coefficient '
+                           f'of more than {MAX_BITS} bits$'):
             parse_poly(text)
 
 
