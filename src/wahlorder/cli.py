@@ -50,14 +50,16 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
 #   verify  --max-r 40: --suite kk                  1.5-2.6 s, 19 MB (r = 42: 2.3-2.4 s)
-#           --max-n 7:  --suite deform              4.2 s,  32 MB (order 1.5 s,
-#                                                   cross 1.0 s)
-#           --max-n 8:  --suite deform              4.7 s,  37 MB (order 3.1 s,
-#                                                   cross 1.5 s): near budget
+#           --max-n 7:  --suite deform              4.1-4.2 s, 33 MB (order
+#                                                   0.8-0.9 s, cross 0.9 s)
+#           --max-n 8:  --suite deform              4.3-4.5 s, 38 MB (order
+#                                                   1.3-1.4 s, cross 1.5-1.6 s;
+#                                                   the cap raised to 8 to
+#                                                   measure): near budget
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (3.7-4.6 s at the default
-# bounds, six runs on a noisy host).
+# --suite all runs the suites one after another (5.8-6.1 s at the default
+# bounds, three fresh processes; the verify rows are three runs each).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64

@@ -33,8 +33,8 @@ from functools import cache
 from itertools import chain
 
 from .resarith import SingularityParams
-from .polyring import (Poly, S, tsub, format_poly, parse_poly, PolyParseError,
-                       MAX_TERMS, MAX_BITS)
+from .polyring import (Poly, S, tsub, format_poly, parse_poly, read_int,
+                       PolyParseError, MAX_TERMS, MAX_BITS)
 from .kkalg import AlgebraTable, gauss_word
 
 # coefficients c0 + c1 s as pairs (c0, c1)
@@ -75,10 +75,11 @@ class AinfTable:
     """Sparse m_1 / m_2 / m_3, integer-coded.
 
     A generator (i, d) is stored as the int 2i + d and a coefficient
-    c0 + c1 s as the pair (c0, c1).  m1 is keyed by the input code, m2 and
-    m3 by tuples of codes written highest slot first: the key of
-    m_3(a_3, a_2, a_1) is (a_3, a_2, a_1).  Each cell maps output codes to
-    pairs, one item per output, with no zero pair and no empty cell.
+    c0 + c1 s as the pair (c0, c1).  Each m_k is keyed by the tuple of its
+    k input codes written highest slot first: the key of m_3(a_3, a_2, a_1)
+    is (a_3, a_2, a_1), and that of m_1(a_1) is (a_1,).  Each cell maps
+    output codes to pairs, one item per output, with no zero pair and no
+    empty cell.
 
     The reading rules keep the grading deg(out) = sum deg(inputs) + 2 - k
     of every m_k entry, a code's degree its parity bit; verify's deform
@@ -92,8 +93,7 @@ class AinfTable:
 
     def degrees_present(self) -> set:
         """The degree bits of the input codes."""
-        codes = set(self.m1).union(chain.from_iterable(self.m2),
-                                   chain.from_iterable(self.m3))
+        codes = set(chain.from_iterable(chain(self.m1, self.m2, self.m3)))
         return {code & 1 for code in codes}
 
 
@@ -218,8 +218,8 @@ def _rectangle_readings(params: SingularityParams, t: AinfTable):
                 yield m3, (wNW, bNE, wSE), 2 * gSW, _MINUS
         # D: input at SE, output wbar at NW / E: input at NW, output wbar at SE
         if sw_or and ne_or:
-            yield m1, wSE, bNW, _MINUS_S
-            yield m1, wNW, bSE, _S
+            yield m1, (wSE,), bNW, _MINUS_S
+            yield m1, (wNW,), bSE, _S
             # Morse-maximum insertions at the smoothed corners
             yield m2, (1, wNW), bSE, _S
             yield m2, (wSE, 1), bNW, _MINUS_S
@@ -281,7 +281,7 @@ def _kept_entries(ainf: AinfTable, diffs: dict, prods: dict):
     (x, y) of m_2^b(x, y), slots the indices of its degree-1 slots in slot
     order.  Dispatch is on arity and on the parity (degree) bit of each
     code."""
-    for x, cell in ainf.m1.items():
+    for (x,), cell in ainf.m1.items():
         if not x & 1:
             yield diffs, x >> 1, (), cell
     for (a2, a1), cell in ainf.m2.items():
@@ -443,41 +443,41 @@ def insert_cochain(ainf: AinfTable, r: int,
 
 @dataclass
 class DiffMatrix:
-    """Skew-symmetric (r-1) x (r-1) matrix with dw_i = sum_j entry(i,j) wbar_j."""
+    """Skew-symmetric (r-1) x (r-1) matrix with dw_i = sum_j entry(i,j) wbar_j.
+
+    rows are the differentials of DeformedOps, {i: {j: Poly}} for i in Z_r;
+    row 0 is empty and no row has a wbar_0 entry (diff_matrix checks both).
+    """
 
     params: SingularityParams
-    entries: dict  # (i, j), i and j in 1..r-1 of Z_r -> Poly
+    rows: dict
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.entries.get((i, j), Poly.zero())
+        return self.rows.get(i, {}).get(j, Poly.zero())
 
     def is_skew(self) -> bool:
-        r = self.params.r
-        for i in range(1, r):
-            if not self.entry(i, i).is_zero():
-                return False
-            for j in range(i + 1, r):
-                if not (self.entry(i, j) + self.entry(j, i)).is_zero():
-                    return False
-        return True
+        """entry(i, j) + entry(j, i) = 0 for every stored entry (i, j); a
+        pair with neither entry stored sums to 0, so this is every pair,
+        the diagonal included."""
+        return all((p + self.entry(j, i)).is_zero()
+                   for i, row in self.rows.items() for j, p in row.items())
 
     def upper_entries(self):
         """[((i, j), entry)] for the stored (nonzero) entries with i < j,
         sorted by position."""
-        return sorted((ij, p) for ij, p in self.entries.items() if ij[0] < ij[1])
+        return [((i, j), p) for i in sorted(self.rows)
+                for j, p in sorted(self.rows[i].items()) if i < j]
 
 
 def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> DiffMatrix:
     ops = ops or insert_cochain(full_ainf(params), params.r)
-    entries = {}
-    if ops.differentials[0]:
+    rows = ops.differentials
+    if rows[0]:
         raise ArithmeticError("the unit must stay closed")
-    for i in range(1, params.r):
-        for j, coeff in ops.differentials[i].items():
-            if j == 0:
-                raise ArithmeticError(f"dw_{i} hit wbar_0")
-            entries[(i, j)] = coeff
-    return DiffMatrix(params, entries)
+    for i, row in rows.items():
+        if 0 in row:
+            raise ArithmeticError(f"dw_{i} hit wbar_0")
+    return DiffMatrix(params, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +536,17 @@ class CochainSpec:
                     key = S
                 elif lhs.startswith('t_'):
                     try:
-                        key = tsub(int(lhs[2:]))
+                        key = tsub(read_int(lhs[2:]))
+                    except PolyParseError:
+                        raise
                     except ValueError:
                         raise ValueError(f"index of {lhs!r} is not an integer")
                 else:
                     raise ValueError(f"unknown left-hand side {lhs!r}")
                 _check_assignable(key, r)
+                if key in assignments:
+                    raise ValueError(f"{format_poly(Poly.var(key))} is "
+                                     f"assigned twice")
                 assignments[key] = value = parse_poly(rhs)
                 terms += len(value.terms)
                 if terms > MAX_TERMS:

@@ -13,7 +13,7 @@ inside the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .polyring import Poly
 from .resarith import SingularityParams, gamma, m_of
@@ -338,29 +338,26 @@ class YoungDiagram:
     rule disagrees with the product rule (e.g. it would erase the box
     certifying w_4^2 = w_8 at (r, a) = (9, 2)), so the interior rule is
     normative here.
+
+    Column x is params.gaps[x] boxes high: the lowest orange point with
+    u >= 1 in column u is at [b*u] >= 1, so column x is as high as the least
+    of them over u = 1..x, which is the gap table.
     """
 
     params: SingularityParams
-    column_heights: list = field(init=False)
-
-    def __post_init__(self):
-        # the lowest orange point with u >= 1 in column u is at [b*u] >= 1,
-        # so column x is as high as the least of them over u = 1..x: the
-        # gap table
-        self.column_heights = list(self.params.gaps)
 
     def contains(self, x: int, y: int) -> bool:
         r = self.params.r
         if not (0 <= x < r and 0 <= y < r):
             return False
-        return y < self.column_heights[x]
+        return y < self.params.gaps[x]
 
     def label(self, x: int, y: int) -> int:
         return gamma((x, y), self.params)
 
     def boxes(self):
-        for x in range(self.params.r):
-            for y in range(self.column_heights[x]):
+        for x, height in enumerate(self.params.gaps):
+            for y in range(height):
                 yield (x, y, self.label(x, y))
 
     def product(self, j: int, i: int):

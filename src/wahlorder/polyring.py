@@ -295,6 +295,20 @@ def _refuse_over(what: str, terms: int, bits: int):
                              f'{MAX_BITS} bits')
 
 
+def read_int(run: str) -> int:
+    """int(run), refused unread when run has more significant digits than
+    2^MAX_BITS: a literal that wide is over MAX_BITS, an exponent over
+    MAX_TERMS, and no table can be built at such an index."""
+    digits = run.lstrip('0')
+    # 2^MAX_BITS has more than MAX_BITS / 4 digits, so only a run that long
+    # needs the exact count
+    if len(digits) > MAX_BITS // 4 and len(digits) > len(str(1 << MAX_BITS)):
+        raise PolyParseError(f'a number has more than '
+                             f'{len(str(1 << MAX_BITS))} digits')
+    # int() counts leading zeros against its own limit on digits
+    return int(digits) if digits.isdigit() else int(run)
+
+
 def _norm_bits(p: Poly) -> int:
     """Bits of the sum of p's absolute coefficients, a bound on each."""
     return sum(map(abs, p.terms.values())).bit_length()
@@ -307,7 +321,8 @@ def parse_poly(text: str) -> Poly:
     the factor right after it, so '-s^2' is -(s^2) and '2*-t' is -2 t.
     A product or power that could hold more than MAX_TERMS terms or a
     coefficient of more than MAX_BITS bits, and an exponent over MAX_TERMS,
-    are refused before anything is multiplied.
+    are refused before anything is multiplied; every digit run is read by
+    read_int.
     """
     text = text.replace('{', '').replace('}', '')
     tokens = []
@@ -320,7 +335,7 @@ def parse_poly(text: str) -> Poly:
             break
         pos = m.end()
         if m.group(1):
-            tokens.append(('int', int(m.group(1))))
+            tokens.append(('int', read_int(m.group(1))))
         elif m.group(2):
             letter, idx = m.group(2), m.group(3)
             if idx is None:
@@ -328,9 +343,9 @@ def parse_poly(text: str) -> Poly:
             else:
                 if letter == 's':
                     raise PolyParseError('s takes no subscript')
-                tokens.append(('var', tsub(int(idx))))
+                tokens.append(('var', tsub(read_int(idx))))
         elif m.group(4):
-            tokens.append(('var', acoef(int(m.group(5)))))
+            tokens.append(('var', acoef(read_int(m.group(5)))))
         else:
             depth += (m.group(6) == '(') - (m.group(6) == ')')
             if depth > MAX_NESTING:

@@ -54,7 +54,8 @@ def diff_matrix_json(dm) -> dict:
     return {
         'r': r, 'a': dm.params.a,
         'entries': [{'i': i, 'j': j, 'value': format_poly(p)}
-                    for (i, j), p in sorted(dm.entries.items())],
+                    for i in sorted(dm.rows)
+                    for j, p in sorted(dm.rows[i].items())],
     }
 
 

@@ -341,7 +341,7 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
             n = 2 * r
             table = full_ainf(params)
             bad = []  # (inputs, output, wanted degree) off the grading or range
-            for x, cell in table.m1.items():
+            for (x,), cell in table.m1.items():
                 want = (x & 1) + 1
                 for out in cell:
                     if out & 1 != want or not (0 <= x < n and 0 <= out < n):

@@ -225,6 +225,16 @@ def test_a_bad_spec_index_exits_2_with_its_line(capsys, tmp_path):
     ('t_2 = 1 +', 'unexpected end of input'),
     ('t_0 = 1', 'cochain spec for r = 5 assigns t_0'),
     ('t_9 = 1', 'cochain spec for r = 5 assigns t_9'),
+    # a digit run too wide for any budget is refused before int() reads it,
+    # and not echoed
+    pytest.param('t_2 = ' + '9' * 5000, 'a number has more than 1234 digits',
+                 id='5000-digit-literal'),
+    pytest.param('t_2 = t^' + '9' * 5000, 'a number has more than 1234 digits',
+                 id='5000-digit-exponent'),
+    pytest.param('t_2 = t_' + '9' * 5000, 'a number has more than 1234 digits',
+                 id='5000-digit-subscript'),
+    pytest.param('t_' + '9' * 5000 + ' = 1', 'a number has more than 1234 digits',
+                 id='5000-digit-lhs-subscript'),
 ])
 def test_a_bad_spec_line_exits_2_with_its_line(capsys, tmp_path, line, message):
     spec = tmp_path / 'bad.spec'
@@ -259,7 +269,7 @@ def test_deeply_nested_spec_exits_2_without_a_traceback(tmp_path):
     (['t_32 = ' + ' + '.join(f'{10 ** 4000 + i} t_{i} t_{i % 63 + 1}'
                              for i in range(1, 67))]
      + [f't_{i} = t_{i}' for i in range(1, 64) if i != 32],
-     'line 1: a product could hold a coefficient of more than 4096 bits'),
+     'line 1: a number has more than 1234 digits'),
     (['t_1 = ((2^128)^128)^128 t_1'],
      'line 1: a power could hold a coefficient of more than 4096 bits'),
 ], ids=['630-terms', 'power-100', '5-lines-of-1001-bits', '4000-digits',

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -33,7 +34,7 @@ def _add(table, slots, out, coeff):
     first), output out and coefficient coeff = (c0, c1), meaning c0 + c1 s,
     into table as codes through the table's accumulation; no validation."""
     cells = (table.m1, table.m2, table.m3)[len(slots) - 1]
-    key = _code(slots[0]) if len(slots) == 1 else tuple(map(_code, slots))
+    key = tuple(map(_code, slots))
     deform_mod._accumulate(((cells, key, _code(out), coeff),))
 
 
@@ -44,9 +45,9 @@ def _degree(slots):
 
 
 def _as_poly(table):
-    """{'m1': ..., 'm2': ..., 'm3': ...} of table decoded: keyed by generator
-    tuples (index, degree) (m1 by the input, m2 and m3 by tuples of inputs),
-    with Poly coefficients, in the table's order."""
+    """{'m1': ..., 'm2': ..., 'm3': ...} of table decoded: keyed by tuples of
+    input generators (index, degree), with Poly coefficients, in the table's
+    order."""
     def gen(code):
         return (code >> 1, code & 1)
 
@@ -54,9 +55,9 @@ def _as_poly(table):
         return {gen(out): Poly({(): c0, ((S, 1),): c1})
                 for out, (c0, c1) in c.items()}
 
-    return {'m1': {gen(x): cell(c) for x, c in table.m1.items()},
-            'm2': {tuple(map(gen, k)): cell(c) for k, c in table.m2.items()},
-            'm3': {tuple(map(gen, k)): cell(c) for k, c in table.m3.items()}}
+    return {name: {tuple(map(gen, k)): cell(c) for k, c in cells.items()}
+            for name, cells in (('m1', table.m1), ('m2', table.m2),
+                                ('m3', table.m3))}
 
 
 def test_hidden_r2_matches_worked_example():
@@ -291,8 +292,8 @@ def _reference_insertion(ainf, r):
     index of each output."""
     diffs, prods = {}, {}
     table = _as_poly(ainf)
-    for slots, cell in ([((x,), c) for x, c in table['m1'].items()]
-                        + list(table['m2'].items()) + list(table['m3'].items())):
+    for slots, cell in chain(table['m1'].items(), table['m2'].items(),
+                             table['m3'].items()):
         inputs = tuple(i for i, d in slots if d == 0)
         ts = [i for i, d in slots if d == 1]
         if 0 in ts or len(inputs) not in (1, 2):
@@ -454,6 +455,24 @@ def test_diff_matrix_invariants_raise_arithmetic_error(differentials):
         diff_matrix(SingularityParams(3, 1), DeformedOps(differentials, {}))
 
 
+def test_diff_matrix_reads_the_rows():
+    # is_skew tests every pair, whichever of (i, j) and (j, i) is stored;
+    # upper entries come sorted by position, whatever the row order
+    t1, t2 = Poly.var(tsub(1)), Poly.var(tsub(2))
+    params = SingularityParams(4, 1)
+    skew_rows = {0: {}, 3: {1: -t2}, 1: {3: t2, 2: t1}, 2: {1: -t1}}
+    for rows, skew in ((skew_rows, True),
+                       ({0: {}, 1: {2: t1}, 2: {}}, False),
+                       ({0: {}, 1: {}, 2: {1: t1}}, False),
+                       ({0: {}, 1: {1: t1}, 2: {}}, False),
+                       ({0: {}, 1: {2: t1}, 2: {1: t1}}, False)):
+        dm = diff_matrix(params, DeformedOps(rows, {}))
+        assert dm.is_skew() == skew, rows
+        assert dm.upper_entries() == sorted(
+            ((i, j), p) for i, row in rows.items() for j, p in row.items() if i < j)
+    assert dm.entry(2, 1) == t1 and dm.entry(1, 3).is_zero()
+
+
 def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
     # (5,2) has b = 3: the rectangle [0,1] x [1,2] has its NE corner at
     # label 4, so it cannot be an NE-orange rectangle
@@ -492,9 +511,10 @@ def test_insert_cochain_r2():
 
 def test_table_codes_generators_and_coefficients_as_ints():
     # (i, d) is the int 2i + d and c0 + c1 s the pair (c0, c1); keys are
-    # written highest slot first.  At (2, 1), w_0, wbar_0, w_1, wbar_1 are
-    # 0, 1, 2, 3: m_2(wbar_1, w_1) = wbar_0, m_2(w_1, w_1) = s w_0,
-    # m_2(w_1, wbar_0) = -s wbar_1 and m_3(w_1, w_1, wbar_1) = -w_1
+    # tuples of codes written highest slot first, m_1's too.  At (2, 1),
+    # w_0, wbar_0, w_1, wbar_1 are 0, 1, 2, 3: m_2(wbar_1, w_1) = wbar_0,
+    # m_2(w_1, w_1) = s w_0, m_2(w_1, wbar_0) = -s wbar_1 and
+    # m_3(w_1, w_1, wbar_1) = -w_1
     table = full_ainf(SingularityParams(2, 1))
     assert table.m1 == {}
     assert list(table.m2.items()) == [
@@ -507,8 +527,8 @@ def test_table_codes_generators_and_coefficients_as_ints():
         ((2, 3, 1), {1: (1, 0)}), ((2, 3, 3), {3: (1, 0)}),
         ((2, 2, 3), {2: (-1, 0)})]
     # m_1(w_1) = s wbar_2 and m_1(w_2) = -s wbar_1 at (3, 1)
-    assert full_ainf(SingularityParams(3, 1)).m1 == {4: {3: (0, -1)},
-                                                     2: {5: (0, 1)}}
+    assert full_ainf(SingularityParams(3, 1)).m1 == {(4,): {3: (0, -1)},
+                                                     (2,): {5: (0, 1)}}
 
 
 def test_hidden_insertion_a1_differentials():
@@ -639,6 +659,7 @@ def test_cochain_spec_parse():
     ('t_0 = 1', 'cochain spec for r = 5 assigns t_0'),
     ('t_5 = 1', 'cochain spec for r = 5 assigns t_5'),
     ('t_-1 = 1', 'cochain spec for r = 5 assigns t_-1'),
+    ('t_1 = 2', 't_1 is assigned twice'),
     pytest.param('s = ' + '(' * 400 + 't_1' + ')' * 400,
                  'parentheses nested deeper than 100 levels', id='400 pairs'),
     pytest.param(f't_2 = {2 ** 4096}',
@@ -847,8 +868,7 @@ def test_full_ainf_is_graded(r):
         if gcd(a, r) != 1:
             continue
         table = full_ainf(SingularityParams(r, a))
-        for k, entries in ((1, {(x,): c for x, c in table.m1.items()}),
-                           (2, table.m2), (3, table.m3)):
+        for entries in (table.m1, table.m2, table.m3):
             for key, cell in entries.items():
-                want = sum(code & 1 for code in key) + 2 - k
+                want = sum(code & 1 for code in key) + 2 - len(key)
                 assert {out & 1 for out in cell} == {want}, (r, a, key, cell)

@@ -211,6 +211,21 @@ def test_products_and_powers_are_bounded_before_they_are_formed():
             parse_poly(text)
 
 
+def test_digit_runs_are_refused_by_significant_digits_before_conversion():
+    # 2^MAX_BITS has 1234 digits; a run with more significant digits than
+    # that is refused unread, as a literal, an exponent or a subscript, and
+    # leading zeros do not count
+    widest = '9' * 1234
+    assert parse_poly(widest) == Poly.const(int(widest))
+    zeros = '0' * 5000
+    assert parse_poly(f'{zeros}7 t_{zeros}3') == Poly.var(tsub(3), 1, 7)
+    for text in ('1' + '0' * 1234, '9' * 5000, 't^' + '9' * 5000,
+                 't_' + '9' * 5000, 'a_' + '9' * 5000):
+        with pytest.raises(PolyParseError,
+                           match='^a number has more than 1234 digits$'):
+            parse_poly(text)
+
+
 def _mat(entries):
     return [[parse_poly(e) for e in row] for row in entries]
 

@@ -172,6 +172,10 @@ print(v.suite_deform(max_r=2, max_n=2).render(), end='')
      'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
      '[(5,2): m_3(3, 2, 3) -> 2 has degree 0, the grading wants 1]\n'
      'suite deform: FAIL\n'),
+    ('table.m1[(4,)] = {2: (1, 0)}',
+     'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
+     '[(5,2): m_1(4) -> 2 has degree 0, the grading wants 1]\n'
+     'suite deform: FAIL\n'),
     ('table.m2[(3, 5)] = {2: (1, 0)}',
      'FAIL  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)  '
      '[(5,2): m_2(3, 5) -> 2 has degree 0, the grading wants 2]\n'
@@ -179,7 +183,8 @@ print(v.suite_deform(max_r=2, max_n=2).render(), end='')
     ('',
      'PASS  no degree-2 generators (Maurer-Cartan vacuous), r <= 32  (X)\n'
      'suite deform: PASS\n'),
-], ids=['stray-input', 'stray-output', 'flipped-degree', 'mc-entry', 'clean'])
+], ids=['stray-input', 'stray-output', 'flipped-degree', 'm1-flipped-degree',
+        'mc-entry', 'clean'])
 def test_degree_check_reads_codes_under_python_O(sabotage, tail):
     # an A-infinity table with a generator code outside range(2r) or an
     # entry off the grading must fail the degree check even with assert
