@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .resarith import SingularityParams, hj_fraction
 from .polyring import format_poly
@@ -68,12 +67,31 @@ MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
 MAX_VERIFY_R = 40
 MAX_VERIFY_N = 7
+# an integer option longer than this is refused unread: every budget above
+# has at most 6 digits, and int() would echo a longer value whole
+MAX_INT_LITERAL = 64
 
 
 def _within_budget(command: str, name: str, value: int, budget: int):
     if value > budget:
         raise ValueError(f'{name} = {value} is over the size budget of '
                          f'{command} ({name} <= {budget})')
+
+
+def _int_reader(command: str, budget: str):
+    """The argparse type of an integer option: int(text), refused unread
+    with the budget of command when text is over MAX_INT_LITERAL long."""
+    def read(text: str) -> int:
+        if len(text) > MAX_INT_LITERAL:
+            raise argparse.ArgumentTypeError(
+                f'{len(text)} characters, over the size budget of {command} '
+                f'({budget})')
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f'invalid int value: {text!r}') from None
+    return read
 
 
 def _params(args, max_r: int) -> SingularityParams:
@@ -212,6 +230,7 @@ def _fraction(text: str) -> Fraction:
     exponent over MAX_TAU_DIGITS + len(literal) in absolute value puts the
     value over the budget whatever the digits; it is cut to that bound plus
     one, which keeps a nonzero value over the budget and a zero value 0."""
+    from fractions import Fraction
     literal = text.strip()
     bound = MAX_TAU_DIGITS + len(literal)
     exponent = _EXPONENT.search(literal)
@@ -250,19 +269,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
+    def add_pair(p, command: str, x: str, y: str, budget: int):
+        """The required options --x and --y, with 0 < y < x <= budget."""
+        for name, bound in ((x, f'{x} <= {budget}'),
+                            (y, f'{y} < {x} <= {budget}')):
+            p.add_argument(f'--{name}', required=True,
+                           type=_int_reader(command, bound))
+
     p = add_parser('kk', help='multiplication table / lattice figure')
-    p.add_argument('--r', type=int, required=True)
-    p.add_argument('--a', type=int, required=True)
+    add_pair(p, 'kk', 'r', 'a', MAX_KK_R)
     p.set_defaults(fn=cmd_kk)
 
     p = add_parser('gauss', help='self-intersections and the Gauss word')
-    p.add_argument('--r', type=int, required=True)
-    p.add_argument('--a', type=int, required=True)
+    add_pair(p, 'gauss', 'r', 'a', MAX_GAUSS_R)
     p.set_defaults(fn=cmd_gauss)
 
     p = add_parser('deform', help='deformation matrix, flat locus, tables')
-    p.add_argument('--r', type=int, required=True)
-    p.add_argument('--a', type=int, required=True)
+    add_pair(p, 'deform', 'r', 'a', MAX_DEFORM_R)
     p.add_argument('--spec', metavar='FILE', help='cochain assignments')
     group = p.add_mutually_exclusive_group()
     group.add_argument('--ideal', action='store_true',
@@ -272,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_deform)
 
     p = add_parser('order', help='the matrix order of 1/n^2(1,nq-1)')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--q', type=int, required=True)
+    add_pair(p, 'order', 'n', 'q', MAX_ORDER_N)
     p.add_argument('--at', type=_fraction, metavar='TAU',
                    help='evaluate structure constants at t = TAU (numerator '
                         f'and denominator <= {MAX_TAU_DIGITS} digits); write '
@@ -284,13 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser('verify', help='run a verification suite')
     p.add_argument('--suite', choices=['kk', 'deform', 'order', 'cross', 'all'],
                    default='all')
-    p.add_argument('--max-r', type=int, dest='max_r', metavar='R',
+    p.add_argument('--max-r', dest='max_r', metavar='R',
+                   type=_int_reader('verify', f'--max-r <= {MAX_VERIFY_R}'),
                    help=f'largest r (2..{MAX_VERIFY_R}): the kk suite '
                         '(default 32; commutativity capped at 20, Gauss '
                         'words at 24) and the deform skew-symmetry and a = 1 '
                         'checks, capped at 20 and 16; the deform degree check '
                         'is fixed at r <= 32')
-    p.add_argument('--max-n', type=int, dest='max_n', metavar='N',
+    p.add_argument('--max-n', dest='max_n', metavar='N',
+                   type=_int_reader('verify', f'--max-n <= {MAX_VERIFY_N}'),
                    help=f'largest n (2..{MAX_VERIFY_N}) of the Wahl pairs '
                         '(n, q): the order suite (default 7), the cross '
                         'suite (default 6) and the deform Q-Gorenstein '

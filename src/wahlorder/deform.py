@@ -28,7 +28,6 @@ the emission site for the alternatives that fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -262,7 +261,6 @@ def full_ainf(params: SingularityParams) -> AinfTable:
 # bounding-cochain insertion
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DeformedOps:
     """m_1^b and m_2^b, the values of the inserted cochain in the coefficients.
 
@@ -271,8 +269,8 @@ class DeformedOps:
     for every pair in Z_r.  Coefficients are nonzero Poly.
     """
 
-    differentials: dict
-    products: dict
+    def __init__(self, differentials: dict, products: dict):
+        self.differentials, self.products = differentials, products
 
 
 def _kept_entries(ainf: AinfTable, diffs: dict, prods: dict):
@@ -441,7 +439,6 @@ def insert_cochain(ainf: AinfTable, r: int,
 # the differential matrix and its vanishing locus
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DiffMatrix:
     """Skew-symmetric (r-1) x (r-1) matrix with dw_i = sum_j entry(i,j) wbar_j.
 
@@ -449,8 +446,8 @@ class DiffMatrix:
     row 0 is empty and no row has a wbar_0 entry (diff_matrix checks both).
     """
 
-    params: SingularityParams
-    rows: dict
+    def __init__(self, params: SingularityParams, rows: dict):
+        self.params, self.rows = params, rows
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows.get(i, {}).get(j, Poly.zero())
@@ -499,7 +496,6 @@ def _check_assignable(v, r: int):
                          f"{format_poly(Poly.var(v))}")
 
 
-@dataclass
 class CochainSpec:
     """Assignment of each t_i (t_0 = 0 fixed) and s to a polynomial.
 
@@ -507,8 +503,8 @@ class CochainSpec:
     `t_i = t_i` keeps a coefficient free.
     """
 
-    r: int
-    assignments: dict
+    def __init__(self, r: int, assignments: dict):
+        self.r, self.assignments = r, assignments
 
     def substitution(self) -> dict:
         """{variable: value} for t_0..t_{r-1}, and s when assigned."""

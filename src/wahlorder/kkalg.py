@@ -13,8 +13,6 @@ inside the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polyring import Poly
 from .resarith import SingularityParams, gamma, m_of
 
@@ -327,7 +325,6 @@ def dual_relabel(params: SingularityParams) -> list:
 # combinatorial companions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class YoungDiagram:
     """Maximal Young diagram with no orange point strictly inside.
 
@@ -344,7 +341,8 @@ class YoungDiagram:
     of them over u = 1..x, which is the gap table.
     """
 
-    params: SingularityParams
+    def __init__(self, params: SingularityParams):
+        self.params = params
 
     def contains(self, x: int, y: int) -> bool:
         r = self.params.r

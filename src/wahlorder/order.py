@@ -23,7 +23,6 @@ matrices (see order_entry and structure_constants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .resarith import SingularityParams, WahlParams
@@ -77,17 +76,15 @@ def order_entry(n: int, q: int, i: int, j: int):
     return sorted(terms, key=lambda t3: (-t3[1], t3[2]))
 
 
-@dataclass
 class OrderTable:
     """General-element matrix and (cached) structure constants."""
 
-    n: int
-    q: int
-    cells: list  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
-
-    _constants: dict = field(init=False, default=None, repr=False)
-    # sum e: the basis coefficient matrix has determinant +-t^(sum e), exponent kept
-    _det: int = field(init=False, default=None, repr=False)
+    def __init__(self, n: int, q: int, cells: list):
+        self.n, self.q = n, q
+        self.cells = cells  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
+        # the cached constants, and sum e: the basis coefficient matrix has
+        # determinant +-t^(sum e), exponent kept
+        self._constants = self._det = None
 
     @property
     def r(self) -> int:
@@ -372,10 +369,9 @@ def _gf2_solve(rows, rhs, nvars):
     return sol
 
 
-@dataclass
 class FiberZeroReport:
-    matches: bool
-    table: AlgebraTable
+    def __init__(self, matches: bool, table: AlgebraTable):
+        self.matches, self.table = matches, table
 
 
 def fiber_zero_report(order: OrderTable) -> FiberZeroReport:
@@ -385,11 +381,10 @@ def fiber_zero_report(order: OrderTable) -> FiberZeroReport:
     return FiberZeroReport(table == kk_table(order.params), table)
 
 
-@dataclass
 class InfinityReport:
-    violations: list
-    table: AlgebraTable | None
-    signs: list | None
+    def __init__(self, violations: list, table: AlgebraTable | None,
+                 signs: list | None):
+        self.violations, self.table, self.signs = violations, table, signs
 
     @property
     def degree_bounds_ok(self) -> bool:
@@ -456,9 +451,9 @@ def wahl_cochain(n: int, q: int) -> CochainSpec:
     return CochainSpec(WahlParams(n, q).params.r, assignments)
 
 
-@dataclass
 class CrossCheckReport:
-    first_mismatch: tuple | None
+    def __init__(self, first_mismatch: tuple | None):
+        self.first_mismatch = first_mismatch
 
     @property
     def matched(self) -> bool:

@@ -20,7 +20,6 @@ degree first; _from_uni wraps a finished list as a Poly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 import re
 
@@ -185,6 +184,9 @@ class Poly:
         else goes through Fraction, so at an integral point the sum is
         formed in ints.
         """
+        # fractions is loaded by the first call; fiber_at calls this once
+        # per coefficient, and a `from` import would cost about 1 us a call
+        import fractions
         vals = {}
         total = 0
         for m, c in self.terms.items():
@@ -196,11 +198,11 @@ class Poly:
                         raise ValueError(f"unassigned variable {_var_str(v)}")
                     x = point[v]
                     if not isinstance(x, int):
-                        x = Fraction(x)
+                        x = fractions.Fraction(x)
                     vals[v] = x
                 val *= x ** e
             total += val
-        return Fraction(total)
+        return fractions.Fraction(total)
 
 
 def _mono_mul(m1, m2):

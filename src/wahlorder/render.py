@@ -6,8 +6,6 @@ so identical invocations produce byte-identical bytes.
 
 from __future__ import annotations
 
-import json
-
 from .resarith import SingularityParams, is_orange
 from .polyring import Poly, format_poly
 from .kkalg import AlgebraTable, YoungDiagram, gauss_word
@@ -74,6 +72,7 @@ def order_json(order) -> dict:
 
 
 def dumps(obj: dict) -> str:
+    import json
     return json.dumps(obj, indent=2, sort_keys=True) + '\n'
 
 

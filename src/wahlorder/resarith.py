@@ -11,7 +11,6 @@ products, and Hirzebruch-Jung continued fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -29,18 +28,43 @@ def inverse_mod(a: int, r: int) -> int:
     return pow(a, -1, r)
 
 
-@dataclass(frozen=True)
-class SingularityParams:
+class _IntPair:
+    """Two int fields with value semantics.  The subclass names them in
+    _fields, and its __init__ writes each to the instance __dict__ and both
+    as the tuple _pair.  == and hash read the pair, which never equals the
+    pair of another class; the repr names both fields; a field cannot be
+    assigned or deleted.  A cached_property writes the instance __dict__
+    directly, so it stays outside all three."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._pair == other._pair
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._pair)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self._fields[0]}={self._pair[0]!r}, "
+                f"{self._fields[1]}={self._pair[1]!r})")
+
+
+class SingularityParams(_IntPair):
     """The triple (r, a, b) with a*b = 1 mod r and 0 < a < r.
 
     r = 1 (a smooth point) is rejected: all constructions here assume a
     genuine singularity.
     """
 
-    r: int
-    a: int
+    _fields = ('r', 'a')
 
-    def __post_init__(self):
+    def __init__(self, r: int, a: int):
+        self.__dict__.update(r=r, a=a, _pair=(r, a))
         if self.r < 2:
             raise InvalidParamsError(f"need r >= 2, got r={self.r}")
         if not 0 < self.a < self.r:
@@ -51,13 +75,13 @@ class SingularityParams:
     @cached_property
     def b(self) -> int:
         # computed on first read and kept in the instance __dict__, outside
-        # the dataclass fields, so ==, hash and repr see only (r, a)
+        # the pair (r, a) that ==, hash and repr read
         return inverse_mod(self.a, self.r)
 
     @cached_property
     def gaps(self) -> tuple:
         """Prefix minima of [k*b]: entry L is min of [k*b] over k = 1..L for
-        0 < L < r, and entry 0 is r.  Kept like b, outside the fields."""
+        0 < L < r, and entry 0 is r.  Kept like b, outside the pair."""
         r, b = self.r, self.b
         out = [r]
         for k in range(1, r):
@@ -68,14 +92,13 @@ class SingularityParams:
         return f"1/{self.r}({1},{self.a})"
 
 
-@dataclass(frozen=True)
-class WahlParams:
+class WahlParams(_IntPair):
     """Coprime 0 < q < n, n >= 2; indexes the singularity 1/n^2(1, nq-1)."""
 
-    n: int
-    q: int
+    _fields = ('n', 'q')
 
-    def __post_init__(self):
+    def __init__(self, n: int, q: int):
+        self.__dict__.update(n=n, q=q, _pair=(n, q))
         if self.n < 2:
             raise InvalidParamsError(f"need n >= 2, got n={self.n}")
         if not 0 < self.q < self.n:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from math import gcd
 
 from .resarith import SingularityParams, WahlParams
@@ -34,18 +33,16 @@ from .order import (build_order, constants_table,
 from .goldens import GOLDEN_MATRICES, EXAMPLE_2_1, EXAMPLE_2_1_SIGN_FLIPS
 
 
-@dataclass
 class VerifyCheck:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+    def __init__(self, name: str, passed: bool, detail: str, elapsed: float):
+        self.name, self.passed = name, passed
+        self.detail, self.elapsed = detail, elapsed
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    checks: list = field(init=False, default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks = []
 
     @property
     def passed(self) -> bool:

@@ -367,6 +367,51 @@ def test_size_budget_exits_2_before_building(monkeypatch, capsys):
         assert captured.err == f'error: {message}\n'
 
 
+_LONG = '9' * 5000
+
+
+@pytest.mark.parametrize('argv,option,budget', [
+    (['kk', '--r', _LONG, '--a', '1'], '--r',
+     f'kk (r <= {cli_mod.MAX_KK_R})'),
+    (['gauss', '--r', '7', '--a', _LONG], '--a',
+     f'gauss (a < r <= {cli_mod.MAX_GAUSS_R})'),
+    (['deform', '--r', '0' * 5000 + '4', '--a', '1'], '--r',
+     f'deform (r <= {cli_mod.MAX_DEFORM_R})'),
+    (['order', '--n', '3', '--q', _LONG], '--q',
+     f'order (q < n <= {cli_mod.MAX_ORDER_N})'),
+    (['verify', '--max-r', _LONG], '--max-r',
+     f'verify (--max-r <= {cli_mod.MAX_VERIFY_R})'),
+    (['verify', '--max-n', f'-{_LONG}'], '--max-n',
+     f'verify (--max-n <= {cli_mod.MAX_VERIFY_N})'),
+])
+def test_a_long_integer_option_is_refused_unread(argv, option, budget, capsys):
+    # int() would refuse 5000 digits and argparse echo them all (5161 bytes)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err.splitlines()[-1] == (
+        f'wahlorder {argv[0]}: error: argument {option}: '
+        f'{len(argv[argv.index(option) + 1])} characters, over the size '
+        f'budget of {budget}')
+
+
+def test_a_short_integer_option_reads_as_before(capsys):
+    # a space and an underscore are read by int(); a short value over the
+    # budget gets the message of the budget, and a non-integer argparse's
+    assert main(['kk', '--r', ' 13', '--a', '1_0']) == 0
+    assert capsys.readouterr().out.startswith('R_{13,10}  (b = 4;')
+    assert main(['kk', '--r', '9' * 20, '--a', '1']) == 2
+    assert capsys.readouterr().err == (
+        f'error: r = {"9" * 20} is over the size budget of kk '
+        f'(r <= {cli_mod.MAX_KK_R})\n')
+    with pytest.raises(SystemExit):
+        main(['order', '--n', '2.0', '--q', '1'])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "wahlorder order: error: argument --n: invalid int value: '2.0'")
+
+
 @pytest.mark.parametrize('argv,message', [
     (['deform', '--r', '2', '--a', '1', '--spec', '/nonexistent'],
      '--spec FILE is read only with --table'),

@@ -1,7 +1,8 @@
 """Each entry point loads only the layers its work runs: `import wahlorder`
 resolves its names on first use, and a CLI command imports its layer when it
-runs.  Each footprint is read from a fresh interpreter, so an eager import
-that comes back shows here."""
+runs.  No path loads `dataclasses` or `inspect`, and `json` and `fractions`
+load only with the calls that read them.  Each footprint is read from a
+fresh interpreter, so an eager import that comes back shows here."""
 
 import importlib
 import subprocess
@@ -12,15 +13,21 @@ import pytest
 import wahlorder
 
 _CLI = {'cli', 'render', 'resarith', 'polyring', 'kkalg'}
+# standard-library modules that a call loads only if it reads them
+_WATCHED = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal'}
+_FRACTIONS = {'fractions', 'decimal'}  # fractions imports decimal
 
 
 def _loaded(code: str) -> set:
-    """The wahlorder submodules loaded by a fresh interpreter after `code`."""
-    report = ("import sys; print(*sorted(m.split('.', 1)[1] for m in "
-              "sys.modules if m.startswith('wahlorder.')))")
+    """The wahlorder submodules, by their names in the package, and the
+    watched standard-library modules loaded by a fresh interpreter after
+    `code`."""
+    report = "import sys; print(*sys.modules)"
     proc = subprocess.run([sys.executable, '-c', f'{code}\n{report}'],
                           capture_output=True, text=True, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    return ({m.split('.', 1)[1] for m in loaded if m.startswith('wahlorder.')}
+            | loaded & _WATCHED)
 
 
 def _main(*argv) -> str:
@@ -35,12 +42,18 @@ def test_import_wahlorder_loads_no_layer():
     (['kk', '--r', '9', '--a', '2'], set()),
     (['--format', 'svg', 'kk', '--r', '7', '--a', '6'], set()),
     (['gauss', '--r', '16', '--a', '3'], set()),
-    (['--format', 'json', 'gauss', '--r', '16', '--a', '3'], set()),
+    (['--format', 'json', 'gauss', '--r', '16', '--a', '3'], {'json'}),
     (['deform', '--r', '15', '--a', '4', '--ideal'], {'deform'}),
     (['--format', 'paper', 'order', '--n', '3', '--q', '2'], {'order'}),
-    (['--format', 'json', 'order', '--n', '3', '--q', '2'], {'order'}),
-    (['order', '--n', '3', '--q', '1', '--fiber', 'zero'], {'order'}),
+    (['--format', 'json', 'order', '--n', '3', '--q', '2'], {'order', 'json'}),
+    # the fiber at t = 0 is evaluated in Fraction
+    (['order', '--n', '3', '--q', '1', '--fiber', 'zero'],
+     {'order'} | _FRACTIONS),
     (['order', '--n', '2', '--q', '1', '--fiber', 'infinity'], {'order'}),
+    (['--format', 'json', 'kk', '--r', '9', '--a', '2'], {'json'}),
+    (['order', '--n', '2', '--q', '1', '--at', '1/2'], {'order'} | _FRACTIONS),
+    (['verify', '--suite', 'kk', '--max-r', '4'],
+     {'deform', 'order', 'goldens', 'verify'}),
 ])
 def test_a_command_loads_only_its_layers(argv, extra):
     assert _loaded(_main(*argv)) == _CLI | extra

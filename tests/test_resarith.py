@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import gcd
 
@@ -29,9 +28,30 @@ def test_b_is_kept_outside_the_fields():
     fresh = SingularityParams(16, 3)
     assert p == fresh and hash(p) == hash(fresh)
     assert repr(p) == repr(fresh) == 'SingularityParams(r=16, a=3)'
-    assert [f.name for f in fields(p)] == ['r', 'a']
-    with pytest.raises(FrozenInstanceError):
-        p.a = 5
+    assert p != SingularityParams(16, 5) and p != (16, 3)
+    for name in ('r', 'a', 'b'):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.r, p.a, p.b) == (16, 3, 11) and p == fresh
+
+
+def test_the_two_parameter_classes_are_values_of_their_own():
+    s, w = SingularityParams(4, 1), WahlParams(4, 1)
+    assert s != w and w != s
+    assert repr(w) == 'WahlParams(n=4, q=1)'
+    assert w == WahlParams(4, 1) and hash(w) == hash(WahlParams(4, 1))
+    for name in ('n', 'q'):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 3)
+    # each works as a dict key, and the two never share an entry
+    table = {s: 'singularity', w: 'wahl'}
+    assert len(table) == 2
+    assert table[SingularityParams(4, 1)] == 'singularity'
+    assert table[WahlParams(4, 1)] == 'wahl'
+    assert {SingularityParams(9, 2), w.params, SingularityParams(9, 2)} == {
+        SingularityParams(9, 2), SingularityParams(16, 3)}
 
 
 def test_params_validation():
@@ -120,7 +140,7 @@ def test_gaps_and_m_of_match_the_definition():
     assert p.gaps == (16, 11, 6, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     assert p == fresh and hash(p) == hash(fresh)
     assert repr(p) == repr(fresh) == 'SingularityParams(r=16, a=3)'
-    assert [f.name for f in fields(p)] == ['r', 'a']
+    assert p == SingularityParams(16, 3) and p.gaps == fresh.gaps
 
 
 def test_hj_fraction_examples():
