@@ -42,7 +42,10 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
 #                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 1,   --ideal            1.0-1.1 s, 109 MB (--table: 0.5 s)
+#   deform  r = 64:     a = 1,   --ideal            0.7-0.8 s, 92 MB (json 0.8 s)
+#                       a = 63,  --table, the slowest spec at the term
+#                                budget (polyring.MAX_TERMS), --format json
+#                                                   2.6-3.4 s, 148 MB
 #   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
 #           --at P/Q, P and Q of 200 digits: n = 10, q = 1 or 9, table or
 #           json, with or without --fiber generic   0.9-1.3 s, 89 MB (the

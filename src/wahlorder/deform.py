@@ -29,7 +29,7 @@ the emission site for the alternatives that fail.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, product
 
 from .resarith import SingularityParams
 from .polyring import (Poly, S, tsub, format_poly, parse_poly, read_int,
@@ -267,13 +267,24 @@ class DeformedOps:
     differentials[i] = m_1^b(w_i) as {j: coefficient of wbar_j}, for every i
     in Z_r; products[(j, i)] = m_2^b(w_j, w_i) as {k: coefficient of w_k},
     for every pair in Z_r.  Coefficients are nonzero Poly.
+
+    products is passed as the dict or as a function of no arguments that
+    builds it; a function is called at the first read of products, and its
+    dict kept.  insert_cochain passes a function, so that only a caller that
+    reads the products pays for them.
     """
 
-    def __init__(self, differentials: dict, products: dict):
-        self.differentials, self.products = differentials, products
+    def __init__(self, differentials: dict, products):
+        self.differentials, self._products = differentials, products
+
+    @property
+    def products(self) -> dict:
+        if callable(self._products):
+            self._products = self._products()
+        return self._products
 
 
-def _kept_entries(ainf: AinfTable, diffs: dict, prods: dict):
+def _kept_entries(ainf: AinfTable, diffs, prods):
     """Yield (target, key, slots, cell) for every entry whose insertion can
     land in diffs or prods: key is the input index x of m_1^b(x) or the pair
     (x, y) of m_2^b(x, y), slots the indices of its degree-1 slots in slot
@@ -330,57 +341,19 @@ def _monomial(code: int, r: int) -> tuple:
     return mono + tuple((tsub(i), 1) for i in (lo, hi) if i)
 
 
-def insert_cochain(ainf: AinfTable, r: int,
-                   spec: CochainSpec | None = None) -> DeformedOps:
-    """Deform by the cochain b = sum_i t_i wbar_i with the values of spec;
-    None is the universal cochain, each t_i its own variable and s free.
-
-    One rule reads every m_1, m_2, m_3 entry: each degree-1 slot wbar_i takes
-    the value of t_i, and the entry, times those values in slot order, goes
-    to m_1^b(x) = differentials[x] if one degree-0 input x remains and to
-    m_2^b(x, y) = products[(x, y)] if two remain.  With no inputs left it is
-    a Maurer-Cartan term, vacuous as the grading of the table (checked by
-    `verify --suite deform`) leaves nothing in degree 2; three inputs would
-    need an output in degree -1.  A slot valued 0 drops its entry at
-    dispatch (wbar_0 always, as t_0 = 0); s = 0 drops every s-part.
-
-    Entries are dispatched on arity and on the degree bits of their codes.
-    Cells accumulate as {output code: {monomial code: int}}, a monomial code
-    built from the sorted t-indices and an s-flag (see _weight), and a term
-    or an output is dropped as soon as it reaches zero, so every dict keeps
-    the order that Poly arithmetic gives it.  At the end each output code is
-    decoded once to its index (wbar_j in a differential, w_k in a product),
-    each monomial code once to a Poly monomial, and each distinct list of
-    terms is wrapped once into a Poly, shared by every output that has it;
-    the values other than 0 and the variable itself are substituted there,
-    and an output that cancels is dropped.
-
-    An input or slot index outside Z_r raises NotInsertableError, even where
-    its entries cancel, and so does an output code outside range(2r); an
-    output of degree 0 in a differential or 1 in a product raises
-    ArithmeticError.  Outputs are checked at their decode, so an output that
-    cancels is not checked; an entry that a zero-valued slot drops is never
-    read past its slot indices, so its inputs and outputs are not checked.
-    """
-    dropped, keep_s, images = frozenset((0,)), True, {}
-    if spec is not None:
-        if spec.r != r:
-            raise ValueError(f"cochain spec for r = {spec.r} read at r = {r}")
-        sub = spec.substitution()
-        dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
-        keep_s = S not in sub or bool(sub[S])
-        images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
-    diffs, prods = {}, {}
-    weights = {}  # slot indices -> monomial code
-    for target, key, slots, cell in _kept_entries(ainf, diffs, prods):
-        w = weights.get(slots)
-        if w is None:
-            w = weights[slots] = _weight(slots, r, dropped)
-        if w < 0:
-            continue
-        dest = target.get(key)
+def _insert(entries: list, keep_s: bool) -> dict:
+    """{key: {output code: {monomial code: int}}}, the sum of the entries,
+    a flat list key, w, cell, key, w, cell, ...: each output of cell counts
+    at the monomial code w and its s-part at w | 1 (dropped unless keep_s).
+    A term or an output is dropped as soon as it reaches zero, so every dict
+    keeps the order that Poly arithmetic gives it; a key stays, with an
+    empty cell, when all of its outputs cancel."""
+    cells = {}
+    it = iter(entries)
+    for key, w, cell in zip(it, it, it):
+        dest = cells.get(key)
         if dest is None:
-            dest = target[key] = {}
+            dest = cells[key] = {}
         for out, (c0, c1) in cell.items():
             terms = dest.get(out)
             if terms is None:
@@ -399,40 +372,120 @@ def insert_cochain(ainf: AinfTable, r: int,
                     del terms[w | 1]
             if not terms:
                 del dest[out]
+    return cells
+
+
+def insert_cochain(ainf: AinfTable, r: int,
+                   spec: CochainSpec | None = None) -> DeformedOps:
+    """Deform by the cochain b = sum_i t_i wbar_i with the values of spec;
+    None is the universal cochain, each t_i its own variable and s free.
+
+    One rule reads every m_1, m_2, m_3 entry: each degree-1 slot wbar_i takes
+    the value of t_i, and the entry, times those values in slot order, goes
+    to m_1^b(x) = differentials[x] if one degree-0 input x remains and to
+    m_2^b(x, y) = products[(x, y)] if two remain.  With no inputs left it is
+    a Maurer-Cartan term, vacuous as the grading of the table (checked by
+    `verify --suite deform`) leaves nothing in degree 2; three inputs would
+    need an output in degree -1.  A slot valued 0 drops its entry at
+    dispatch (wbar_0 always, as t_0 = 0); s = 0 drops every s-part.
+
+    Entries are dispatched on arity and on the degree bits of their codes,
+    and each target's entries are summed by _insert into monomial codes (see
+    _weight).  Each output code is then decoded once to its index (wbar_j in
+    a differential, w_k in a product), each distinct list of terms once into
+    a Poly, shared by every output that has it, and an output whose value
+    cancels is dropped.  The values other than 0 and the variable itself are
+    substituted into each distinct monomial code once per call, and a cell's
+    value is the sum of its terms' images, in the term order that
+    Poly.substitute of the finished cell gives.  The differentials are built
+    here; the products when DeformedOps.products is first read, sharing the
+    decoded monomials.
+
+    Every error is raised here, in this order: an index of a degree-1 slot
+    outside Z_r (NotInsertableError, at dispatch); a differential key, then
+    a product key, outside Z_r (NotInsertableError), even where its entries
+    cancel; a differential output code outside range(2r) (NotInsertableError)
+    or of degree 0 (ArithmeticError); then a product output code outside
+    range(2r) or of degree 1, likewise.  Output codes are checked at their
+    decode, so an output that cancels is not checked: when a product entry
+    has an output code that is not a w_k, the products are built here rather
+    than on first read (full_ainf emits none).  An entry that a zero-valued
+    slot drops is never read past its slot indices, so its inputs and
+    outputs are not checked.  The product cells are read from ainf when they
+    are built, so ainf must not change before then.
+    """
+    dropped, keep_s, images = frozenset((0,)), True, {}
+    if spec is not None:
+        if spec.r != r:
+            raise ValueError(f"cochain spec for r = {spec.r} read at r = {r}")
+        sub = spec.substitution()
+        dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
+        keep_s = S not in sub or bool(sub[S])
+        images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
+    diff_entries, prod_entries = [], []
+    weights = {}  # slot indices -> monomial code
+    for target, key, slots, cell in _kept_entries(ainf, diff_entries, prod_entries):
+        w = weights.get(slots)
+        if w is None:
+            w = weights[slots] = _weight(slots, r, dropped)
+        if w >= 0:
+            target += key, w, cell
+    diffs = _insert(diff_entries, keep_s)
     for key in diffs:
         if key not in range(r):
             raise NotInsertableError(f"differential key {key!r} is not in Z_{r}")
-    for key in prods:
+    for key in dict.fromkeys(prod_entries[::3]):
         if not (0 <= key[0] < r and 0 <= key[1] < r):
             raise NotInsertableError(f"product key {key!r} is not a pair in Z_{r}")
 
     monomial = cache(lambda code: _monomial(code, r))
+    image = cache(lambda code: Poly.from_nonzero({monomial(code): 1})
+                  .substitute(images))
 
     @cache
     def poly(items):
-        p = Poly.from_nonzero({monomial(m): c for m, c in items})
-        return p.substitute(images) if images else p
+        if not images:
+            return Poly.from_nonzero({monomial(m): c for m, c in items})
+        # Poly.substitute of the cell, each term c m read as c image(m); an
+        # image that shares no monomial with the sum so far is appended, as
+        # Poly addition would append it
+        out = {}
+        for m, c in items:
+            terms = {m2: c2 * c for m2, c2 in image(m).terms.items()}
+            if out.keys().isdisjoint(terms):
+                out.update(terms)
+            else:
+                out = (Poly.from_nonzero(out) + Poly.from_nonzero(terms)).terms
+        return Poly.from_nonzero(out)
 
-    def decoded(key, cell, codes):
-        """{index: Poly} of the cell of key, its output codes all in codes."""
-        out_cell = {}
-        for out, terms in (cell or {}).items():
-            if out not in codes:
-                name = f'dw_{key}' if codes is wbars else 'w_{} w_{}'.format(*key)
-                if not 0 <= out < 2 * r:
-                    raise NotInsertableError(
-                        f"{name} hit output code {out}, not a generator over Z_{r}")
-                raise ArithmeticError(
-                    f"{name} hit w{'bar' * (out & 1)}_{out >> 1} of degree {out & 1}")
-            if (p := poly(tuple(terms.items()))).terms:
-                out_cell[out >> 1] = p
-        return out_cell
+    def decoded(cells, keys, codes):
+        """{key: {index: Poly}} for each of keys, read from cells, every
+        output code in codes."""
+        table = {}
+        for key in keys:
+            table[key] = out_cell = {}
+            for out, terms in cells.get(key, {}).items():
+                if out not in codes:
+                    name = f'dw_{key}' if codes is wbars else 'w_{} w_{}'.format(*key)
+                    if not 0 <= out < 2 * r:
+                        raise NotInsertableError(
+                            f"{name} hit output code {out}, not a generator over Z_{r}")
+                    raise ArithmeticError(
+                        f"{name} hit w{'bar' * (out & 1)}_{out >> 1} of degree {out & 1}")
+                if (p := poly(tuple(terms.items()))).terms:
+                    out_cell[out >> 1] = p
+        return table
+
+    def products():
+        return decoded(_insert(prod_entries, keep_s),
+                       product(range(r), repeat=2), ws)
 
     wbars, ws = range(1, 2 * r, 2), range(0, 2 * r, 2)
-    return DeformedOps(
-        {i: decoded(i, diffs.get(i), wbars) for i in range(r)},
-        {(j, i): decoded((j, i), prods.get((j, i)), ws)
-         for j in range(r) for i in range(r)})
+    differentials = decoded(diffs, range(r), wbars)
+    # a product output code that is not a w_k is read now, so that it raises
+    # here when it does not cancel
+    eager = not all(map(set(ws).issuperset, prod_entries[2::3]))
+    return DeformedOps(differentials, products() if eager else products)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +506,11 @@ class DiffMatrix:
         return self.rows.get(i, {}).get(j, Poly.zero())
 
     def is_skew(self) -> bool:
-        """entry(i, j) + entry(j, i) = 0 for every stored entry (i, j); a
-        pair with neither entry stored sums to 0, so this is every pair,
-        the diagonal included."""
-        return all((p + self.entry(j, i)).is_zero()
+        """entry(i, j) = -entry(j, i) for every stored entry (i, j), its
+        terms compared with the negated terms of its partner; a pair with
+        neither entry stored is 0 = -0, so this is every pair, the diagonal
+        included."""
+        return all(p.terms == {m: -c for m, c in self.entry(j, i).terms.items()}
                    for i, row in self.rows.items() for j, p in row.items())
 
     def upper_entries(self):
@@ -559,7 +613,9 @@ class CochainSpec:
 
 def check_point(params: SingularityParams, spec: CochainSpec) -> bool:
     """True iff spec annihilates the differential matrix: with the cochain
-    of spec inserted, no upper entry is left."""
+    of spec inserted, no upper entry is left.  Only the differentials are
+    built; an insertion error is raised by insert_cochain, and a broken
+    matrix invariant (ArithmeticError) by diff_matrix."""
     ops = insert_cochain(full_ainf(params), params.r, spec)
     return not diff_matrix(params, ops).upper_entries()
 
@@ -569,7 +625,10 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     m_2^b on degree 0 with the cochain of spec inserted.
 
     Rejects specs that do not annihilate the differential matrix identically,
-    reporting its first upper entry.
+    reporting its first upper entry (SpecNotFlatError) before any product
+    cell is built: the products are built by the table's read of
+    ops.products, on the flat locus only.  Insertion errors are raised by
+    insert_cochain, as in check_point.
     """
     ops = insert_cochain(full_ainf(params), params.r, spec)
     upper = diff_matrix(params, ops).upper_entries()

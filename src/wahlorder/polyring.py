@@ -269,19 +269,32 @@ MAX_NESTING = 100
 # power such as ((2^128)^128)^128 is refused unformed.  CochainSpec.parse
 # holds a spec's values to MAX_TERMS terms and MAX_BITS bits (int.bit_length)
 # of coefficients in all.  Set so that the slowest spec measured stays under
-# about 5 s and 200 MB in `deform --r 64 --a 1 --table --spec` (a = 1 is the
-# slowest a), three fresh processes each on 2 CPUs with Python 3.11.7, peak
-# RSS the largest of a row; products of the terms of a value rarely share a
-# monomial:
+# about 5 s and 200 MB in `deform --r 64 --table --spec`, three fresh
+# processes each on 2 CPUs with Python 3.11.7, peak RSS the largest of a row;
+# the 4096 bits are spread evenly over the coefficients named.  At a = 1 no
+# spec below is flat, and the verdict is read off the differentials before
+# any product is built; at a = 63 every one is flat, and the products are
+# built and printed:
 #                                          coefficients 1    4096 bits
-#   every t_i = c_i t_i (63 terms)         0.8-0.9 s 109 MB  1.5 s 119 MB
-#   t_32 a 66-term value, other t_i free   2.5-2.9 s 192 MB  2.9-3.0 s 205 MB
-#     the bits over all 128 terms                            3.1-3.4 s 212 MB
-#     3700 of them in one coefficient                        2.7-3.1 s 202 MB
-#   4, 8 or 16 central values share them   1.5-2.4 s 188 MB  2.1-2.6 s 200 MB
-#   63 values t_i + t_(i+1) (126 terms)    1.2-1.6 s 136 MB
-#   s a 65-term value, every t_i free      0.8 s 111 MB      1.2-1.3 s 111 MB
-#   at a = 63, flat there, --format json   2.2-2.6 s 131 MB  2.0-2.6 s 134 MB
+#   a = 1:
+#   every t_i = c_i t_i (63 terms)         0.4-0.6 s  92 MB  0.5-0.7 s  95 MB
+#   t_32 a 66-term value, other t_i free   0.5 s     103 MB  0.6 s     116 MB
+#     its coefficients 1..66               0.7-0.9 s 109 MB
+#     the bits over all 128 terms                            0.5 s     118 MB
+#     3700 of them in one coefficient                        0.7 s     106 MB
+#   4, 8 or 16 central values share them   0.5-0.7 s 103 MB  0.5-0.8 s 115 MB
+#   63 values t_i + t_(i+1) (126 terms)    0.5-0.8 s  97 MB
+#   s a 65-term value, every t_i free      0.5-0.6 s  93 MB  0.5-0.6 s  93 MB
+#   a = 63, --format json:
+#   every t_i = c_i t_i                                      1.5-2.3 s 131 MB
+#   t_32 a 66-term value, other t_i free   1.7-2.0 s 131 MB  1.5-1.6 s 128 MB
+#     the bits over all 128 terms                            1.6-1.8 s 132 MB
+#   4 central values share them                              1.5-1.8 s 129 MB
+#   63 values t_i + t_(i+1)                2.4-2.5 s 128 MB
+#   s a 65-term value, every t_i free                        2.6-3.4 s 148 MB
+# Before the verdict came first, the a = 1 rows took up to 2.1 s and 213 MB.
+# The slowest spec is now a flat one, so a higher MAX_TERMS is bounded by the
+# products, not the verdict.
 # Without the budget, the 630-term spec of 63 values (t_i + t_(i+1) + 1)^3
 # took 29 s, and the 66-term t_32 value with coefficients 10^4000 + i took
 # 53 s and 900 MB.

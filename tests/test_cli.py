@@ -97,6 +97,21 @@ def test_deform_table_rejects_nonflat(tmp_path):
     assert 'not flat' in proc.stderr
 
 
+def test_a_large_nonflat_spec_names_its_first_surviving_entry(tmp_path, capsys):
+    # t_32 a 66-term value with small coefficients, every other t_i free:
+    # the verdict comes from the differentials alone
+    spec = tmp_path / 't32.spec'
+    spec.write_text('\n'.join(
+        ['t_32 = ' + ' + '.join(f'{i} t_{i} t_{i % 63 + 1}' for i in range(1, 67))]
+        + [f't_{i} = t_{i}' for i in range(1, 64) if i != 32]) + '\n')
+    assert main(['deform', '--r', '64', '--a', '1', '--table',
+                 '--spec', str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == ('error: cochain is not flat; first surviving '
+                            'entry (1, 2): t_1 t_2\n')
+
+
 def test_order_paper_format():
     out = run_cli('--format', 'paper', 'order', '--n', '3', '--q', '2')
     assert 't^2 a_7 + t a_4' in out

@@ -342,6 +342,116 @@ def test_insertion_matches_poly_reference(r):
             _assert_matches_reference(full_ainf(SingularityParams(r, a)), r)
 
 
+def _nonzero_spec(r, value):
+    """The spec with t_i = value(i) for 0 < i < r, s free unless value(0)
+    is given; every value nonzero, so no entry is dropped at dispatch and
+    each cell keeps the output order of the universal cochain."""
+    assignments = {tsub(i): value(i) for i in range(1, r)}
+    if (s := value(0)) is not None:
+        assignments[S] = s
+    return CochainSpec(r, assignments)
+
+
+@pytest.mark.parametrize('r', range(2, 13))
+def test_products_read_after_the_differentials_match_the_reference(r):
+    # the product pass runs at the first read of products, after the
+    # differentials are decoded: the same cells, keys, outputs and term
+    # order as the entry-by-entry reading, under the universal cochain and
+    # under a spec
+    def value(i):
+        t = Poly.var(T)
+        return Poly.var(S) + t if i == 0 else Poly.var(tsub(r - i)) - t * Poly.const(i)
+
+    for a in range(1, r):
+        if gcd(a, r) != 1:
+            continue
+        ainf = _ainf(r, a)
+        diffs, prods = _reference_insertion(ainf, r)
+        spec = _nonzero_spec(r, value)
+        sub = spec.substitution()
+        for ops, want_d, want_p in (
+                (insert_cochain(ainf, r), diffs, prods),
+                (insert_cochain(ainf, r, spec), _substituted(diffs, sub),
+                 _substituted(prods, sub))):
+            assert callable(ops._products)  # not built before the read
+            assert _ordered(ops.differentials) == _ordered(want_d)
+            assert _ordered(ops.products) == _ordered(want_p)
+            assert ops.products is ops.products  # built once, then kept
+
+
+def _spy_on_insertion(monkeypatch):
+    """A list that gets one item per insertion pass: 'd' for the
+    differentials, 'p' for the products."""
+    passes, real = [], deform_mod._insert
+
+    def spy(entries, keep_s):
+        passes.append('p' if entries and isinstance(entries[0], tuple) else 'd')
+        return real(entries, keep_s)
+
+    monkeypatch.setattr(deform_mod, '_insert', spy)
+    return passes
+
+
+def test_the_flatness_verdict_never_builds_the_products(monkeypatch):
+    passes = _spy_on_insertion(monkeypatch)
+    params = SingularityParams(15, 4)
+    diff_matrix(params)
+    assert passes == ['d']
+    for spec in component_specs_15_4().values():
+        assert check_point(params, spec)
+    assert passes == ['d'] * 4
+    passes.clear()
+    bad = CochainSpec(15, {tsub(1): Poly.var(tsub(1)), tsub(2): Poly.var(tsub(2))})
+    with pytest.raises(SpecNotFlatError):
+        deformed_table(params, bad)
+    assert passes == ['d']
+    # the products are built by their first read, once
+    passes.clear()
+    ops = insert_cochain(full_ainf(params), 15)
+    assert passes == ['d']
+    ops.products, ops.products
+    assert passes == ['d', 'p']
+    passes.clear()
+    deformed_table(params, next(iter(component_specs_15_4().values())))
+    assert passes == ['d', 'p']
+
+
+@pytest.mark.parametrize('r', range(2, 11))
+def test_per_monomial_substitution_is_poly_substitute_of_each_cell(r):
+    # insert_cochain substitutes each monomial once and sums the images of
+    # a cell's terms; that is Poly.substitute of the finished cell, term
+    # order included, also where the values make terms cancel
+    t = Poly.var(T)
+
+    def var(i):
+        return Poly.var(tsub(i))
+
+    def mirrored(i):
+        # t_i = t_(r-i) - t_i, which is 0 only at the middle index
+        if i == 0:
+            return var(1) * var(r - 1) - Poly.var(S)
+        return var(r - i) - var(i) if 2 * i != r else t
+
+    values = {
+        'equal, s free': lambda i: None if i == 0 else t,
+        'equal, s = -t^2': lambda i: -(t * t) if i == 0 else t,
+        'mirrored, s free': lambda i: None if i == 0 else var(r - i) + t,
+        'mirrored, s assigned': mirrored,
+    }
+    for a in range(1, r):
+        if gcd(a, r) != 1:
+            continue
+        ainf = _ainf(r, a)
+        universal = insert_cochain(ainf, r)
+        for name, value in values.items():
+            spec = _nonzero_spec(r, value)
+            sub = spec.substitution()
+            ops = insert_cochain(ainf, r, spec)
+            for got, cells in ((ops.differentials, universal.differentials),
+                               (ops.products, universal.products)):
+                assert _ordered(got) == _ordered(_substituted(cells, sub)), name
+
+
 def test_insertion_drops_on_zero_and_reappends():
     # entries that cancel to zero and come back: a dropped term or output
     # returns at the end of its dict, exactly as in Poly arithmetic
@@ -399,6 +509,30 @@ def test_out_of_range_key_raises_even_when_it_cancels():
     _add(table, ((4, 0), (1, 1), (2, 0)), (1, 0), (-1, 0))
     with pytest.raises(NotInsertableError, match=re.escape('(4, 2)')):
         insert_cochain(table, 4)
+
+
+@pytest.mark.parametrize('entries,error,message', [
+    ([(((5, 0), (1, 0)), (1, 0)), (((4, 0), (2, 0)), (1, 0))],
+     NotInsertableError, 'product key (5, 1)'),
+    ([(((4, 0), (1, 0)), (1, 0)), (((4, 0),), (1, 1))],
+     NotInsertableError, 'differential key 4'),
+    ([(((4, 0),), (1, 1)), (((5, 1), (1, 0), (2, 0)), (1, 0))],
+     NotInsertableError, 'cochain slot index 5'),
+    ([(((1, 0),), (2, 0)), (((4, 0), (1, 0)), (1, 0))],
+     NotInsertableError, 'product key (4, 1)'),
+    ([(((2, 0), (3, 0)), (1, 1)), (((1, 0),), (2, 0))],
+     ArithmeticError, 'dw_1 hit w_2 of degree 0'),
+], ids=['products-in-table-order', 'differential-key-first', 'slot-first',
+        'keys-before-outputs', 'differentials-before-products'])
+def test_the_first_error_of_a_table_is_raised(entries, error, message):
+    # the product pass runs later than the differential pass, but a table
+    # with several faults raises the same error as one pass would
+    table = AinfTable()
+    for slots, out in entries:
+        _add(table, slots, out, (1, 0))
+    with pytest.raises(error) as exc:
+        insert_cochain(table, 4)
+    assert str(exc.value).startswith(message)
 
 
 @pytest.mark.parametrize('slots,out,message', [
