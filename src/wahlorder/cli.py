@@ -51,17 +51,17 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.9-1.3 s, 89 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 40: --suite kk                  1.5-2.6 s, 19 MB (r = 42: 2.3-2.4 s)
-#           --max-n 7:  --suite deform              4.1-4.2 s, 33 MB (order
-#                                                   0.8-0.9 s, cross 0.9 s)
-#           --max-n 8:  --suite deform              4.3-4.5 s, 38 MB (order
-#                                                   1.3-1.4 s, cross 1.5-1.6 s;
-#                                                   the cap raised to 8 to
-#                                                   measure): near budget
+#   verify  --max-r 40: --suite kk                  1.6-2.4 s, 17 MB (r = 48:
+#                                                   2.7-5.1 s, six runs)
+#           --max-n 8:  --suite deform              3.3-5.1 s, 35 MB (nine
+#                                                   runs, n = 7 3.4-4.8 s at
+#                                                   the same time; order
+#                                                   1.5 s, 21 MB; cross
+#                                                   1.6-1.7 s, 37 MB)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (5.8-6.1 s at the default
-# bounds, three fresh processes; the verify rows are three runs each).
+# --suite all runs the suites one after another (5.6-6.8 s at the default
+# bounds, nine runs; each verify row is three fresh processes or more).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
@@ -69,7 +69,7 @@ MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
 MAX_VERIFY_R = 40
-MAX_VERIFY_N = 7
+MAX_VERIFY_N = 8
 # an integer option longer than this is refused unread: every budget above
 # has at most 6 digits, and int() would echo a longer value whole
 MAX_INT_LITERAL = 64

@@ -33,7 +33,7 @@ from itertools import chain, product
 
 from .resarith import SingularityParams
 from .polyring import (Poly, S, tsub, format_poly, parse_poly, read_int,
-                       PolyParseError, MAX_TERMS, MAX_BITS)
+                       PolyParseError, MAX_TERMS, MAX_BITS, _add_terms)
 from .kkalg import AlgebraTable, gauss_word
 
 # coefficients c0 + c1 s as pairs (c0, c1)
@@ -396,10 +396,10 @@ def insert_cochain(ainf: AinfTable, r: int,
     a Poly, shared by every output that has it, and an output whose value
     cancels is dropped.  The values other than 0 and the variable itself are
     substituted into each distinct monomial code once per call, and a cell's
-    value is the sum of its terms' images, in the term order that
-    Poly.substitute of the finished cell gives.  The differentials are built
-    here; the products when DeformedOps.products is first read, sharing the
-    decoded monomials.
+    value is the sum of its terms' scaled images, summed in place by
+    _add_terms in the term order that Poly.substitute of the finished cell
+    gives.  The differentials are built here; the products when
+    DeformedOps.products is first read, sharing the decoded monomials.
 
     Every error is raised here, in this order: an index of a degree-1 slot
     outside Z_r (NotInsertableError, at dispatch); a differential key, then
@@ -446,16 +446,9 @@ def insert_cochain(ainf: AinfTable, r: int,
     def poly(items):
         if not images:
             return Poly.from_nonzero({monomial(m): c for m, c in items})
-        # Poly.substitute of the cell, each term c m read as c image(m); an
-        # image that shares no monomial with the sum so far is appended, as
-        # Poly addition would append it
         out = {}
         for m, c in items:
-            terms = {m2: c2 * c for m2, c2 in image(m).terms.items()}
-            if out.keys().isdisjoint(terms):
-                out.update(terms)
-            else:
-                out = (Poly.from_nonzero(out) + Poly.from_nonzero(terms)).terms
+            _add_terms(out, image(m).terms, c)
         return Poly.from_nonzero(out)
 
     def decoded(cells, keys, codes):

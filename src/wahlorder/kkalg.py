@@ -13,7 +13,7 @@ inside the diagram.
 
 from __future__ import annotations
 
-from .polyring import Poly
+from .polyring import Poly, _add_terms
 from .resarith import SingularityParams, gamma, m_of
 
 
@@ -125,8 +125,9 @@ class AlgebraTable:
         are then formed for every i at once: (w_k w_j) w_i sums
         c * row_m over the entries m: c of the cell (k, j), and w_k (w_j w_i)
         pushes each cell (j, i) of row_j through the products (k, m).  Only
-        products that can make a side nonzero are read.  Each coefficient is
-        compared with zero coefficients dropped.
+        products that can make a side nonzero are read.  Both sides are
+        summed by polyring._add_terms, which drops a coefficient that sums
+        to 0, so they are compared with zero coefficients dropped.
 
         Poly coefficients are first replaced by exact integer codes
         (_integer_coded), so the loop only ever multiplies ints or Fractions;
@@ -144,16 +145,17 @@ class AlgebraTable:
                 left, right = {}, {}
                 for m, c in get((k, j), {}).items():
                     for i, cell in rows.get(m, ()):
-                        _add_scaled(left.setdefault(i, {}), c, cell)
+                        _add_terms(left.setdefault(i, {}), cell, c)
                 for i, cell in rows.get(j, ()):
                     for m, c in cell.items():
                         km = get((k, m))
                         if km:
-                            _add_scaled(right.setdefault(i, {}), c, km)
-                if left == right:  # then also equal with zeros dropped
+                            _add_terms(right.setdefault(i, {}), km, c)
+                if left == right:
                     continue
+                # a cell that cancels is left empty, not dropped
                 bad = [i for i in left.keys() | right.keys()
-                       if _clean(left.get(i, {})) != _clean(right.get(i, {}))]
+                       if left.get(i, {}) != right.get(i, {})]
                 if bad:
                     return (k, j, min(bad))
         return None
@@ -246,18 +248,6 @@ def _integer_coded(products: dict) -> dict:
     return {key: {k: seen[c] if isinstance(c, Poly) else c
                   for k, c in cell.items()}
             for key, cell in products.items()}
-
-
-def _add_scaled(side, c, cell):
-    """side += c * cell, each new term added after the ones already there."""
-    for k, c2 in cell.items():
-        term = c * c2
-        old = side.get(k)
-        side[k] = term if old is None else old + term
-
-
-def _clean(d):
-    return {k: c for k, c in d.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -277,15 +277,12 @@ def constants_table(order: OrderTable) -> AlgebraTable:
 
 
 def fiber_at(order: OrderTable, tau) -> AlgebraTable:
-    """Evaluate the structure constants at t = tau (exact rational)."""
+    """Evaluate the structure constants at t = tau (exact rational): ints
+    at an int tau, else as Poly.eval_at forms them."""
     point = {T: tau}
-    products = {}
-    for key, cell in structure_constants(order).items():
-        products[key] = newcell = {}
-        for k, poly in cell.items():
-            v = poly.eval_at(point)
-            newcell[k] = int(v) if v.denominator == 1 else v
-    return AlgebraTable(order.r, products)
+    return AlgebraTable(order.r, {
+        key: {k: poly.eval_at(point) for k, poly in cell.items()}
+        for key, cell in structure_constants(order).items()})
 
 
 def certify_full_matrix_fiber(order: OrderTable, tau) -> bool:

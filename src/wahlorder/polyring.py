@@ -82,14 +82,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: 'Poly') -> 'Poly':
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = out.get(m, 0) + c
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
-        return Poly.from_nonzero(out)
+        return Poly.from_nonzero(_add_terms(dict(self.terms), other.terms))
 
     def __neg__(self) -> 'Poly':
         return Poly.from_nonzero({m: -c for m, c in self.terms.items()})
@@ -152,41 +145,28 @@ class Poly:
     def substitute(self, sub: dict) -> 'Poly':
         """Simultaneous substitution; unmapped variables pass through.
 
-        Each power img^e of a mapped variable is formed once per call.  A
-        term is its coefficient times its unmapped variables times those
-        powers, and the terms are summed into one dict, a monomial that
-        cancels leaving it, so they come out in the order that summing the
-        terms one by one with + gives.
+        A term is its coefficient times its unmapped variables times img^e
+        for each mapped variable, and the terms are summed one by one into
+        one dict by _add_terms, so they come out in the order that summing
+        them with + gives.
         """
-        powers = {}
         out = {}
         for m, c in self.terms.items():
             term = Poly.from_nonzero(
                 {tuple(ve for ve in m if ve[0] not in sub): c})
-            for ve in m:
-                if ve[0] in sub:
-                    power = powers.get(ve)
-                    if power is None:
-                        power = powers[ve] = sub[ve[0]] ** ve[1]
-                    term = term * power
-            for m2, c2 in term.terms.items():
-                c2 += out.get(m2, 0)
-                if c2:
-                    out[m2] = c2
-                else:
-                    del out[m2]
+            for v, e in m:
+                if v in sub:
+                    term = term * sub[v] ** e
+            _add_terms(out, term.terms)
         return Poly.from_nonzero(out)
 
-    def eval_at(self, point: dict) -> Fraction:
-        """Exact rational evaluation; every variable must be assigned.
+    def eval_at(self, point: dict):
+        """Exact evaluation; every variable must be assigned.
 
-        Each point value is converted once: an int stays an int and anything
-        else goes through Fraction, so at an integral point the sum is
-        formed in ints.
+        The sum is formed as the values come: a point value that is not an
+        int is converted once, through Fraction, so the result is an int at
+        a point of ints and may be a Fraction otherwise.
         """
-        # fractions is loaded by the first call; fiber_at calls this once
-        # per coefficient, and a `from` import would cost about 1 us a call
-        import fractions
         vals = {}
         total = 0
         for m, c in self.terms.items():
@@ -198,11 +178,25 @@ class Poly:
                         raise ValueError(f"unassigned variable {_var_str(v)}")
                     x = point[v]
                     if not isinstance(x, int):
-                        x = fractions.Fraction(x)
+                        from fractions import Fraction
+                        x = Fraction(x)
                     vals[v] = x
                 val *= x ** e
             total += val
-        return fractions.Fraction(total)
+        return total
+
+
+def _add_terms(out: dict, terms: dict, scale=1) -> dict:
+    """out += scale * terms in place, returning out: a monomial already in
+    out takes the sum where it stands and leaves when the sum is 0, and a
+    new one is appended (a zero term is never stored)."""
+    for m, c in terms.items():
+        c = out.get(m, 0) + c * scale
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
 
 
 def _mono_mul(m1, m2):

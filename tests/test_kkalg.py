@@ -240,6 +240,18 @@ def test_associator_matches_dense_reference_on_mutants():
     table.products[(2, 5)] = {1: -1}
     assert dense_associator_violation(table) == (2, 2, 5)
     assert table.associator_violation() == (2, 2, 5)
+    # a side whose cell cancels to empty against a side with no such cell
+    cancelled = [(1, 1), (1, -1)]
+    for left, right, want in ((cancelled, [], None), ([], cancelled, None),
+                              (cancelled, [(2, 1)], (1, 2, 3))):
+        table = _one_triple_table(left, right)
+        assert dense_associator_violation(table) == want
+        assert table.associator_violation() == want
+    # a zero coefficient stored after construction reads as absent
+    table = kk_table(SingularityParams(9, 2))
+    table.products[(4, 1)] = {5: 1, 6: 0}
+    assert dense_associator_violation(table) is None
+    assert table.associator_violation() is None
 
 
 def _first_component_table(r):
