@@ -46,9 +46,9 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #                       a = 63,  --table, the slowest spec at the term
 #                                budget (polyring.MAX_TERMS), --format json
 #                                                   2.6-3.4 s, 148 MB
-#   order   n = 10:     q = 1,   --fiber zero       0.5 s,  27 MB
+#   order   n = 10:     q = 1,   --fiber zero       0.2-0.3 s, 26 MB
 #           --at P/Q, P and Q of 200 digits: n = 10, q = 1 or 9, table or
-#           json, with or without --fiber generic   0.9-1.3 s, 89 MB (the
+#           json, with or without --fiber generic   0.8-1.3 s, 87 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
 #   verify  --max-r 40: --suite kk                  1.6-2.4 s, 17 MB (r = 48:
@@ -56,8 +56,8 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           --max-n 8:  --suite deform              3.3-5.1 s, 35 MB (nine
 #                                                   runs, n = 7 3.4-4.8 s at
 #                                                   the same time; order
-#                                                   1.5 s, 21 MB; cross
-#                                                   1.6-1.7 s, 37 MB)
+#                                                   0.9-1.3 s, 21 MB; cross
+#                                                   0.9-1.3 s, 37 MB)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
 # --suite all runs the suites one after another (5.6-6.8 s at the default

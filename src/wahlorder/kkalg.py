@@ -4,11 +4,13 @@ R_{r,a} has basis w_0..w_{r-1} with w_0 the unit and
 
     w_j * w_i = w_{j+i}   if m(j) > [i],   else 0,
 
-where m is the gap function of resarith.  The same rule has two independent
+where m is the gap function of resarith.  The same rule has two
 combinatorial readings used as oracles: an axis-aligned rectangle in the
 lattice must avoid orange points except at the origin, and equivalently the
 smallest rectangle of Young-diagram boxes spanned by the factors must lie
-inside the diagram.
+inside the diagram.  The closed rule and YoungDiagram read the same entry
+of params.gaps, so only the column scan of kk_product_rect is computed
+apart from the gap table.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ again R_{n^2, nq-1} after the index flip k -> -k.
 
 Every entry of a basis matrix is a signed monomial +-t^e, and the layer keeps
 that form: a basis matrix is a list [(row, col, sign, e)], a product of two is
-a sparse {(row, col): dense Z[t] coefficient list}, and Poly appears only in
-the finished constants.  solve_in_basis peels the r x r coefficient matrix
-once into a triangular order with pivots +-t^e and back-substitutes each
-product over its nonzero cells, dividing exactly by t^e: a nonzero remainder
-below t^e proves non-closure, and a residual that ends all zero certifies the
+a sparse {(row, col): {e: c}} holding nonzero terms only, and Poly appears
+only in the finished constants.  solve_in_basis peels the r x r coefficient
+matrix once into a triangular order with pivots +-t^e and back-substitutes
+each product over its nonzero cells, dividing exactly by t^e: a term below
+t^e proves non-closure, and a residual that ends all zero certifies the
 result.  The pivots also give the determinant +-t^(sum e), which certifies
 the fibers at every t != 0 as Mat_n.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .resarith import SingularityParams, WahlParams
-from .polyring import Poly, T, S, tsub, acoef, format_poly, _from_uni
+from .polyring import Poly, T, S, tsub, acoef, format_poly, _add_terms
 from .kkalg import AlgebraTable, kk_table
 
 _NEG_INF = float('-inf')
@@ -161,30 +161,20 @@ def structure_constants(order: OrderTable) -> dict:
 
 
 def _product(left, right_rows) -> dict:
-    """left . right as {(row, col): dense Z[t] list}, zero cells left out;
+    """left . right as {(row, col): {e: c}}, no zero term or empty cell;
     right_rows[m] lists the entries (col, sign, e) of right's row m."""
     out = {}
     for i, m, s1, e1 in left:
         for j, s2, e2 in right_rows.get(m, ()):
-            e = e1 + e2
-            cell = out.setdefault((i, j), [])
-            if len(cell) <= e:
-                cell.extend([0] * (e + 1 - len(cell)))
-            cell[e] += s1 * s2
-    return {c: v for c, v in out.items() if _trim(v)}
-
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
+            _add_terms(out.setdefault((i, j), {}), {e1 + e2: s1 * s2})
+    return {c: v for c, v in out.items() if v}
 
 
 def solve_in_basis(basis, targets):
     """Coordinates in Z[t] of each target over signed-monomial basis matrices.
 
     basis[k] is [(row, col, sign, e)], at most one entry per cell; targets
-    maps a label to {(row, col): dense coefficient list, low degree first}.
+    maps a label to {(row, col): {e: c}}, the nonzero terms of each cell.
     Returns ({label: {k: Poly}}, sum e): each coordinate dict in ascending
     k, and sum e the exponent of the determinant +-t^(sum e) of the
     coefficient matrix (cells x unknowns) on the cells _peel pivots; the
@@ -195,17 +185,17 @@ def solve_in_basis(basis, targets):
     pivot cell and in cells pivoted later.  A target is solved over its
     nonzero cells: take the earliest pivot position whose residual cell is
     nonzero, divide that cell exactly by +-t^e to get x_k, and subtract
-    x_k N_k from the residual; a heap of positions orders the visits.  The
-    solution over Q(t) is unique, so a nonzero coefficient below t^e proves
-    the target is not in the Z[t]-span and raises ArithmeticError.  The
-    residual must end all zero, which is target = sum x_k N_k exactly in
-    Z[t]: the certificate of the result.
+    x_k N_k from the residual in place, dropping each term that reaches 0;
+    a heap of positions orders the visits.  The solution over Q(t) is
+    unique, so a term below t^e proves the target is not in the Z[t]-span
+    and raises ArithmeticError.  The residual must end all zero, which is
+    target = sum x_k N_k exactly in Z[t]: the certificate of the result.
     """
     steps, det = _peel(basis)
     position = {step[0]: p for p, step in enumerate(steps)}
     consts = {}
     for label, target in targets.items():
-        residual = {c: v[:] for c, v in target.items()}
+        residual = {c: dict(v) for c, v in target.items()}
         heap = [position[c] for c in residual if c in position]
         heapify(heap)
         coords = {}
@@ -215,25 +205,31 @@ def solve_in_basis(basis, targets):
             acc = residual[cell]
             if not acc:
                 continue  # solved already, or cancelled since it was pushed
-            if any(acc[:e]):
+            if min(acc) < e:
                 raise ArithmeticError(
                     f'product {label}: coordinate {k} is not in Z[t] '
                     f'(nonzero remainder below t^{e})')
-            x = coords[k] = [sign * v for v in acc[e:]]
+            x = coords[k] = {d - e: sign * v for d, v in acc.items()}
             for row, col, s, shift in basis[k]:
                 c = (row, col)
-                acc = residual.setdefault(c, [])
-                if len(acc) < shift + len(x):
-                    acc.extend([0] * (shift + len(x) - len(acc)))
-                for i, v in enumerate(x, shift):
-                    acc[i] -= s * v
-                if _trim(acc) and position.get(c, -1) > p:
+                acc = residual.setdefault(c, {})
+                for d, v in x.items():
+                    d += shift
+                    v = acc.get(d, 0) - s * v
+                    if v:
+                        acc[d] = v
+                    else:
+                        del acc[d]
+                if acc and position.get(c, -1) > p:
                     heappush(heap, position[c])
         bad = next((c for c, v in residual.items() if v), None)
         if bad is not None:
             raise ArithmeticError(
                 f'product {label}: exact recombination fails in cell {bad}')
-        consts[label] = {k: _from_uni(coords[k]) for k in sorted(coords)}
+        consts[label] = {
+            k: Poly.from_nonzero({(((T, d),) if d else ()): v
+                                  for d, v in sorted(coords[k].items())})
+            for k in sorted(coords)}
     return consts, det
 
 

@@ -13,9 +13,6 @@ canonical map {monomial: nonzero int}; a monomial is a tuple of
 ((var, exp), ...) pairs sorted as tuples, that is by variable.
 Printing uses graded-lex descending order so output is byte-stable, and the
 printer/parser round-trip on the style "t^2 a_8 + t a_5".
-
-Dense univariate work in t (the order solver) runs on plain int lists, low
-degree first; _from_uni wraps a finished list as a Poly.
 """
 
 from __future__ import annotations
@@ -429,13 +426,3 @@ def parse_poly(text: str) -> Poly:
     if ix != len(tokens):
         raise PolyParseError(f'trailing tokens at {tokens[ix:]}')
     return result
-
-
-# ---------------------------------------------------------------------------
-# dense univariate coefficient lists
-# ---------------------------------------------------------------------------
-
-def _from_uni(c: list) -> Poly:
-    """Dense coefficient list in t, low degree first -> Poly."""
-    return Poly.from_nonzero({(() if e == 0 else ((T, e),)): v
-                              for e, v in enumerate(c) if v})

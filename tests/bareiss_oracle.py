@@ -13,7 +13,7 @@ determinant that checks the exact Mat_n certificate at sampled points.
 from fractions import Fraction
 from math import gcd as _gcd
 
-from wahlorder.polyring import Poly, T, format_poly, _from_uni
+from wahlorder.polyring import Poly, T, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,12 @@ def _to_uni(p: Poly) -> list:
     for e, c in coeffs.items():
         out[e] = c
     return out
+
+
+def _from_uni(c: list) -> Poly:
+    """Dense coefficient list in t, low degree first -> Poly."""
+    return Poly.from_nonzero({(() if e == 0 else ((T, e),)): v
+                              for e, v in enumerate(c) if v})
 
 
 def _utrim(c: list) -> list:

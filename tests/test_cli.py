@@ -398,7 +398,8 @@ _LONG = '9' * 5000
      f'verify (--max-r <= {cli_mod.MAX_VERIFY_R})'),
     (['verify', '--max-n', f'-{_LONG}'], '--max-n',
      f'verify (--max-n <= {cli_mod.MAX_VERIFY_N})'),
-])
+], ids=['kk-r', 'gauss-a', 'deform-r', 'order-q', 'verify-max-r',
+        'verify-max-n'])  # fixed ids: the budgets in the messages may change
 def test_a_long_integer_option_is_refused_unread(argv, option, budget, capsys):
     # int() would refuse 5000 digits and argparse echo them all (5161 bytes)
     with pytest.raises(SystemExit) as exc:

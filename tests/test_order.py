@@ -18,7 +18,7 @@ from wahlorder.order import (order_entry, build_order, structure_constants,
 from wahlorder.goldens import GOLDEN_MATRICES
 from wahlorder.deform import check_point
 from bareiss_oracle import (poly_matrix, _matmul, _solve_bareiss,
-                            _det_fraction, _to_uni)
+                            _det_fraction)
 
 
 def test_order_entry_reference_examples():
@@ -227,8 +227,17 @@ def _combination(basis, coords, n):
 
 
 def _sparse(matrix):
-    return {(i, j): _to_uni(p) for i, row in enumerate(matrix)
+    # each cell as {e: c}, the form _product and solve_in_basis use
+    return {(i, j): {(m[0][1] if m else 0): c for m, c in p.terms.items()}
+            for i, row in enumerate(matrix)
             for j, p in enumerate(row) if not p.is_zero()}
+
+
+def _rows(matrix):
+    rows = {}
+    for i, j, sign, e in matrix:
+        rows.setdefault(i, []).append((j, sign, e))
+    return rows
 
 
 @pytest.mark.parametrize('n,q', _wahl_pairs(4))
@@ -255,11 +264,8 @@ def test_product_matches_poly_matmul():
         left, right = ([(i, j, rng.choice((1, -1)), rng.randint(0, 2))
                         for i, j in rng.sample(cells, rng.randint(0, n * n))]
                        for _ in range(2))
-        right_rows = {}
-        for i, j, sign, e in right:
-            right_rows.setdefault(i, []).append((j, sign, e))
         want = _matmul(poly_matrix(left, n), poly_matrix(right, n), n)
-        assert order_mod._product(left, right_rows) == _sparse(want)
+        assert order_mod._product(left, _rows(right)) == _sparse(want)
 
 
 def test_triangular_path_up_to_n_6():
@@ -268,6 +274,16 @@ def test_triangular_path_up_to_n_6():
         consts = structure_constants(ordr)
         assert len(consts) == ordr.r ** 2, (n, q)
         assert ordr._det > 0, (n, q)
+        # the solver's term dicts rest on this: every structure constant is
+        # one +-t^e, and every cell of every product N_i . N_j one term
+        assert all(len(p.terms) == 1 and abs(c) == 1
+                   for cell in consts.values() for p in cell.values()
+                   for c in p.terms.values()), (n, q)
+        basis = _order_basis(ordr)
+        for right in map(_rows, basis):
+            assert all(len(v) == 1 for left in basis
+                       for v in order_mod._product(left, right).values()), \
+                (n, q)
 
 
 @pytest.mark.parametrize('n,q', _wahl_pairs(5))
@@ -318,9 +334,9 @@ def test_target_outside_closure_raises():
     basis = _order_basis(ordr)
     # cell (1,2) is t a_3 alone, so E_12 = N / t is not in the Z[t]-span
     with pytest.raises(ArithmeticError, match='remainder'):
-        solve_in_basis(basis, {'E12': {(0, 1): [1]}})
+        solve_in_basis(basis, {'E12': {(0, 1): {0: 1}}})
     # t E_12 is in the span, with coordinate 1 on the a_3 basis element
-    got, _ = solve_in_basis(basis, {'tE12': {(0, 1): [0, 1]}})
+    got, _ = solve_in_basis(basis, {'tE12': {(0, 1): {1: 1}}})
     assert list(got['tE12'].values()) == [Poly.const(1)]
 
 
@@ -334,9 +350,8 @@ def test_tampered_product_raises():
     # a constant term added in a cell whose pivot is t^e, e >= 1
     steps, _ = order_mod._peel(basis)
     cell = next(c for c, _, _, e in steps if e >= 1)
-    tampered = dict(product)
-    tampered[cell] = [1] if cell not in product else \
-        [product[cell][0] + 1] + product[cell][1:]
+    old = product.get(cell, {})
+    tampered = {**product, cell: {**old, 0: old.get(0, 0) + 1}}
     with pytest.raises(ArithmeticError, match='remainder below t'):
         solve_in_basis(basis, {label: tampered})
 
@@ -345,10 +360,12 @@ def test_residual_outside_the_pivot_cells_raises():
     # I and E12 pivot in the cells (1,2) and (1,1); cell (2,2) is left over
     # and must end with a zero residual
     basis = [[(0, 0, 1, 0), (1, 1, 1, 0)], [(0, 1, 1, 0)]]
-    got, _ = solve_in_basis(basis, {'I + t E12': {(0, 0): [1], (1, 1): [1],
-                                                  (0, 1): [0, 1]}})
+    got, _ = solve_in_basis(basis, {'I + t E12': {(0, 0): {0: 1},
+                                                  (1, 1): {0: 1},
+                                                  (0, 1): {1: 1}}})
     assert got == {'I + t E12': {0: Poly.const(1), 1: Poly.var(T)}}
-    for label, target in (('E11', {(0, 0): [1]}), ('E22', {(1, 1): [1]})):
+    for label, target in (('E11', {(0, 0): {0: 1}}),
+                          ('E22', {(1, 1): {0: 1}})):
         with pytest.raises(ArithmeticError, match='recombination fails'):
             solve_in_basis(basis, {label: target})
 
