@@ -13,8 +13,8 @@ _EXPORTS = {
     'kkalg': ('AlgebraTable', 'kk_product_closed', 'kk_product_rect',
               'kk_table', 'dual_relabel', 'young_diagram', 'YoungDiagram',
               'gauss_word', 'self_intersection_count'),
-    'deform': ('AinfTable', 'hidden_ainf', 'visible_contributions', 'full_ainf',
-               'insert_cochain', 'diff_matrix', 'DiffMatrix', 'CochainSpec',
+    'ainf': ('AinfTable', 'hidden_ainf', 'visible_contributions', 'full_ainf'),
+    'deform': ('insert_cochain', 'diff_matrix', 'DiffMatrix', 'CochainSpec',
                'check_point', 'deformed_table', 'SpecNotFlatError'),
     'order': ('OrderTable', 'order_entry', 'build_order', 'structure_constants',
               'constants_table', 'fiber_at', 'certify_full_matrix_fiber',

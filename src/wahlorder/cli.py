@@ -53,15 +53,15 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           refuses to print an int of more than 4300)
 #   verify  --max-r 40: --suite kk                  1.6-2.4 s, 17 MB (r = 48:
 #                                                   2.7-5.1 s, six runs)
-#           --max-n 8:  --suite deform              3.3-5.1 s, 35 MB (nine
-#                                                   runs, n = 7 3.4-4.8 s at
+#           --max-n 10: --suite deform              2.4-4.1 s, 31 MB (five
+#                                                   runs, n = 8 2.3-4.0 s at
 #                                                   the same time; order
-#                                                   0.9-1.3 s, 21 MB; cross
-#                                                   0.9-1.3 s, 37 MB)
+#                                                   2.3-3.5 s, 30 MB; cross
+#                                                   1.7-2.6 s, 30 MB)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (5.6-6.8 s at the default
-# bounds, nine runs; each verify row is three fresh processes or more).
+# --suite all runs the suites one after another (3.3-5.0 s at the default
+# bounds, six runs; each verify row is three fresh processes or more).
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64
@@ -69,7 +69,7 @@ MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
 MAX_VERIFY_R = 40
-MAX_VERIFY_N = 8
+MAX_VERIFY_N = 10
 # an integer option longer than this is refused unread: every budget above
 # has at most 6 digits, and int() would echo a longer value whole
 MAX_INT_LITERAL = 64

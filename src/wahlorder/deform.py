@@ -1,260 +1,32 @@
-"""A-infinity endomorphism calculus on the lattice model and its deformations.
+"""Deformations of the lattice model's A-infinity table by a bounding cochain.
 
-Generators come in pairs (w_i, wbar_i) indexed by Z_r, of degrees 0 and 1;
-there is nothing in degree 2, so the Maurer-Cartan equation is vacuous and
-every degree-1 element b = sum t_i wbar_i is a bounding cochain.
-
-The operations m_2, m_3 have two sources:
-
-* a "hidden" part read off the Gauss word of kkalg.gauss_word (unit
-  products, per-crossing triples, and six families: for each ordered pair
-  of occurrences in the word, the two entries picked by the halves of the
-  word the two occurrences lie in), and
-* "visible" contributions from axis-aligned lattice rectangles, enumerated
-  modulo the orange sublattice, with degenerate corners at orange points.
-  A rectangle passing the marked point just SW of an orange point picks up a
-  factor of s; this happens exactly when its NE corner is orange.
-
-Before the cochain is inserted every coefficient is +-1 or +-s, so the
-A-infinity table is integer-coded (see AinfTable); Poly first appears in the
-output of insert_cochain.
-
-Sign conventions for the visible readings are frozen by calibration against
-exact oracles (the a=1 contribution lists, skew-symmetry of the differential
-matrix for every (r,a), the reference component ideals of 1/15(1,4) and
-1/19(1,7), and the one-parameter locus of wahl_cochain); see the comments at
-the emission site for the alternatives that fail.
+insert_cochain inserts b = sum t_i wbar_i into a table of ainf, the
+universal cochain (each t_i its own variable) or the values of a
+CochainSpec, and gives m_1^b and m_2^b with Poly coefficients; Poly first
+appears here.  diff_matrix reads m_1^b as the skew differential matrix,
+whose vanishing cuts out the flat locus, and check_point and deformed_table
+read it and m_2^b at the locus of a spec.  The universal cochain is
+inserted into the whole table of ainf.full_ainf; a spec, into the entries
+of the slots it leaves nonzero, the only ones its insertion keeps.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import product
 
 from .resarith import SingularityParams
 from .polyring import (Poly, S, tsub, format_poly, parse_poly, read_int,
                        PolyParseError, MAX_TERMS, MAX_BITS, _add_terms)
-from .kkalg import AlgebraTable, gauss_word
+from .kkalg import AlgebraTable
+from .ainf import AinfTable, full_ainf
 
-# coefficients c0 + c1 s as pairs (c0, c1)
-_ONE, _MINUS, _S, _MINUS_S = (1, 0), (-1, 0), (0, 1), (0, -1)
 _S_MONO = ((S, 1),)
 
 
 class NotInsertableError(ValueError):
     """The table cannot be deformed: an entry has an input or slot index
     that is not in Z_r, or an output code that is not in range(2r)."""
-
-
-def _accumulate(entries):
-    """cells[key][out] += coeff for each (cells, key, out, coeff) in entries,
-    dropping zero coefficients and empty cells.
-
-    Coefficients are (c0, c1) pairs.  One landing in an empty slot is stored
-    as it is, not copied: pairs are immutable, so cells may share one.  Only
-    a collision builds a new pair."""
-    for cells, key, out, coeff in entries:
-        cell = cells.get(key)
-        if cell is None:
-            if coeff[0] or coeff[1]:
-                cells[key] = {out: coeff}
-            continue
-        old = cell.get(out)
-        if old is not None:
-            coeff = (old[0] + coeff[0], old[1] + coeff[1])
-        if coeff[0] or coeff[1]:
-            cell[out] = coeff
-        elif old is not None:
-            del cell[out]
-            if not cell:
-                del cells[key]
-
-
-class AinfTable:
-    """Sparse m_1 / m_2 / m_3, integer-coded.
-
-    A generator (i, d) is stored as the int 2i + d and a coefficient
-    c0 + c1 s as the pair (c0, c1).  Each m_k is keyed by the tuple of its
-    k input codes written highest slot first: the key of m_3(a_3, a_2, a_1)
-    is (a_3, a_2, a_1), and that of m_1(a_1) is (a_1,).  Each cell maps
-    output codes to pairs, one item per output, with no zero pair and no
-    empty cell.
-
-    The reading rules keep the grading deg(out) = sum deg(inputs) + 2 - k
-    of every m_k entry, a code's degree its parity bit; verify's deform
-    suite checks it.
-    """
-
-    def __init__(self):
-        self.m1 = {}
-        self.m2 = {}
-        self.m3 = {}
-
-    def degrees_present(self) -> set:
-        """The degree bits of the input codes."""
-        codes = set(chain.from_iterable(chain(self.m1, self.m2, self.m3)))
-        return {code & 1 for code in codes}
-
-
-# ---------------------------------------------------------------------------
-# hidden part
-# ---------------------------------------------------------------------------
-
-def _hidden_entries(params: SingularityParams, table: AinfTable):
-    """Yield the hidden entries as (cells, key, out, coeff) into table: the
-    units and the pairing, the per-crossing triples, and for each pair of
-    occurrences p < q in the Gauss word, x at p and y at q, the two entries
-    of the family picked by the halves of the word they lie in."""
-    m2, m3 = table.m2, table.m3
-    # units and the pairing with the degree-1 partners (w_0 and wbar_0 are
-    # the codes 0 and 1)
-    for i in range(params.r):
-        w, wbar = 2 * i, 2 * i + 1
-        yield m2, (w, 0), w, _ONE
-        if i != 0:
-            yield m2, (0, w), w, _ONE
-        yield m2, (wbar, 0), wbar, _ONE
-        yield m2, (0, wbar), wbar, _MINUS
-        if i != 0:
-            yield m2, (wbar, w), 1, _ONE
-            yield m2, (w, wbar), 1, _MINUS
-    # per-crossing triples
-    for i in range(1, params.r):
-        w, wbar = 2 * i, 2 * i + 1
-        yield m3, (wbar, w, wbar), wbar, _MINUS
-        yield m3, (wbar, w, 1), 1, _MINUS
-        yield m3, (w, wbar, 1), 1, _ONE
-    word = gauss_word(params)
-    half = len(word) // 2
-    for p, x in enumerate(word):
-        wx, bx = 2 * x, 2 * x + 1
-        for q in range(p + 1, len(word)):
-            wy = 2 * word[q]
-            by = wy + 1
-            if p >= half:  # both occurrences in the second half
-                yield m3, (wy, bx, wx), wy, _ONE
-                yield m3, (bx, wx, by), by, _MINUS
-            elif q >= half:  # x in the first half, y in the second
-                yield m3, (wx, bx, by), by, _ONE
-                yield m3, (wy, wx, bx), wy, _MINUS
-            else:  # both occurrences in the first half
-                yield m3, (by, wx, bx), by, _MINUS
-                yield m3, (wx, bx, wy), wy, _MINUS
-
-
-def hidden_ainf(params: SingularityParams) -> AinfTable:
-    """Products of the undeformed complex, read off kkalg.gauss_word: units,
-    per-crossing triples, and the six families of occurrence pairs in the
-    word.  m_1 = 0 and m_k = 0 for k >= 4."""
-    table = AinfTable()
-    _accumulate(_hidden_entries(params, table))
-    return table
-
-
-# ---------------------------------------------------------------------------
-# visible polygons
-# ---------------------------------------------------------------------------
-
-def _permitted_rectangles(params: SingularityParams):
-    """Yield (c, X, Y, ne_orange) for rectangles [0,X] x [c,c+Y] (SW corner
-    label c) whose closed region avoids orange points except at the SW corner
-    (when c = 0) and, when ne_orange, at the NE corner.
-
-    Any rectangle with a side longer than r contains a non-corner orange
-    point, so X, Y <= r is exhaustive.
-    """
-    r, b = params.r, params.b
-    for c in range(r):
-        # thr[u]: height above c of the first orange point in column u at or
-        # above the bottom edge (0 when it is on the bottom edge), with the
-        # SW corner exempted
-        thr = []
-        for u in range(0, r + 1):
-            v = (b * u - c) % r  # first orange at c + v
-            if u == 0 and c == 0:
-                v = r  # SW corner itself is exempt; next orange is at height r
-            thr.append(v)
-        # interior_min <= r, so every Y below is at most r
-        interior_min = thr[0]
-        for X in range(1, r + 1):
-            tX = thr[X]
-            # plain rectangles: no orange at all
-            for Y in range(1, min(interior_min, tX)):
-                yield (c, X, Y, False)
-            # NE-orange rectangle: the column-X hit is exactly the NE corner
-            if 1 <= tX < interior_min:
-                yield (c, X, tX, True)
-            interior_min = min(interior_min, tX)
-
-
-def _rectangle_readings(params: SingularityParams, t: AinfTable):
-    """Yield the readings of every permitted rectangle as (cells, key, out,
-    coeff) into t, with the sign conventions documented at
-    visible_contributions."""
-    r, b = params.r, params.b
-    m1, m2, m3 = t.m1, t.m2, t.m3
-    for (c, X, Y, ne_or) in _permitted_rectangles(params):
-        gSW = c
-        gSE = (c - b * X) % r
-        gNW = (c + Y) % r
-        gNE = (c + Y - b * X) % r
-        sw_or = (gSW == 0)
-        if gSE == 0 or gNW == 0 or (gNE == 0) != ne_or:
-            raise ArithmeticError(f"rectangle {(c, X, Y)}: misread orange corner")
-        wSE, wNW = 2 * gSE, 2 * gNW
-        bSW, bSE, bNW, bNE = 2 * gSW + 1, wSE + 1, wNW + 1, 2 * gNE + 1
-        # A: output w at NE (w_0 when NE is orange)
-        out = 2 * gNE
-        if sw_or:
-            yield m2, (wSE, wNW), out, _S if ne_or else _ONE
-        else:
-            yield m3, (wSE, bSW, wNW), out, _S if ne_or else _ONE
-        # B: output w at SW (only at a self-intersection)
-        if not sw_or:
-            if ne_or:
-                yield m2, (wNW, wSE), 2 * gSW, _S
-            else:
-                yield m3, (wNW, bNE, wSE), 2 * gSW, _MINUS
-        # D: input at SE, output wbar at NW / E: input at NW, output wbar at SE
-        if sw_or and ne_or:
-            yield m1, (wSE,), bNW, _MINUS_S
-            yield m1, (wNW,), bSE, _S
-            # Morse-maximum insertions at the smoothed corners
-            yield m2, (1, wNW), bSE, _S
-            yield m2, (wSE, 1), bNW, _MINUS_S
-        elif sw_or:
-            yield m2, (bNE, wSE), bNW, _ONE
-            yield m2, (wNW, bNE), bSE, _MINUS
-        elif ne_or:
-            yield m2, (wSE, bSW), bNW, _MINUS_S
-            yield m2, (bSW, wNW), bSE, _S
-        else:
-            yield m3, (bNE, wSE, bSW), bNW, _ONE
-            yield m3, (bSW, wNW, bNE), bSE, _MINUS
-
-
-def visible_contributions(params: SingularityParams) -> AinfTable:
-    """m_1 / m_2 / m_3 entries from permitted rectangles.
-
-    Each rectangle is read once per choice of output corner.  Reading signs:
-    +1 throughout, except that a degree-1 insertion at the NE corner counts
-    with -1, and the reading with input at SE, output at NW carries a global
-    -1 when the NE corner is orange (equivalently, E-readings negate
-    D-readings, keeping the differential matrix skew).  Flipping either
-    exception breaks the reference component ideals of 1/15(1,4) and 1/19(1,7)
-    and the wahl_cochain vanishing; flipping both breaks skew-symmetry
-    against the a=1 lists.
-    """
-    table = AinfTable()
-    _accumulate(_rectangle_readings(params, table))
-    return table
-
-
-def full_ainf(params: SingularityParams) -> AinfTable:
-    """Hidden and visible operations, accumulated into one table."""
-    table = hidden_ainf(params)
-    _accumulate(_rectangle_readings(params, table))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +147,13 @@ def _insert(entries: list, keep_s: bool) -> dict:
     return cells
 
 
+def _substitution(spec: CochainSpec, r: int) -> dict:
+    """spec.substitution() of a spec checked to be one for r."""
+    if spec.r != r:
+        raise ValueError(f"cochain spec for r = {spec.r} read at r = {r}")
+    return spec.substitution()
+
+
 def insert_cochain(ainf: AinfTable, r: int,
                    spec: CochainSpec | None = None) -> DeformedOps:
     """Deform by the cochain b = sum_i t_i wbar_i with the values of spec;
@@ -388,6 +167,12 @@ def insert_cochain(ainf: AinfTable, r: int,
     `verify --suite deform`) leaves nothing in degree 2; three inputs would
     need an output in degree -1.  A slot valued 0 drops its entry at
     dispatch (wbar_0 always, as t_0 = 0); s = 0 drops every s-part.
+
+    No A-infinity table is built here: ainf is read as given.  The
+    entries a zero slot drops are those that full_ainf leaves out when the
+    slot is not live, so full_ainf(params) and full_ainf(params, live) for
+    the slots that spec leaves nonzero give the same result, dict and term
+    orders included; check_point and deformed_table pass the second.
 
     Entries are dispatched on arity and on the degree bits of their codes,
     and each target's entries are summed by _insert into monomial codes (see
@@ -416,9 +201,7 @@ def insert_cochain(ainf: AinfTable, r: int,
     """
     dropped, keep_s, images = frozenset((0,)), True, {}
     if spec is not None:
-        if spec.r != r:
-            raise ValueError(f"cochain spec for r = {spec.r} read at r = {r}")
-        sub = spec.substitution()
+        sub = _substitution(spec, r)
         dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
         keep_s = S not in sub or bool(sub[S])
         images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
@@ -514,6 +297,8 @@ class DiffMatrix:
 
 
 def diff_matrix(params: SingularityParams, ops: DeformedOps | None = None) -> DiffMatrix:
+    """The differential matrix of ops, by default of the universal cochain
+    inserted into the whole full_ainf(params)."""
     ops = ops or insert_cochain(full_ainf(params), params.r)
     rows = ops.differentials
     if rows[0]:
@@ -604,18 +389,32 @@ class CochainSpec:
         return CochainSpec(r, assignments)
 
 
+def _spec_ops(params: SingularityParams, spec: CochainSpec) -> DeformedOps:
+    """insert_cochain of spec into full_ainf(params, live), live the slots
+    that spec leaves nonzero: the only entries its insertion keeps.  spec
+    is checked against params.r, and its variables, before the table is
+    built."""
+    sub = _substitution(spec, params.r)
+    live = {i for i in range(params.r) if sub[tsub(i)]}
+    return insert_cochain(full_ainf(params, live), params.r, spec)
+
+
 def check_point(params: SingularityParams, spec: CochainSpec) -> bool:
     """True iff spec annihilates the differential matrix: with the cochain
-    of spec inserted, no upper entry is left.  Only the differentials are
-    built; an insertion error is raised by insert_cochain, and a broken
-    matrix invariant (ArithmeticError) by diff_matrix."""
-    ops = insert_cochain(full_ainf(params), params.r, spec)
-    return not diff_matrix(params, ops).upper_entries()
+    of spec inserted, no upper entry is left.  The table read is
+    full_ainf restricted to the slots spec leaves nonzero, and only the
+    differentials are built from it; an insertion error is raised by
+    insert_cochain, and a broken matrix invariant (ArithmeticError) by
+    diff_matrix.  The answer is read off the first row with an upper
+    entry."""
+    rows = diff_matrix(params, _spec_ops(params, spec)).rows
+    return not any(j > i for i, row in rows.items() for j in row)
 
 
 def deformed_table(params: SingularityParams, spec: CochainSpec):
     """The flat family's multiplication table at the locus cut out by spec:
-    m_2^b on degree 0 with the cochain of spec inserted.
+    m_2^b on degree 0 with the cochain of spec inserted into full_ainf
+    restricted to the slots spec leaves nonzero, as in check_point.
 
     Rejects specs that do not annihilate the differential matrix identically,
     reporting its first upper entry (SpecNotFlatError) before any product
@@ -623,7 +422,7 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     ops.products, on the flat locus only.  Insertion errors are raised by
     insert_cochain, as in check_point.
     """
-    ops = insert_cochain(full_ainf(params), params.r, spec)
+    ops = _spec_ops(params, spec)
     upper = diff_matrix(params, ops).upper_entries()
     if upper:
         raise SpecNotFlatError(*upper[0])

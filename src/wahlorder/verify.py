@@ -25,8 +25,9 @@ from .resarith import SingularityParams, WahlParams
 from .polyring import Poly, S, T, tsub, acoef, parse_poly
 from .kkalg import (kk_table, kk_product_closed, kk_product_rect,
                     young_diagram, gauss_word, dual_relabel, poly_table)
-from .deform import (full_ainf, visible_contributions, insert_cochain,
-                     diff_matrix, check_point, deformed_table, CochainSpec)
+from .ainf import full_ainf, visible_contributions
+from .deform import (insert_cochain, diff_matrix, check_point, deformed_table,
+                     CochainSpec)
 from .order import (build_order, constants_table,
                     fiber_zero_report, certify_full_matrix_fiber,
                     infinity_fiber, wahl_cochain, cross_check, format_cell)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from functools import lru_cache
 from itertools import chain
@@ -7,13 +8,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wahlorder.ainf as ainf_mod
 import wahlorder.deform as deform_mod
 from wahlorder.resarith import SingularityParams
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly, format_poly,
                                 PolyParseError, MAX_BITS)
 from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
-from wahlorder.deform import (hidden_ainf, visible_contributions, full_ainf,
-                              insert_cochain, AinfTable, NotInsertableError,
+from wahlorder.ainf import (hidden_ainf, visible_contributions, full_ainf,
+                            AinfTable)
+from wahlorder.deform import (insert_cochain, NotInsertableError,
                               diff_matrix, CochainSpec,
                               check_point, deformed_table, SpecNotFlatError,
                               DeformedOps)
@@ -35,7 +38,7 @@ def _add(table, slots, out, coeff):
     into table as codes through the table's accumulation; no validation."""
     cells = (table.m1, table.m2, table.m3)[len(slots) - 1]
     key = tuple(map(_code, slots))
-    deform_mod._accumulate(((cells, key, _code(out), coeff),))
+    ainf_mod._accumulate(((cells, key, _code(out), coeff),))
 
 
 def _degree(slots):
@@ -202,18 +205,66 @@ def test_full_ainf_is_hidden_plus_visible(r, a):
     assert _as_poly(full) == want
 
 
-# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a))) ...])
-# over every coprime (r, a) with r <= 24, recorded before the enumeration's
-# never-taken guards were deleted
+# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a), live))
+# ...]) with every slot live, over every coprime (r, a) with r <= 24,
+# recorded before the enumeration's never-taken guards were deleted
 _RECTANGLES_DIGEST = (
     '7aedefdbc1bb7f1615a8ae1e28ea4e667c2fb37109bb4324f43a9061e7fbd17b')
 
 
 def test_permitted_rectangles_are_pinned():
-    rects = [list(deform_mod._permitted_rectangles(SingularityParams(r, a)))
+    rects = [list(ainf_mod._permitted_rectangles(SingularityParams(r, a),
+                                                 [True] * r))
              for r in range(2, 25) for a in range(1, r) if gcd(a, r) == 1]
     digest = hashlib.sha256(repr(rects).encode()).hexdigest()
     assert digest == _RECTANGLES_DIGEST
+
+
+def _restricted(table, live):
+    """table with the entries that read a degree-1 slot outside live
+    dropped, as nested lists that keep every dict order: keys, then the
+    outputs of each cell."""
+    return [[(key, list(cell.items())) for key, cell in cells.items()
+             if all(code >> 1 in live for code in key if code & 1)]
+            for cells in (table.m1, table.m2, table.m3)]
+
+
+@pytest.mark.parametrize('r', range(2, 13))
+def test_live_slots_build_the_whole_table_filtered(r):
+    # the enumeration skips what a dead slot drops; what it keeps is the
+    # whole table's, in the whole table's order
+    rng = random.Random(r)
+    for a in range(1, r):
+        if gcd(a, r) != 1:
+            continue
+        params = SingularityParams(r, a)
+        full = full_ainf(params)
+        lives = [set(), set(range(r)), set(range(1, r)), {0}, *(
+            {i for i in range(r) if rng.random() < p} for p in (0.2, 0.5, 0.8))]
+        for live in lives:
+            assert _restricted(full_ainf(params, live), range(r)) == \
+                _restricted(full, live), (a, live)
+
+
+@pytest.mark.parametrize('n,q', wahl_pairs(6))
+def test_wahl_insertion_from_the_live_slots_matches_the_reference(n, q):
+    # the table of the cochain's live slots gives insert_cochain's output of
+    # the whole table, orders included, which is the entry-by-entry
+    # reference with the cochain substituted
+    r = n * n
+    params, spec = SingularityParams(r, n * q - 1), wahl_cochain(n, q)
+    sub = spec.substitution()
+    live = {i for i in range(r) if sub[tsub(i)]}
+    full, table = full_ainf(params), full_ainf(params, live)
+    assert _restricted(table, range(r)) == _restricted(full, live)
+    ops, whole = insert_cochain(table, r, spec), insert_cochain(full, r, spec)
+    for got, want, reference in zip(
+            (ops.differentials, ops.products),
+            (whole.differentials, whole.products),
+            _reference_insertion(full, r)):
+        assert _ordered(got) == _ordered(want)
+        assert (_ordered_outputs_sorted(got)
+                == _ordered_outputs_sorted(_substituted(reference, sub)))
 
 
 def _t(*indices):
@@ -480,11 +531,11 @@ def test_insertion_drops_on_zero_and_reappends():
 def test_accumulate_stores_once_and_leaves_no_empty_cell():
     # coefficients c0 + c1 s are pairs (c0, c1)
     table, s = {}, (0, 1)
-    deform_mod._accumulate([(table, 'k', 2, (0, 0))])
+    ainf_mod._accumulate([(table, 'k', 2, (0, 0))])
     assert table == {}
-    deform_mod._accumulate([(table, 'k', 2, s)])
+    ainf_mod._accumulate([(table, 'k', 2, s)])
     assert table['k'][2] is s  # stored as it is, not copied
-    deform_mod._accumulate([(table, 'k', 2, (0, -1))])
+    ainf_mod._accumulate([(table, 'k', 2, (0, -1))])
     assert table == {}
 
 
@@ -610,8 +661,8 @@ def test_diff_matrix_reads_the_rows():
 def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
     # (5,2) has b = 3: the rectangle [0,1] x [1,2] has its NE corner at
     # label 4, so it cannot be an NE-orange rectangle
-    monkeypatch.setattr(deform_mod, '_permitted_rectangles',
-                        lambda params: iter([(1, 1, 1, True)]))
+    monkeypatch.setattr(ainf_mod, '_permitted_rectangles',
+                        lambda params, live: iter([(1, 1, 1, True)]))
     with pytest.raises(ArithmeticError):
         full_ainf(SingularityParams(5, 2))
 
@@ -972,22 +1023,33 @@ def test_zero_values_drop_entries_instead_of_substituting(monkeypatch):
         deformed_table(params, CochainSpec(params.r, {S: Poly.zero()}))
 
 
-def test_spec_for_another_r_is_rejected():
+def _no_table_built(monkeypatch):
+    def must_not_build(*args):
+        raise AssertionError('an A-infinity table was built')
+
+    monkeypatch.setattr(deform_mod, 'full_ainf', must_not_build)
+
+
+def test_spec_for_another_r_is_rejected(monkeypatch):
     # read at r = 4, the r = 2 spec would leave t_2 and t_3 free: t_1 t_2
-    # survives, although t_1 = t_1, s = 0 with t_2 = t_3 = 0 is flat at r = 4
+    # survives, although t_1 = t_1, s = 0 with t_2 = t_3 = 0 is flat at r = 4;
+    # the spec is refused before any table is built
     params = SingularityParams(4, 1)
     values = {tsub(1): Poly.var(tsub(1)), S: Poly.zero()}
     assert check_point(params, CochainSpec(4, values))
+    _no_table_built(monkeypatch)
     for call in (deformed_table, check_point):
         with pytest.raises(ValueError, match='spec for r = 2 read at r = 4'):
             call(params, CochainSpec(2, values))
 
 
 @pytest.mark.parametrize('var', [tsub(0), tsub(4), tsub(7), T, acoef(1)])
-def test_spec_assigning_a_variable_outside_the_cochain_is_rejected(var):
-    # parse rejects t_0 and t_i with i >= r; a constructed spec must too
+def test_spec_assigning_a_variable_outside_the_cochain_is_rejected(var, monkeypatch):
+    # parse rejects t_0 and t_i with i >= r; a constructed spec must too,
+    # before any table is built
     spec = CochainSpec(4, {tsub(1): Poly.var(tsub(1)), var: Poly.const(1)})
     params = SingularityParams(4, 1)
+    _no_table_built(monkeypatch)
     for call in (deformed_table, check_point):
         with pytest.raises(ValueError, match=re.escape(format_poly(Poly.var(var)))):
             call(params, spec)

@@ -43,7 +43,7 @@ def test_import_wahlorder_loads_no_layer():
     (['--format', 'svg', 'kk', '--r', '7', '--a', '6'], set()),
     (['gauss', '--r', '16', '--a', '3'], set()),
     (['--format', 'json', 'gauss', '--r', '16', '--a', '3'], {'json'}),
-    (['deform', '--r', '15', '--a', '4', '--ideal'], {'deform'}),
+    (['deform', '--r', '15', '--a', '4', '--ideal'], {'ainf', 'deform'}),
     (['--format', 'paper', 'order', '--n', '3', '--q', '2'], {'order'}),
     (['--format', 'json', 'order', '--n', '3', '--q', '2'], {'order', 'json'}),
     (['order', '--n', '3', '--q', '1', '--fiber', 'zero'], {'order'}),
@@ -52,7 +52,7 @@ def test_import_wahlorder_loads_no_layer():
     (['--format', 'json', 'kk', '--r', '9', '--a', '2'], {'json'}),
     (['order', '--n', '2', '--q', '1', '--at', '1/2'], {'order'} | _FRACTIONS),
     (['verify', '--suite', 'kk', '--max-r', '4'],
-     {'deform', 'order', 'goldens', 'verify'}),
+     {'ainf', 'deform', 'order', 'goldens', 'verify'}),
 ])
 def test_a_command_loads_only_its_layers(argv, extra):
     assert _loaded(_main(*argv)) == _CLI | extra
