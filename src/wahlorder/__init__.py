@@ -13,7 +13,7 @@ _EXPORTS = {
     'kkalg': ('AlgebraTable', 'kk_product_closed', 'kk_product_rect',
               'kk_table', 'dual_relabel', 'young_diagram', 'YoungDiagram',
               'gauss_word', 'self_intersection_count'),
-    'ainf': ('AinfTable', 'hidden_ainf', 'visible_contributions', 'full_ainf'),
+    'ainf': ('AinfTable', 'visible_contributions', 'full_ainf'),
     'deform': ('insert_cochain', 'diff_matrix', 'DiffMatrix', 'CochainSpec',
                'check_point', 'deformed_table', 'SpecNotFlatError'),
     'order': ('OrderTable', 'order_entry', 'build_order', 'structure_constants',

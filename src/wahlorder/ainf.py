@@ -145,15 +145,6 @@ def _hidden_entries(params: SingularityParams, table: AinfTable, live: list):
                 yield m3, (wx, bx, wy), wy, _MINUS
 
 
-def hidden_ainf(params: SingularityParams) -> AinfTable:
-    """Products of the undeformed complex, read off kkalg.gauss_word: units,
-    per-crossing triples, and the six families of occurrence pairs in the
-    word.  m_1 = 0 and m_k = 0 for k >= 4."""
-    table = AinfTable()
-    _accumulate(_hidden_entries(params, table, [True] * params.r))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # visible polygons
 # ---------------------------------------------------------------------------

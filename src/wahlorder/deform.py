@@ -26,7 +26,9 @@ _S_MONO = ((S, 1),)
 
 class NotInsertableError(ValueError):
     """The table cannot be deformed: an entry has an input or slot index
-    that is not in Z_r, or an output code that is not in range(2r)."""
+    that is not in Z_r, or an output code that is not in range(2r).
+    insert_cochain raises it for a slot index or a differential entry, the
+    first read of DeformedOps.products for a product entry."""
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +44,10 @@ class DeformedOps:
 
     products is passed as the dict or as a function of no arguments that
     builds it; a function is called at the first read of products, and its
-    dict kept.  insert_cochain passes a function, so that only a caller that
-    reads the products pays for them.
+    dict kept; a call that raises keeps the function, so every read raises.
+    insert_cochain passes a function, so that only a caller that reads the
+    products pays for them, and a fault of a product entry is raised by that
+    read.
     """
 
     def __init__(self, differentials: dict, products):
@@ -186,18 +190,17 @@ def insert_cochain(ainf: AinfTable, r: int,
     gives.  The differentials are built here; the products when
     DeformedOps.products is first read, sharing the decoded monomials.
 
-    Every error is raised here, in this order: an index of a degree-1 slot
-    outside Z_r (NotInsertableError, at dispatch); a differential key, then
-    a product key, outside Z_r (NotInsertableError), even where its entries
-    cancel; a differential output code outside range(2r) (NotInsertableError)
-    or of degree 0 (ArithmeticError); then a product output code outside
-    range(2r) or of degree 1, likewise.  Output codes are checked at their
-    decode, so an output that cancels is not checked: when a product entry
-    has an output code that is not a w_k, the products are built here rather
-    than on first read (full_ainf emits none).  An entry that a zero-valued
-    slot drops is never read past its slot indices, so its inputs and
-    outputs are not checked.  The product cells are read from ainf when they
-    are built, so ainf must not change before then.
+    An index of a degree-1 slot outside Z_r is refused here, at dispatch
+    (NotInsertableError).  Every other fault is raised by the pass that
+    reads it: first a summed key outside Z_r, or not a pair in Z_r, even
+    where its entries cancel (NotInsertableError); then an output code
+    outside range(2r) (NotInsertableError) or of the wrong degree
+    (ArithmeticError), checked at its decode, so an output that cancels is
+    not checked.  The differential pass runs here; the product pass at each
+    read of DeformedOps.products until one succeeds, so a product fault is
+    raised by that read.  An entry that a zero-valued slot drops is never
+    read past its slot indices.  The product cells are read from ainf when
+    they are built, so ainf must not change before then.
     """
     dropped, keep_s, images = frozenset((0,)), True, {}
     if spec is not None:
@@ -213,13 +216,6 @@ def insert_cochain(ainf: AinfTable, r: int,
             w = weights[slots] = _weight(slots, r, dropped)
         if w >= 0:
             target += key, w, cell
-    diffs = _insert(diff_entries, keep_s)
-    for key in diffs:
-        if key not in range(r):
-            raise NotInsertableError(f"differential key {key!r} is not in Z_{r}")
-    for key in dict.fromkeys(prod_entries[::3]):
-        if not (0 <= key[0] < r and 0 <= key[1] < r):
-            raise NotInsertableError(f"product key {key!r} is not a pair in Z_{r}")
 
     monomial = cache(lambda code: _monomial(code, r))
     image = cache(lambda code: Poly.from_nonzero({monomial(code): 1})
@@ -234,15 +230,23 @@ def insert_cochain(ainf: AinfTable, r: int,
             _add_terms(out, image(m).terms, c)
         return Poly.from_nonzero(out)
 
-    def decoded(cells, keys, codes):
-        """{key: {index: Poly}} for each of keys, read from cells, every
-        output code in codes."""
+    def decoded(entries, keys, codes):
+        """One target's pass: {key: {index: Poly}} for each of keys, the
+        entries summed by _insert, every summed key in keys and every output
+        code in codes."""
+        cells = _insert(entries, keep_s)
+        diff = codes is wbars
+        for key in cells:
+            if key not in keys:
+                raise NotInsertableError(
+                    f"differential key {key!r} is not in Z_{r}" if diff else
+                    f"product key {key!r} is not a pair in Z_{r}")
         table = {}
         for key in keys:
             table[key] = out_cell = {}
             for out, terms in cells.get(key, {}).items():
                 if out not in codes:
-                    name = f'dw_{key}' if codes is wbars else 'w_{} w_{}'.format(*key)
+                    name = f'dw_{key}' if diff else 'w_{} w_{}'.format(*key)
                     if not 0 <= out < 2 * r:
                         raise NotInsertableError(
                             f"{name} hit output code {out}, not a generator over Z_{r}")
@@ -252,16 +256,11 @@ def insert_cochain(ainf: AinfTable, r: int,
                     out_cell[out >> 1] = p
         return table
 
-    def products():
-        return decoded(_insert(prod_entries, keep_s),
-                       product(range(r), repeat=2), ws)
-
     wbars, ws = range(1, 2 * r, 2), range(0, 2 * r, 2)
-    differentials = decoded(diffs, range(r), wbars)
-    # a product output code that is not a w_k is read now, so that it raises
-    # here when it does not cancel
-    eager = not all(map(set(ws).issuperset, prod_entries[2::3]))
-    return DeformedOps(differentials, products() if eager else products)
+    return DeformedOps(
+        decoded(diff_entries, range(r), wbars),
+        lambda: decoded(prod_entries,
+                        dict.fromkeys(product(range(r), repeat=2)), ws))
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +402,10 @@ def check_point(params: SingularityParams, spec: CochainSpec) -> bool:
     """True iff spec annihilates the differential matrix: with the cochain
     of spec inserted, no upper entry is left.  The table read is
     full_ainf restricted to the slots spec leaves nonzero, and only the
-    differentials are built from it; an insertion error is raised by
-    insert_cochain, and a broken matrix invariant (ArithmeticError) by
-    diff_matrix.  The answer is read off the first row with an upper
-    entry."""
+    differentials are built from it; an insertion error of a slot or a
+    differential entry is raised by insert_cochain (no product entry is
+    read), and a broken matrix invariant (ArithmeticError) by diff_matrix.
+    The answer is read off the first row with an upper entry."""
     rows = diff_matrix(params, _spec_ops(params, spec)).rows
     return not any(j > i for i, row in rows.items() for j in row)
 
@@ -419,8 +418,8 @@ def deformed_table(params: SingularityParams, spec: CochainSpec):
     Rejects specs that do not annihilate the differential matrix identically,
     reporting its first upper entry (SpecNotFlatError) before any product
     cell is built: the products are built by the table's read of
-    ops.products, on the flat locus only.  Insertion errors are raised by
-    insert_cochain, as in check_point.
+    ops.products, on the flat locus only.  Insertion errors are raised as in
+    check_point, and those of a product entry by that read.
     """
     ops = _spec_ops(params, spec)
     upper = diff_matrix(params, ops).upper_entries()

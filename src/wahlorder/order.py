@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .resarith import SingularityParams, WahlParams
+from .resarith import WahlParams
 from .polyring import Poly, T, S, tsub, acoef, format_poly, _add_terms
 from .kkalg import AlgebraTable, kk_table
 
@@ -81,6 +81,7 @@ class OrderTable:
 
     def __init__(self, n: int, q: int, cells: list):
         self.n, self.q = n, q
+        self.params = WahlParams(n, q).params
         self.cells = cells  # cells[i][j] = [(sign, exp, k), ...], 0-indexed
         # the cached constants, and sum e: the basis coefficient matrix has
         # determinant +-t^(sum e), exponent kept
@@ -89,10 +90,6 @@ class OrderTable:
     @property
     def r(self) -> int:
         return self.n * self.n
-
-    @property
-    def params(self) -> SingularityParams:
-        return WahlParams(self.n, self.q).params
 
     def monomial_basis(self) -> list:
         """M(w_k) for every k as [(row, col, sign, e)], 0-indexed and row by

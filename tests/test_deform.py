@@ -14,8 +14,7 @@ from wahlorder.resarith import SingularityParams
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly, format_poly,
                                 PolyParseError, MAX_BITS)
 from wahlorder.kkalg import AlgebraTable, kk_table, poly_table
-from wahlorder.ainf import (hidden_ainf, visible_contributions, full_ainf,
-                            AinfTable)
+from wahlorder.ainf import visible_contributions, full_ainf, AinfTable
 from wahlorder.deform import (insert_cochain, NotInsertableError,
                               diff_matrix, CochainSpec,
                               check_point, deformed_table, SpecNotFlatError,
@@ -39,6 +38,14 @@ def _add(table, slots, out, coeff):
     cells = (table.m1, table.m2, table.m3)[len(slots) - 1]
     key = tuple(map(_code, slots))
     ainf_mod._accumulate(((cells, key, _code(out), coeff),))
+
+
+def _hidden(params):
+    """The hidden part of the A-infinity table alone: the units, the
+    per-crossing triples and the word-pair families of every slot."""
+    table = AinfTable()
+    ainf_mod._accumulate(ainf_mod._hidden_entries(params, table, [True] * params.r))
+    return table
 
 
 def _degree(slots):
@@ -65,7 +72,7 @@ def _as_poly(table):
 
 def test_hidden_r2_matches_worked_example():
     # x = w_1, xbar = (1,1), q = (0,1), e = (0,0)
-    m3 = _as_poly(hidden_ainf(SingularityParams(2, 1)))['m3']
+    m3 = _as_poly(_hidden(SingularityParams(2, 1)))['m3']
     x, xb, q = (1, 0), (1, 1), (0, 1)
     assert m3[(x, x, xb)] == {x: Poly.const(-1)}
     assert m3[(x, xb, xb)] == {xb: ONE}
@@ -78,7 +85,7 @@ def test_hidden_r2_matches_worked_example():
 
 
 def test_hidden_unit_and_pairing():
-    table = hidden_ainf(SingularityParams(9, 2))
+    table = _hidden(SingularityParams(9, 2))
     t = _as_poly(table)
     for i in range(9):
         assert t['m2'][((i, 0), (0, 0))] == {(i, 0): ONE}
@@ -144,7 +151,7 @@ def _hidden_by_position(params):
 
 def test_hidden_ainf_matches_the_position_enumeration():
     for params in coprime_pairs(24):
-        table = hidden_ainf(params)
+        table = _hidden(params)
         assert not table.m1
         assert (table.m2, table.m3) == _hidden_by_position(params), params
 
@@ -201,7 +208,7 @@ def _entrywise_sum(*tables):
 def test_full_ainf_is_hidden_plus_visible(r, a):
     params = SingularityParams(r, a)
     full = full_ainf(params)
-    want = _entrywise_sum(hidden_ainf(params), visible_contributions(params))
+    want = _entrywise_sum(_hidden(params), visible_contributions(params))
     assert _as_poly(full) == want
 
 
@@ -539,6 +546,16 @@ def test_accumulate_stores_once_and_leaves_no_empty_cell():
     assert table == {}
 
 
+def _insertion(table, product_fault):
+    """A function that inserts the universal cochain into table at r = 4.
+    With product_fault the call is made here and has to succeed, and the
+    function reads the products, whose pass raises the fault."""
+    if product_fault:
+        ops = insert_cochain(table, 4)
+        return lambda: ops.products
+    return lambda: insert_cochain(table, 4)
+
+
 @pytest.mark.parametrize('slots,key', [
     (((4, 0), (1, 0)), '(4, 1)'),              # product key outside Z_4
     (((1, 0), (-1, 0)), '(1, -1)'),
@@ -550,16 +567,18 @@ def test_accumulate_stores_once_and_leaves_no_empty_cell():
 def test_insertion_rejects_indices_outside_z_r(slots, key):
     table = AinfTable()
     _add(table, slots, (1, _degree(slots)), (1, 0))
+    insertion = _insertion(table, product_fault=key.startswith('('))
     with pytest.raises(NotInsertableError, match=re.escape(key)):
-        insert_cochain(table, 4)
+        insertion()
 
 
 def test_out_of_range_key_raises_even_when_it_cancels():
     table = AinfTable()
     _add(table, ((1, 1), (4, 0), (2, 0)), (1, 0), (1, 0))
     _add(table, ((4, 0), (1, 1), (2, 0)), (1, 0), (-1, 0))
+    ops = insert_cochain(table, 4)
     with pytest.raises(NotInsertableError, match=re.escape('(4, 2)')):
-        insert_cochain(table, 4)
+        ops.products
 
 
 @pytest.mark.parametrize('entries,error,message', [
@@ -570,19 +589,20 @@ def test_out_of_range_key_raises_even_when_it_cancels():
     ([(((4, 0),), (1, 1)), (((5, 1), (1, 0), (2, 0)), (1, 0))],
      NotInsertableError, 'cochain slot index 5'),
     ([(((1, 0),), (2, 0)), (((4, 0), (1, 0)), (1, 0))],
-     NotInsertableError, 'product key (4, 1)'),
+     ArithmeticError, 'dw_1 hit w_2 of degree 0'),
     ([(((2, 0), (3, 0)), (1, 1)), (((1, 0),), (2, 0))],
      ArithmeticError, 'dw_1 hit w_2 of degree 0'),
 ], ids=['products-in-table-order', 'differential-key-first', 'slot-first',
         'keys-before-outputs', 'differentials-before-products'])
 def test_the_first_error_of_a_table_is_raised(entries, error, message):
-    # the product pass runs later than the differential pass, but a table
-    # with several faults raises the same error as one pass would
+    # slot indices are checked at dispatch, then each pass checks its keys
+    # before its outputs; the differential pass runs first
     table = AinfTable()
     for slots, out in entries:
         _add(table, slots, out, (1, 0))
+    insertion = _insertion(table, product_fault=message.startswith('product'))
     with pytest.raises(error) as exc:
-        insert_cochain(table, 4)
+        insertion()
     assert str(exc.value).startswith(message)
 
 
@@ -596,8 +616,9 @@ def test_insertion_rejects_an_output_of_the_wrong_degree(slots, out, message):
     # m_1^b(w_i) lands in degree 1 and m_2^b(w_j, w_i) in degree 0
     table = AinfTable()
     _add(table, slots, out, (1, 0))
+    insertion = _insertion(table, product_fault=message.startswith('w_'))
     with pytest.raises(ArithmeticError, match=f'^{message}$'):
-        insert_cochain(table, 4)
+        insertion()
 
 
 @pytest.mark.parametrize('slots,out,message', [
@@ -608,9 +629,31 @@ def test_insertion_rejects_an_output_of_the_wrong_degree(slots, out, message):
 def test_insertion_rejects_an_output_outside_z_r(slots, out, message):
     table = AinfTable()
     _add(table, slots, out, (1, 0))
+    insertion = _insertion(table, product_fault=message.startswith('w_'))
     with pytest.raises(NotInsertableError,
                        match=f'^{message}, not a generator over Z_4$'):
-        insert_cochain(table, 4)
+        insertion()
+
+
+@pytest.mark.parametrize('out,error,message', [
+    ((1, 1), ArithmeticError, '^w_2 w_3 hit wbar_1 of degree 1$'),
+    ((5, 0), NotInsertableError, '^w_2 w_3 hit output code 10, not a generator'),
+], ids=['wrong-degree', 'outside-z-r'])
+def test_a_product_fault_is_raised_by_every_read_of_the_products(out, error,
+                                                                 message):
+    # one faulty product output in an otherwise whole table: the call, its
+    # differentials and their matrix do not read it
+    params = SingularityParams(5, 2)
+    table = full_ainf(params)
+    _add(table, ((2, 0), (3, 0)), out, (1, 0))
+    ops = insert_cochain(table, 5)
+    whole = insert_cochain(full_ainf(params), 5)
+    assert _ordered(ops.differentials) == _ordered(whole.differentials)
+    assert diff_matrix(params, ops).rows is ops.differentials
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            ops.products
+        assert callable(ops._products)  # no partial product table is kept
 
 
 def test_entries_a_zero_slot_drops_are_not_checked():
@@ -720,7 +763,7 @@ def test_hidden_insertion_a1_differentials():
     # hidden contributions alone: dw_i gets t_i t_j wbar_j for i < j and
     # -t_i t_j wbar_j for i > j
     r = 6
-    ops = insert_cochain(hidden_ainf(SingularityParams(r, 1)), r)
+    ops = insert_cochain(_hidden(SingularityParams(r, 1)), r)
     for i in range(1, r):
         want = {}
         for j in range(1, r):

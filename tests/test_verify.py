@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import re
@@ -197,3 +198,14 @@ def test_degree_check_reads_codes_under_python_O(sabotage, tail):
     assert proc.returncode == 0, proc.stderr
     out = re.sub(r'\(\d+\.\d\ds\)', '(X)', proc.stdout)
     assert out.endswith(tail)
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O compiles assert statements out, so a check written as one
+    # would vanish; every check in the package raises instead
+    package = Path(wahlorder.__file__).resolve().parent
+    found = [f'{path.name}:{node.lineno}'
+             for path in sorted(package.glob('*.py'))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
