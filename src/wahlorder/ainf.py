@@ -17,9 +17,9 @@ The operations m_2, m_3 have two sources:
   factor of s; this happens exactly when its NE corner is orange.
 
 Every coefficient is +-1 or +-s (see AinfTable).  full_ainf builds the whole
-table, or, given the set of live slot indices (those whose t_i a cochain
-leaves nonzero), only the entries whose degree-1 slots are all live, in the
-order the whole table has them: the entries a cochain keeps.
+table, or, given the live slots (the i whose t_i a cochain leaves nonzero),
+takes the same walk and drops each entry with a dead degree-1 slot where it
+is emitted, keeping the rest in the whole table's order.
 
 Sign conventions for the visible readings are frozen by calibration against
 exact oracles (the a=1 contribution lists, skew-symmetry of the differential
@@ -149,52 +149,27 @@ def _hidden_entries(params: SingularityParams, table: AinfTable, live: list):
 # visible polygons
 # ---------------------------------------------------------------------------
 
-def _permitted_rectangles(params: SingularityParams, live: list):
+def _permitted_rectangles(params: SingularityParams):
     """Yield (c, X, Y, ne_orange) for rectangles [0,X] x [c,c+Y] (SW corner
     label c) whose closed region avoids orange points except at the SW corner
     (when c = 0) and, when ne_orange, at the NE corner.
 
     Any rectangle with a side longer than r contains a non-corner orange
     point, so X, Y <= r is exhaustive.
-
-    Under a dead SW label c != 0 (live[c] false) every reading but the B
-    reading needs wbar_c, so only the rectangles whose B reading can be kept
-    are yielded: the NE-orange one and those with a live NE label
-    (c + Y - bX) mod r, found as the heights Y = (l + bX - c) mod r, l live.
-    The order is that of the whole enumeration.
     """
     r, b = params.r, params.b
-    slots = [i for i in range(r) if live[i]]
-    heights = {}  # (bX - c) mod r -> ascending heights of a live NE label
     for c in range(r):
         # thr[u]: height above c of the first orange point in column u at or
-        # above the bottom edge (0 when it is on the bottom edge), with the
-        # SW corner exempted
-        thr = []
-        for u in range(0, r + 1):
-            v = (b * u - c) % r  # first orange at c + v
-            if u == 0 and c == 0:
-                v = r  # SW corner itself is exempt; next orange is at height r
-            thr.append(v)
-        every = c == 0 or live[c]
-        # interior_min <= r, so every Y below is at most r
+        # above the bottom edge, 0 on it; the SW corner is exempt, so thr[0]
+        # is r at c = 0.  interior_min <= r, so every Y below is at most r.
+        thr = [(b * u - c) % r for u in range(r + 1)]
+        thr[0] = thr[0] or r
         interior_min = thr[0]
         for X in range(1, r + 1):
             tX = thr[X]
-            top = min(interior_min, tX)
             # plain rectangles: no orange at all
-            if every:
-                for Y in range(1, top):
-                    yield (c, X, Y, False)
-            else:
-                k = (b * X - c) % r
-                ys = heights.get(k)
-                if ys is None:
-                    ys = heights[k] = sorted(y for l in slots if (y := (l + k) % r))
-                for Y in ys:
-                    if Y >= top:
-                        break
-                    yield (c, X, Y, False)
+            for Y in range(1, min(interior_min, tX)):
+                yield (c, X, Y, False)
             # NE-orange rectangle: the column-X hit is exactly the NE corner
             if 1 <= tX < interior_min:
                 yield (c, X, tX, True)
@@ -202,13 +177,13 @@ def _permitted_rectangles(params: SingularityParams, live: list):
 
 
 def _rectangle_readings(params: SingularityParams, t: AinfTable, live: list):
-    """Yield the readings of the permitted rectangles as (cells, key, out,
+    """Yield the readings of every permitted rectangle as (cells, key, out,
     coeff) into t, with the sign conventions documented at
-    visible_contributions; only the readings whose degree-1 slots i all have
-    live[i] are yielded.  A reading's slots sit at the SW and NE corners."""
+    visible_contributions.  A reading's slots sit at the SW and NE corners;
+    one with a dead slot i (live[i] false) is dropped here, and only here."""
     r, b = params.r, params.b
     m1, m2, m3 = t.m1, t.m2, t.m3
-    for (c, X, Y, ne_or) in _permitted_rectangles(params, live):
+    for (c, X, Y, ne_or) in _permitted_rectangles(params):
         gSW = c
         gSE = (c - b * X) % r
         gNW = (c + Y) % r

@@ -53,11 +53,10 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           refuses to print an int of more than 4300)
 #   verify  --max-r 40: --suite kk                  1.6-2.4 s, 17 MB (r = 48:
 #                                                   2.7-5.1 s, six runs)
-#           --max-n 10: --suite deform              2.4-4.1 s, 31 MB (five
-#                                                   runs, n = 8 2.3-4.0 s at
-#                                                   the same time; order
-#                                                   2.3-3.5 s, 30 MB; cross
-#                                                   1.7-2.6 s, 30 MB)
+#           --max-n 10: --suite deform              2.2-3.0 s, 32 MB (nine
+#                                                   runs; order 2.3-3.5 s,
+#                                                   30 MB; cross 1.6-2.2 s,
+#                                                   31 MB, eleven runs)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
 # --suite all runs the suites one after another (3.3-5.0 s at the default

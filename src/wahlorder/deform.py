@@ -12,6 +12,7 @@ of the slots it leaves nonzero, the only ones its insertion keeps.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from itertools import product
 
@@ -320,6 +321,12 @@ class SpecNotFlatError(ValueError):
             f"differential matrix entry {position} does not vanish: {format_poly(value)}")
 
 
+# a left-hand side t_<i>: i is an ASCII digit run, read as on the right-hand
+# side, with an optional minus so that t_-1 is refused as a variable, not
+# as a misspelling
+_T_LHS = re.compile(r't_(-?)([0-9]+)')
+
+
 def _check_assignable(v, r: int):
     """Refuse a variable a spec at r may not assign: all but s and t_i, 0 < i < r."""
     if v != S and not (v == tsub(v[1]) and 0 < v[1] < r):
@@ -362,12 +369,11 @@ class CochainSpec:
                 if lhs == 's':
                     key = S
                 elif lhs.startswith('t_'):
-                    try:
-                        key = tsub(read_int(lhs[2:]))
-                    except PolyParseError:
-                        raise
-                    except ValueError:
+                    m = _T_LHS.fullmatch(lhs)
+                    if not m:
                         raise ValueError(f"index of {lhs!r} is not an integer")
+                    index = read_int(m[2])
+                    key = tsub(-index if m[1] else index)
                 else:
                     raise ValueError(f"unknown left-hand side {lhs!r}")
                 _check_assignable(key, r)

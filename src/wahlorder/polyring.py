@@ -245,7 +245,9 @@ class PolyParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r'\s*(?:(\d+)|([st])(?:_(\d+))?|(a)_(\d+)|([()+\-^*]))')
+# digits are ASCII [0-9]: \d would also read the other scripts' digits
+_TOKEN = re.compile(
+    r'\s*(?:([0-9]+)|([st])(?:_([0-9]+))?|(a)_([0-9]+)|([()+\-^*]))')
 
 # deepest parenthesis nesting parse_poly reads, checked as it tokenizes;
 # each level costs three frames, well inside Python's recursion limit
@@ -302,17 +304,19 @@ def _refuse_over(what: str, terms: int, bits: int):
 
 
 def read_int(run: str) -> int:
-    """int(run), refused unread when run has more significant digits than
-    2^MAX_BITS: a literal that wide is over MAX_BITS, an exponent over
-    MAX_TERMS, and no table can be built at such an index."""
+    """The int of run, a run of ASCII digits, refused unread when it has more
+    significant digits than 2^MAX_BITS: a literal that wide is over
+    MAX_BITS, an exponent over MAX_TERMS, and no table can be built at such
+    an index."""
     digits = run.lstrip('0')
     # 2^MAX_BITS has more than MAX_BITS / 4 digits, so only a run that long
     # needs the exact count
     if len(digits) > MAX_BITS // 4 and len(digits) > len(str(1 << MAX_BITS)):
         raise PolyParseError(f'a number has more than '
                              f'{len(str(1 << MAX_BITS))} digits')
-    # int() counts leading zeros against its own limit on digits
-    return int(digits) if digits.isdigit() else int(run)
+    # int() counts leading zeros against its own limit on digits, so a run
+    # of zeros alone is read here
+    return int(digits) if digits else 0
 
 
 def _norm_bits(p: Poly) -> int:

@@ -212,16 +212,15 @@ def test_full_ainf_is_hidden_plus_visible(r, a):
     assert _as_poly(full) == want
 
 
-# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a), live))
-# ...]) with every slot live, over every coprime (r, a) with r <= 24,
-# recorded before the enumeration's never-taken guards were deleted
+# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a))) ...])
+# over every coprime (r, a) with r <= 24, recorded before the enumeration's
+# never-taken guards were deleted
 _RECTANGLES_DIGEST = (
     '7aedefdbc1bb7f1615a8ae1e28ea4e667c2fb37109bb4324f43a9061e7fbd17b')
 
 
 def test_permitted_rectangles_are_pinned():
-    rects = [list(ainf_mod._permitted_rectangles(SingularityParams(r, a),
-                                                 [True] * r))
+    rects = [list(ainf_mod._permitted_rectangles(SingularityParams(r, a)))
              for r in range(2, 25) for a in range(1, r) if gcd(a, r) == 1]
     digest = hashlib.sha256(repr(rects).encode()).hexdigest()
     assert digest == _RECTANGLES_DIGEST
@@ -251,6 +250,18 @@ def test_live_slots_build_the_whole_table_filtered(r):
         for live in lives:
             assert _restricted(full_ainf(params, live), range(r)) == \
                 _restricted(full, live), (a, live)
+
+
+@pytest.mark.parametrize('n,q', [(7, 2), (8, 3)])
+def test_wahl_live_slots_build_the_whole_table_filtered(n, q):
+    # r = 49 and 64, where most SW labels are dead: every rectangle is read
+    # and each reading with a dead slot dropped, in the whole table's order
+    r = n * n
+    params = SingularityParams(r, n * q - 1)
+    sub = wahl_cochain(n, q).substitution()
+    live = {i for i in range(r) if sub[tsub(i)]}
+    assert _restricted(full_ainf(params, live), range(r)) == \
+        _restricted(full_ainf(params), live)
 
 
 @pytest.mark.parametrize('n,q', wahl_pairs(6))
@@ -705,7 +716,7 @@ def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
     # (5,2) has b = 3: the rectangle [0,1] x [1,2] has its NE corner at
     # label 4, so it cannot be an NE-orange rectangle
     monkeypatch.setattr(ainf_mod, '_permitted_rectangles',
-                        lambda params, live: iter([(1, 1, 1, True)]))
+                        lambda params: iter([(1, 1, 1, True)]))
     with pytest.raises(ArithmeticError):
         full_ainf(SingularityParams(5, 2))
 
@@ -865,6 +876,10 @@ def test_cochain_spec_parse():
     assert sub[tsub(2)].is_zero()
     assert sub[tsub(3)] == parse_poly('t_1^2 - 2')
     assert sub[S] == parse_poly('-t_1 t_3')
+    # runs of zeros, however long, read as 0 and 7
+    zeros = '0' * 5000
+    sub = CochainSpec.parse(f't_2 = {zeros}\nt_{zeros}3 = {zeros}7', 5).substitution()
+    assert sub[tsub(2)].is_zero() and sub[tsub(3)] == Poly.const(7)
     with pytest.raises(ValueError):
         CochainSpec.parse('t_9 = 1', 5)
     with pytest.raises(ValueError):
@@ -887,6 +902,18 @@ def test_cochain_spec_parse():
     ('t_0 = 1', 'cochain spec for r = 5 assigns t_0'),
     ('t_5 = 1', 'cochain spec for r = 5 assigns t_5'),
     ('t_-1 = 1', 'cochain spec for r = 5 assigns t_-1'),
+    # indices and numbers are ASCII digit runs on both sides
+    ('t_1_0 = t_1', "index of 't_1_0' is not an integer"),
+    ('t_+3 = 1', "index of 't_+3' is not an integer"),
+    ('t_ 3 = 1', "index of 't_ 3' is not an integer"),
+    pytest.param('t_\u0663 = 1', "index of 't_\u0663' is not an integer",
+                 id='arabic-indic index'),
+    pytest.param('t_2 = \u0663', "unexpected input at ' \u0663'",
+                 id='arabic-indic literal'),
+    pytest.param('t_2 = t_\u0663', "unexpected input at '_\u0663'",
+                 id='arabic-indic subscript'),
+    pytest.param('t_' + '0' * 5000 + ' = 1',
+                 'cochain spec for r = 5 assigns t_0', id='zero-run index'),
     ('t_1 = 2', 't_1 is assigned twice'),
     pytest.param('s = ' + '(' * 400 + 't_1' + ')' * 400,
                  'parentheses nested deeper than 100 levels', id='400 pairs'),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wahlorder.polyring import (Poly, S, T, tsub, acoef, parse_poly,
                                 format_poly, PolyParseError, MAX_NESTING,
-                                MAX_TERMS, MAX_BITS)
+                                MAX_TERMS, MAX_BITS, read_int)
 from bareiss_oracle import (solve_in_span, solve_in_span_many, is_polynomial,
                             RationalCoord, DeficientBasisError, OutOfSpanError,
                             _udivides)
@@ -219,6 +219,10 @@ def test_digit_runs_are_refused_by_significant_digits_before_conversion():
     assert parse_poly(widest) == Poly.const(int(widest))
     zeros = '0' * 5000
     assert parse_poly(f'{zeros}7 t_{zeros}3') == Poly.var(tsub(3), 1, 7)
+    # a run of zeros alone is 0, read without int()'s limit on digits
+    assert read_int(zeros) == 0 and read_int(zeros + '7') == 7
+    assert parse_poly(zeros) == Poly.zero()
+    assert parse_poly(f't^{zeros} + t_{zeros}') == Poly.const(1) + Poly.var(tsub(0))
     for text in ('1' + '0' * 1234, '9' * 5000, 't^' + '9' * 5000,
                  't_' + '9' * 5000, 'a_' + '9' * 5000):
         with pytest.raises(PolyParseError,
