@@ -51,8 +51,8 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.8-1.3 s, 87 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 40: --suite kk                  1.6-2.4 s, 17 MB (r = 48:
-#                                                   2.7-5.1 s, six runs)
+#   verify  --max-r 48: --suite kk                  1.6-2.4 s, 17 MB (five
+#                                                   runs; r = 40: 0.8-1.4 s)
 #           --max-n 10: --suite deform              2.2-3.0 s, 32 MB (nine
 #                                                   runs; order 2.3-3.5 s,
 #                                                   30 MB; cross 1.6-2.2 s,
@@ -67,7 +67,7 @@ MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
-MAX_VERIFY_R = 40
+MAX_VERIFY_R = 48
 MAX_VERIFY_N = 10
 # an integer option longer than this is refused unread: every budget above
 # has at most 6 digits, and int() would echo a longer value whole
@@ -81,18 +81,20 @@ def _within_budget(command: str, name: str, value: int, budget: int):
 
 
 def _int_reader(command: str, budget: str):
-    """The argparse type of an integer option: int(text), refused unread
-    with the budget of command when text is over MAX_INT_LITERAL long."""
+    """The argparse type of an integer option: int(text) of an ASCII text,
+    refused unread with the budget of command when text is over
+    MAX_INT_LITERAL long."""
     def read(text: str) -> int:
         if len(text) > MAX_INT_LITERAL:
             raise argparse.ArgumentTypeError(
                 f'{len(text)} characters, over the size budget of {command} '
                 f'({budget})')
-        try:
-            return int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f'invalid int value: {text!r}') from None
+        if text.isascii():
+            try:
+                return int(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f'invalid int value: {text!r}')
     return read
 
 
@@ -219,13 +221,14 @@ def cmd_verify(args) -> int:
 
 
 # the decimal exponent of a TAU, in Fraction's syntax
-_EXPONENT = re.compile(r'(?<=e)([-+]?)(\d+(?:_\d+)*)\Z', re.I)
+_EXPONENT = re.compile(r'(?<=e)([-+]?)([0-9]+(?:_[0-9]+)*)\Z', re.I)
 
 
 def _fraction(text: str) -> Fraction:
     """TAU, refused over the budget: a numerator or a denominator of more
     than MAX_TAU_DIGITS digits in lowest terms, or unread, a literal of more
-    than MAX_TAU_LITERAL digits.
+    than MAX_TAU_LITERAL digits.  A non-ASCII character is refused, since
+    Fraction reads any Unicode decimal digit.
 
     Fraction expands a decimal exponent to a power of 10, so the exponent is
     bounded first, without its leading zeros.  With a nonzero mantissa, an
@@ -233,6 +236,8 @@ def _fraction(text: str) -> Fraction:
     value over the budget whatever the digits; it is cut to that bound plus
     one, which keeps a nonzero value over the budget and a zero value 0."""
     from fractions import Fraction
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f'not a rational number: {text!r}')
     literal = text.strip()
     bound = MAX_TAU_DIGITS + len(literal)
     exponent = _EXPONENT.search(literal)

@@ -4,13 +4,12 @@ R_{r,a} has basis w_0..w_{r-1} with w_0 the unit and
 
     w_j * w_i = w_{j+i}   if m(j) > [i],   else 0,
 
-where m is the gap function of resarith.  The same rule has two
-combinatorial readings used as oracles: an axis-aligned rectangle in the
-lattice must avoid orange points except at the origin, and equivalently the
-smallest rectangle of Young-diagram boxes spanned by the factors must lie
-inside the diagram.  The closed rule and YoungDiagram read the same entry
-of params.gaps, so only the column scan of kk_product_rect is computed
-apart from the gap table.
+where m is the gap function of resarith; kk_table builds R_{r,a} by it.
+YoungDiagram reads the same products off the lattice, its column heights
+from gamma, not from the gap table; verify compares the two as one table.
+kk_product_closed and kk_product_rect (the gap rule, and a lattice
+rectangle with no orange point but the origin, one product at a time)
+have no caller in the package; the benchmark reads them.
 """
 
 from __future__ import annotations
@@ -328,38 +327,32 @@ class YoungDiagram:
     certifying w_4^2 = w_8 at (r, a) = (9, 2)), so the interior rule is
     normative here.
 
-    Column x is params.gaps[x] boxes high: the lowest orange point with
-    u >= 1 in column u is at [b*u] >= 1, so column x is as high as the least
-    of them over u = 1..x, which is the gap table.
+    Column heights are computed once from gamma, never from params.gaps:
+    the lowest orange point of column u >= 1 with v >= 1 is at height
+    -gamma((u, 0)) mod r, and column x is as high as the least of these
+    over u = 1..x (column 0 is r high).  Box (x, y), labelled gamma((x, y)),
+    certifies w_{gamma(x,0)} w_y = w_{gamma(x,y)}.
     """
 
     def __init__(self, params: SingularityParams):
         self.params = params
-
-    def contains(self, x: int, y: int) -> bool:
-        r = self.params.r
-        if not (0 <= x < r and 0 <= y < r):
-            return False
-        return y < self.params.gaps[x]
-
-    def label(self, x: int, y: int) -> int:
-        return gamma((x, y), self.params)
+        r = params.r
+        self._heights = heights = [r]
+        for u in range(1, r):
+            heights.append(min(heights[-1], -gamma((u, 0), params) % r))
 
     def boxes(self):
-        for x, height in enumerate(self.params.gaps):
+        for x, height in enumerate(self._heights):
             for y in range(height):
-                yield (x, y, self.label(x, y))
+                yield (x, y, gamma((x, y), self.params))
 
     def product(self, j: int, i: int):
-        """Product rule: the box rectangle spanned by the factors must lie
-        inside the diagram.  Must agree with kk_product_closed."""
+        """Product rule: the box rectangle spanned by the factors, from the
+        bottom-row box labelled j (column [-a j]) to the left-column box
+        labelled i (row i), must lie inside the diagram."""
         r = self.params.r
         j, i = j % r, i % r
-        if j == 0 or i == 0:
-            return (j + i) % r
-        c = -self.params.a * j % r  # bottom-row box labeled j
-        h = i                               # left-column box labeled i
-        return (j + i) % r if self.contains(c, h) else None
+        return (j + i) % r if i < self._heights[-self.params.a * j % r] else None
 
 
 def young_diagram(params: SingularityParams) -> YoungDiagram:

@@ -49,7 +49,7 @@ def _deform_report():
 
 def test_criterion_01_kk_oracle_equivalence():
     passed, elapsed, _ = _run(_kk_report(), ['oracle equivalence'])
-    _crit(1, 'closed formula == rectangle == Young rule, associative/unital, '
+    _crit(1, 'gap rule == lattice Young diagram, associative/unital, '
              'r <= 32', passed, elapsed, limit=30)
 
 

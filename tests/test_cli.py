@@ -157,7 +157,8 @@ def test_out_file(tmp_path):
     ET.parse(target)
 
 
-@pytest.mark.parametrize('value', ['1/0', 'abc'])
+# Fraction reads any Unicode decimal digit; TAU reads ASCII only
+@pytest.mark.parametrize('value', ['1/0', 'abc', '\u0663', '1e\u0663'])
 def test_bad_fraction_exits_2_without_a_traceback(value):
     proc = subprocess.run([sys.executable, '-m', 'wahlorder', 'order',
                            '--n', '2', '--q', '1', '--at', value],
@@ -426,6 +427,21 @@ def test_a_short_integer_option_reads_as_before(capsys):
         main(['order', '--n', '2.0', '--q', '1'])
     assert capsys.readouterr().err.splitlines()[-1] == (
         "wahlorder order: error: argument --n: invalid int value: '2.0'")
+
+
+@pytest.mark.parametrize('argv,option', [
+    (['kk', '--r', '\u0669', '--a', '\u0662'], '--r'),
+    (['verify', '--suite', 'kk', '--max-r', '\u0661\u0666'], '--max-r'),
+], ids=['kk-r', 'verify-max-r'])
+def test_a_non_ascii_integer_option_is_refused(argv, option, capsys):
+    # int() reads any Unicode decimal digit; an option reads ASCII only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    value = argv[argv.index(option) + 1]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f'wahlorder {argv[0]}: error: argument {option}: '
+        f'invalid int value: {value!r}')
 
 
 @pytest.mark.parametrize('argv,message', [

@@ -6,15 +6,18 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 import wahlorder
 
-from wahlorder.resarith import SingularityParams, is_orange
+from wahlorder.resarith import SingularityParams, gamma, is_orange
 from wahlorder.polyring import Poly, S, T, tsub
 from wahlorder.kkalg import (kk_product_closed, kk_product_rect, kk_table,
                              dual_relabel, young_diagram, gauss_word,
                              self_intersection_count, AlgebraTable, poly_table)
 from wahlorder.deform import CochainSpec, deformed_table
 from wahlorder.order import build_order, structure_constants
+from wahlorder.verify import CheckFailed, _kk_pair_check
 
 
 def naive_rect_product(params, j, i):
@@ -131,16 +134,19 @@ def test_relabel_rescale_roundtrip():
 def test_young_diagram_9_2():
     p = SingularityParams(9, 2)
     d = young_diagram(p)
+    boxes = {(x, y): label for x, y, label in d.boxes()}
     # bottom row of the figure: labels 0,4,8,3,7,2,6,1 at x = 0..7
     for x, lbl in enumerate([0, 4, 8, 3, 7, 2, 6, 1]):
-        assert d.contains(x, 0) and d.label(x, 0) == lbl
+        assert boxes[(x, 0)] == lbl
     # left column rows 0..4 carry their own index, and (1,5) blocks row 5 off
     # the column x = 1 onward
     for y in range(5):
-        assert d.contains(0, y) and d.label(0, y) == y
-    assert not d.contains(1, 5)
+        assert boxes[(0, y)] == y
+    assert (1, 5) not in boxes
     # w_4 w_i products live in column 1
-    assert d.contains(1, 4) and not d.contains(2, 1)
+    assert (1, 4) in boxes and (2, 1) not in boxes
+    # every box carries its gamma label
+    assert all(lbl == gamma(xy, p) for xy, lbl in boxes.items())
     # the product rule agrees with the closed formula everywhere
     for j in range(9):
         for i in range(9):
@@ -186,6 +192,20 @@ def test_young_diagram_rule_matches_closed_many():
                     assert d.product(j, i) == kk_product_closed(p, j, i)
             assert _column_heights_by_definition(p) == list(p.gaps)
             assert _column_heights(d) == list(p.gaps)
+
+
+def test_young_diagram_does_not_read_the_gap_table():
+    # a poisoned gap table changes kk_table but not the lattice diagram, so
+    # the verify clause that compares the two fails
+    p = SingularityParams(9, 2)
+    poisoned = list(p.gaps)
+    poisoned[2] += 1
+    p.__dict__['gaps'] = tuple(poisoned)
+    d = young_diagram(p)
+    assert _column_heights(d) == _column_heights_by_definition(p) != poisoned
+    with pytest.raises(CheckFailed) as info:
+        _kk_pair_check(p)
+    assert str(info.value) == '(9,2): table/young disagree at (8,1)'
 
 
 def test_gauss_word():
@@ -433,6 +453,7 @@ def test_kk_table_is_the_pairwise_closed_reading():
         for j in range(p.r):
             for i in range(p.r):
                 k = kk_product_closed(p, j, i)
+                assert kk_product_rect(p, j, i) == k, (p.r, p.a, j, i)
                 if k is not None:
                     want[(j, i)] = {k: 1}
         got = kk_table(p)

@@ -98,15 +98,24 @@ def test_require_raises_check_failed():
 
 
 def test_kk_pair_check_names_the_disagreement(monkeypatch):
-    monkeypatch.setattr(verify_mod, 'kk_product_rect', lambda params, j, i: {})
-    with pytest.raises(CheckFailed) as info:
-        verify_mod._kk_pair_check(SingularityParams(5, 2))
-    assert str(info.value) == '(5,2): closed/rect disagree at (0,0)'
-    monkeypatch.undo()
+    # the least cell where kk_table and the lattice Young diagram differ
     monkeypatch.setattr(verify_mod, 'kk_table', lambda params: AlgebraTable(params.r))
     with pytest.raises(CheckFailed) as info:
         verify_mod._kk_pair_check(SingularityParams(5, 2))
-    assert str(info.value) == '(5,2): closed/table disagree at (0,0)'
+    assert str(info.value) == '(5,2): table/young disagree at (0,0)'
+    monkeypatch.undo()
+    young = verify_mod.young_diagram
+
+    def taller(params):
+        # column 4 of 1/5(1,2) one box taller: box (4, 1) reads w_3 w_1
+        diagram = young(params)
+        diagram._heights[4] += 1
+        return diagram
+
+    monkeypatch.setattr(verify_mod, 'young_diagram', taller)
+    with pytest.raises(CheckFailed) as info:
+        verify_mod._kk_pair_check(SingularityParams(5, 2))
+    assert str(info.value) == '(5,2): table/young disagree at (3,1)'
 
 
 _SABOTAGE = """
@@ -129,15 +138,27 @@ def negated(p):
 v.kk_table = negated
 """
 
+# the last column of every diagram one box taller than the lattice allows
+_TALLER = """
+young = v.young_diagram
+def taller(p):
+    d = young(p)
+    d._heights[-1] += 1
+    return d
+v.young_diagram = taller
+"""
+
 
 @pytest.mark.parametrize('sabotage,verdict', [
     ('v.kk_table = lambda p: AlgebraTable(p.r)', 'FAIL'),
     (_NEGATED, 'FAIL'),
+    (_TALLER, 'FAIL'),
     ('', 'PASS'),
-], ids=['empty-table', 'negated-table', 'clean'])
+], ids=['empty-table', 'negated-table', 'taller-column', 'clean'])
 def test_kk_verdict_survives_python_O(sabotage, verdict):
-    # an empty kk_table, or one whose products disagree with the closed
-    # rule, must fail the suite even with assert statements compiled out
+    # an empty kk_table, one whose products disagree with the gap rule, or a
+    # Young diagram with one box too many must fail the suite even with
+    # assert statements compiled out
     src = Path(wahlorder.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
