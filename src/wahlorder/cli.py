@@ -51,8 +51,8 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.8-1.3 s, 87 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 48: --suite kk                  1.6-2.4 s, 17 MB (five
-#                                                   runs; r = 40: 0.8-1.4 s)
+#   verify  --max-r 56: --suite kk                  1.8-3.0 s, 18 MB (eight
+#                                                   runs; r = 48: 1.2-1.7 s)
 #           --max-n 10: --suite deform              2.2-3.0 s, 32 MB (nine
 #                                                   runs; order 2.3-3.5 s,
 #                                                   30 MB; cross 1.6-2.2 s,
@@ -67,7 +67,7 @@ MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
-MAX_VERIFY_R = 48
+MAX_VERIFY_R = 56
 MAX_VERIFY_N = 10
 # an integer option longer than this is refused unread: every budget above
 # has at most 6 digits, and int() would echo a longer value whole

@@ -14,6 +14,8 @@ have no caller in the package; the benchmark reads them.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .polyring import Poly, _add_terms
 from .resarith import SingularityParams, gamma, m_of
 
@@ -23,17 +25,21 @@ class AlgebraTable:
 
     products maps (j, i) to {k: coeff}; coefficients are ints, Fractions or
     Poly.  Zero coefficients and empty cells are dropped on construction, so
-    zero products are simply absent.
+    zero products are simply absent.  The outer dict is always new, but a
+    cell with no zero coefficient is shared with the caller, not copied: a
+    table never mutates a cell, and callers replace a cell rather than
+    edit it in place.
     """
 
     def __init__(self, dim: int, products=None):
         self.dim = dim
         self.products = {}
         if products:
-            for (j, i), cell in products.items():
-                cell = {k: c for k, c in cell.items() if c}
+            for key, cell in products.items():
+                if not all(cell.values()):
+                    cell = {k: c for k, c in cell.items() if c}
                 if cell:
-                    self.products[(j, i)] = cell
+                    self.products[key] = cell
 
     def product(self, j: int, i: int) -> dict:
         return self.products.get((j, i), {})
@@ -55,7 +61,9 @@ class AlgebraTable:
         of two reached indices whose cell has exactly one nonzero output k
         not yet reached reaches k.  A counter per cell of its factors and
         outputs not yet reached finds every such k, whatever the order in
-        which reached indices are visited.  If a product of two basis
+        which reached indices are visited; a cell whose outputs are all
+        among its factors reaches nothing and gets no counter (the unit
+        row and column of a unital table).  If a product of two basis
         indices has a nonzero output outside range(dim), the span of the
         basis is not closed and G is every index.
         """
@@ -65,15 +73,18 @@ class AlgebraTable:
         for (j, i), cell in self.products.items():
             if j not in span or i not in span:
                 continue
-            members = {j, i}
+            outs = []
             for k, c in cell.items():
                 if c:
                     if k not in span:
                         return list(span)
-                    members.add(k)
-            clause = [len(members), members, (j, i)]
-            for u in members:
-                watchers[u].append(clause)
+                    if k != j and k != i:
+                        outs.append(k)
+            if outs:
+                members = {j, i, *outs}
+                clause = [len(members), members, (j, i)]
+                for u in members:
+                    watchers[u].append(clause)
         reached = [False] * d
         rows = []
         for g in span:
@@ -120,36 +131,38 @@ class AlgebraTable:
           failing row in G is the least failing row, and the row loop
           completes it to the least failing triple.
 
-        The stored products are indexed once by row, m -> [(i, cell)] for
-        the i in range(dim); m itself may lie outside range(dim), as an
-        output index of a cell may.  For each k in G and each j, both sides
-        are then formed for every i at once: (w_k w_j) w_i sums
-        c * row_m over the entries m: c of the cell (k, j), and w_k (w_j w_i)
-        pushes each cell (j, i) of row_j through the products (k, m).  Only
-        products that can make a side nonzero are read.  Both sides are
-        summed by polyring._add_terms, which drops a coefficient that sums
-        to 0, so they are compared with zero coefficients dropped.
+        The stored products are indexed once by row, in two ways: m ->
+        {i: cell} for every i, and m -> [(i, cell)] for the i in
+        range(dim); m itself may lie outside range(dim), as an output index
+        of a cell may.  For each k in G and each j, both sides are then
+        formed for every i at once: (w_k w_j) w_i sums c * row_m over the
+        entries m: c of the cell (k, j), and w_k (w_j w_i) pushes each cell
+        (j, i) of row_j through the cells (k, m) of row k.  Only products
+        that can make a side nonzero are read.  Both sides are summed by
+        polyring._add_terms, which drops a coefficient that sums to 0, so
+        they are compared with zero coefficients dropped.
 
-        Poly coefficients are first replaced by exact integer codes
-        (_integer_coded), so the loop only ever multiplies ints or Fractions;
-        a table without a Poly is read as it is.
+        If any coefficient is a Poly, every coefficient is first replaced
+        by an exact integer code (_integer_coded, which also clears the
+        Fraction denominators), so the loop only ever multiplies ints; a
+        table of ints and Fractions is read as it is.
         """
         span = range(self.dim)
-        products = _integer_coded(self.products)
-        get = products.get
-        rows = {}
-        for (m, i), cell in products.items():
+        rows, by_row = {}, {}
+        for (m, i), cell in _integer_coded(self.products).items():
+            by_row.setdefault(m, {})[i] = cell
             if i in span:
                 rows.setdefault(m, []).append((i, cell))
         for k in self.generating_rows():
+            row_k = by_row.get(k, {})
             for j in span:
                 left, right = {}, {}
-                for m, c in get((k, j), {}).items():
+                for m, c in row_k.get(j, {}).items():
                     for i, cell in rows.get(m, ()):
                         _add_terms(left.setdefault(i, {}), cell, c)
                 for i, cell in rows.get(j, ()):
                     for m, c in cell.items():
-                        km = get((k, m))
+                        km = row_k.get(m)
                         if km:
                             _add_terms(right.setdefault(i, {}), km, c)
                 if left == right:
@@ -195,40 +208,52 @@ _ONES = (1, Poly.const(1))  # Fraction(1) == 1
 
 
 def _integer_coded(products: dict) -> dict:
-    """products with each Poly coefficient replaced by its Kronecker code.
+    """products with every coefficient replaced by an exact integer code,
+    or products itself if no coefficient is a Poly.
 
-    One scan finds deg_v, the largest exponent of each variable v in any
-    coefficient; L, the largest l1-norm sum |c| of any coefficient (an int
-    counts as a constant); and w, the largest cell length.  The monomial
-    prod v^e_v goes to the bit offset sum e_v * B * prod_{u<v} (2 deg_u + 1)
-    with B = (2 w L^2).bit_length() + 1, and a coefficient sum c * monomial
-    to the int sum c * 2^offset.  That is the substitution v -> 2^(B *
-    prod_{u<v} (2 deg_u + 1)), a ring homomorphism Z[v..] -> Z, so the code
-    of a side entry is the side entry of the codes.
+    One scan finds D, the lcm of the denominators of the coefficients that
+    are not Poly (ints count with denominator 1); deg_v, the largest
+    exponent of each variable v in any coefficient; L, the largest l1-norm
+    sum |c| of any coefficient (an int or Fraction counts as a constant);
+    and w, the largest cell length.  Every coefficient is first multiplied
+    by D, which makes it a Poly over Z of l1-norm at most D L.  Both sides
+    of an associator entry are sums of products of two coefficients, so
+    both are multiplied by D^2, and neither which entries vanish nor the
+    first failing (k, j, i) changes.  The monomial prod v^e_v then goes to
+    the bit offset sum e_v * B * prod_{u<v} (2 deg_u + 1) with
+    B = (2 w (D L)^2).bit_length() + 1, and a coefficient sum c * monomial
+    to the int sum c * 2^offset.  That is the substitution
+    v -> 2^(B * prod_{u<v} (2 deg_u + 1)), a ring homomorphism Z[v..] -> Z,
+    so the code of a side entry is the side entry of the codes.
 
     The coding is exact on everything associator_violation compares.  An
-    entry of either side is a sum of at most w products of two
+    entry of either side is a sum of at most w products of two scaled
     coefficients, so left - right is a sum of at most 2w such products:
     each exponent of v in it is at most 2 deg_v, and each of its monomial
-    coefficients is at most 2 w L^2 < 2^B in absolute value.  The exponents
-    are then mixed-radix digits below their radices 2 deg_v + 1, so
-    distinct monomials of left - right get distinct multiples of B as
+    coefficients is at most 2 w (D L)^2 < 2^B in absolute value.  The
+    exponents are then mixed-radix digits below their radices 2 deg_v + 1,
+    so distinct monomials of left - right get distinct multiples of B as
     offsets.  If left - right is nonzero, let a be its coefficient at the
     lowest offset o: its code is 2^o (a + 2^B x) for some int x, which is
     nonzero because 0 < |a| < 2^B.  Hence the code of left - right is 0 iff
     left - right is 0 (and likewise each side against 0, with the bound
-    w L^2), and the first failing (k, j, i) is the one the Poly table gives.
-    Each distinct coefficient is encoded once.  A table without a Poly is
-    returned as it is; in a table with one, the other coefficients are ints.
+    w (D L)^2), and the first failing (k, j, i) is the one the Poly table
+    gives.  Each distinct Poly is encoded once, and no Poly arithmetic is
+    done.
     """
+    if Poly not in {type(c) for cell in products.values()
+                    for c in cell.values()}:
+        return products
     seen = {}
     degs = {}
     w = norm = 0
+    den = 1
     for cell in products.values():
         w = max(w, len(cell))
         for c in cell.values():
             if not isinstance(c, Poly):
                 norm = max(norm, abs(c))
+                den = lcm(den, c.denominator)
             elif c not in seen:
                 seen[c] = None
                 norm = max(norm, sum(map(abs, c.terms.values())))
@@ -236,17 +261,16 @@ def _integer_coded(products: dict) -> dict:
                     for v, e in m:
                         if e > degs.get(v, 0):
                             degs[v] = e
-    if not seen:
-        return products
     stride = {}
-    step = (2 * w * norm * norm).bit_length() + 1
+    step = int(2 * w * (den * norm) ** 2).bit_length() + 1
     for v, e in degs.items():
         stride[v] = step
         step *= 2 * e + 1
     for c in seen:
-        seen[c] = sum(a << sum(e * stride[v] for v, e in m)
-                      for m, a in c.terms.items())
-    return {key: {k: seen[c] if isinstance(c, Poly) else c
+        seen[c] = den * sum(a << sum(e * stride[v] for v, e in m)
+                            for m, a in c.terms.items())
+    return {key: {k: seen[c] if isinstance(c, Poly)
+                  else c.numerator * (den // c.denominator)
                   for k, c in cell.items()}
             for key, cell in products.items()}
 

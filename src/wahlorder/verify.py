@@ -115,7 +115,8 @@ def _kk_pair_check(params: SingularityParams):
     (box (x, y) labelled l is w_{gamma(x,0)} w_y = w_l), unital, associative."""
     r, a = params.r, params.a
     table = kk_table(params)
-    young = {(gamma((x, 0), params), y): {label: 1}
+    column = [gamma((x, 0), params) for x in range(r)]
+    young = {(column[x], y): {label: 1}
              for x, y, label in young_diagram(params).boxes()}
     if table.products != young:
         j, i = min(key for key in table.products.keys() | young.keys()

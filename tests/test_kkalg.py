@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -14,9 +15,10 @@ from wahlorder.resarith import SingularityParams, gamma, is_orange
 from wahlorder.polyring import Poly, S, T, tsub
 from wahlorder.kkalg import (kk_product_closed, kk_product_rect, kk_table,
                              dual_relabel, young_diagram, gauss_word,
-                             self_intersection_count, AlgebraTable, poly_table)
-from wahlorder.deform import CochainSpec, deformed_table
-from wahlorder.order import build_order, structure_constants
+                             self_intersection_count, AlgebraTable, poly_table,
+                             _integer_coded)
+from wahlorder.deform import CochainSpec, _spec_ops, deformed_table
+from wahlorder.order import build_order, fiber_at, structure_constants, wahl_cochain
 from wahlorder.verify import CheckFailed, _kk_pair_check
 
 
@@ -129,6 +131,36 @@ def test_relabel_rescale_roundtrip():
     assert t.relabel(sigma).relabel(inv) == t
     signs = [1, -1, 1, -1, 1, -1, 1, -1, 1]
     assert t.rescale(signs).rescale(signs) == t
+
+
+def test_construction_drops_zeros_and_shares_clean_cells():
+    # the fiber at t = 0 of the (3, 1) order: zero coefficients dropped
+    consts = structure_constants(build_order(3, 1))
+    values = [c.eval_at({T: 0}) for cell in consts.values() for c in cell.values()]
+    assert (len(values), values.count(0)) == (62, 41)
+    fiber = fiber_at(build_order(3, 1), 0)
+    assert all(all(cell.values()) for cell in fiber.products.values())
+    assert sum(map(len, fiber.products.values())) == 62 - 41
+    # a deformed table: the empty cells of the insertion are dropped, the
+    # others kept in order, and by identity
+    params, spec = SingularityParams(9, 2), wahl_cochain(3, 1)
+    cells = _spec_ops(params, spec).products
+    assert (len(cells), sum(not cell for cell in cells.values())) == (81, 28)
+    table = deformed_table(params, spec)
+    assert list(table.products) == [key for key, cell in cells.items() if cell]
+    # a clean cell is shared, not copied; the outer dict is new
+    t = kk_table(SingularityParams(9, 2))
+    copy = AlgebraTable(t.dim, t.products)
+    assert copy.products is not t.products
+    assert all(copy.products[key] is cell for key, cell in t.products.items())
+    copy.products[(4, 1)] = {6: 1}
+    del copy.products[(4, 2)]
+    assert t.products[(4, 1)] == {5: 1} and (4, 2) in t.products
+    assert t == kk_table(SingularityParams(9, 2)) != copy
+    # a cell holding a zero is filtered into a new cell
+    dirty = {(0, 0): {0: 1, 1: 0}, (1, 1): {0: 0}}
+    assert AlgebraTable(2, dirty).products == {(0, 0): {0: 1}}
+    assert dirty == {(0, 0): {0: 1, 1: 0}, (1, 1): {0: 0}}
 
 
 def test_young_diagram_9_2():
@@ -386,6 +418,68 @@ def test_associator_on_mixed_int_and_poly_tables():
         assert mutant.associator_violation() == want, (table.dim, j, i)
         found += want is not None
     assert found > 30
+
+
+def _promoted(table):
+    """table with every coefficient a Poly (a constant one for an int or a
+    Fraction), so that dense_associator_violation multiplies Polys only."""
+    return AlgebraTable(table.dim, {
+        key: {k: c if isinstance(c, Poly) else Poly({(): c})
+              for k, c in cell.items()}
+        for key, cell in table.products.items()})
+
+
+def test_associator_clears_fraction_denominators():
+    t = Poly.var(T)
+    unit = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    cases = [
+        # w_1^2 = 3/2 + t w_1: the Fraction's norm dominates
+        (AlgebraTable(2, {**unit, (1, 1): {0: Fraction(3, 2), 1: t}}), None),
+        # w = 2, L = 1 give B = 4 bits, and 1/16 times the code 2^4 of t
+        # is the code of 1: t/16 + 1 != 1 + 1 must not read as equal
+        (_one_triple_table([(Fraction(1, 16), t), (1, 1)], [(1, 1), (1, 1)]),
+         (1, 2, 3)),
+        (_one_triple_table([(Fraction(1, 16), t + t), (Fraction(-1, 3), 3)],
+                           [(t, Fraction(1, 8)), (-1, 1)]), None),
+        (_one_triple_table([(Fraction(1, 6), t * t)], [(Fraction(1, 4), t * t)]),
+         (1, 2, 3)),
+    ]
+    for table, want in cases:
+        assert dense_associator_violation(_promoted(table)) == want
+        assert table.associator_violation() == want
+    # mutants of an order table with a Fraction stored in one cell
+    rng = random.Random(13)
+    base = _order_table(3, 2)
+    found = 0
+    for n in range(60):
+        mutant = AlgebraTable(base.dim, base.products)
+        j, i = rng.randrange(base.dim), rng.randrange(base.dim)
+        cell = dict(base.product(j, i))
+        k = rng.randrange(base.dim)
+        c = rng.choice((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+        mutant.products[(j, i)] = {**cell, k: c} if n % 2 else {k: c}
+        want = dense_associator_violation(_promoted(mutant))
+        assert mutant.associator_violation() == want, (j, i, k, c)
+        found += want is not None
+    assert found > 20
+
+
+def test_integer_coding_skips_a_table_without_a_poly():
+    ints = kk_table(SingularityParams(9, 2))
+    fractions = AlgebraTable(9, {key: {k: Fraction(c) for k, c in cell.items()}
+                                 for key, cell in ints.products.items()})
+    mixed = AlgebraTable(9, {**ints.products, (4, 4): {8: Fraction(1, 2)}})
+    for table in (ints, fractions, mixed):
+        assert _integer_coded(table.products) is table.products
+    # the only Poly in the last cell: the table is still coded
+    last, cell = list(ints.products.items())[-1]
+    for c in (Poly.const(1), Poly.var(T)):
+        table = AlgebraTable(9, {**ints.products, last: {k: c for k in cell}})
+        coded = _integer_coded(table.products)
+        assert all(type(c) is int for cell in coded.values() for c in cell.values())
+        want = dense_associator_violation(poly_table(table))
+        assert (want is None) == (c == Poly.const(1))
+        assert table.associator_violation() == want
 
 
 def test_associator_on_first_component_mutants():
