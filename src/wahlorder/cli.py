@@ -42,7 +42,7 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
 #                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 1,   --ideal            0.7-0.8 s, 92 MB (json 0.8 s)
+#   deform  r = 64:     a = 1,   --ideal            0.4 s, 82 MB (json 0.4 s)
 #                       a = 63,  --table, the slowest spec at the term
 #                                budget (polyring.MAX_TERMS), --format json
 #                                                   2.6-3.4 s, 148 MB

@@ -28,8 +28,8 @@ _S_MONO = ((S, 1),)
 class NotInsertableError(ValueError):
     """The table cannot be deformed: an entry has an input or slot index
     that is not in Z_r, or an output code that is not in range(2r).
-    insert_cochain raises it for a slot index or a differential entry, the
-    first read of DeformedOps.products for a product entry."""
+    insert_cochain raises it for a differential entry, a read of
+    DeformedOps.products for a product entry, its slot indices included."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +47,9 @@ class DeformedOps:
     builds it; a function is called at the first read of products, and its
     dict kept; a call that raises keeps the function, so every read raises.
     insert_cochain passes a function, so that only a caller that reads the
-    products pays for them, and a fault of a product entry is raised by that
-    read.
+    products pays for them, even for the dispatch of their entries, and a
+    fault of a product entry, a slot index outside Z_r included, is raised
+    by that read.
     """
 
     def __init__(self, differentials: dict, products):
@@ -61,39 +62,45 @@ class DeformedOps:
         return self._products
 
 
-def _kept_entries(ainf: AinfTable, diffs, prods):
-    """Yield (target, key, slots, cell) for every entry whose insertion can
-    land in diffs or prods: key is the input index x of m_1^b(x) or the pair
-    (x, y) of m_2^b(x, y), slots the indices of its degree-1 slots in slot
-    order.  Dispatch is on arity and on the parity (degree) bit of each
-    code."""
+def _diff_entries(ainf: AinfTable):
+    """Yield (key, slots, cell) for every entry whose insertion can land in
+    m_1^b(x): key is the input index x, slots the indices of its degree-1
+    slots in slot order.  Dispatch is on arity and on the parity (degree)
+    bit of each code; no other entry is read past its key."""
     for (x,), cell in ainf.m1.items():
         if not x & 1:
-            yield diffs, x >> 1, (), cell
+            yield x >> 1, (), cell
     for (a2, a1), cell in ainf.m2.items():
         if a2 & 1:
             if not a1 & 1:
-                yield diffs, a1 >> 1, (a2 >> 1,), cell
+                yield a1 >> 1, (a2 >> 1,), cell
         elif a1 & 1:
-            yield diffs, a2 >> 1, (a1 >> 1,), cell
-        else:
-            yield prods, (a2 >> 1, a1 >> 1), (), cell
+            yield a2 >> 1, (a1 >> 1,), cell
     for (a3, a2, a1), cell in ainf.m3.items():
         if a3 & 1:
             if a2 & 1:
                 if not a1 & 1:
-                    yield diffs, a1 >> 1, (a3 >> 1, a2 >> 1), cell
+                    yield a1 >> 1, (a3 >> 1, a2 >> 1), cell
             elif a1 & 1:
-                yield diffs, a2 >> 1, (a3 >> 1, a1 >> 1), cell
-            else:
-                yield prods, (a2 >> 1, a1 >> 1), (a3 >> 1,), cell
+                yield a2 >> 1, (a3 >> 1, a1 >> 1), cell
+        elif a2 & 1 and a1 & 1:
+            yield a3 >> 1, (a2 >> 1, a1 >> 1), cell
+
+
+def _product_entries(ainf: AinfTable):
+    """_diff_entries for m_2^b(x, y): key is the pair (x, y)."""
+    for (a2, a1), cell in ainf.m2.items():
+        if not a2 & 1 and not a1 & 1:
+            yield (a2 >> 1, a1 >> 1), (), cell
+    for (a3, a2, a1), cell in ainf.m3.items():
+        if a3 & 1:
+            if not a2 & 1 and not a1 & 1:
+                yield (a2 >> 1, a1 >> 1), (a3 >> 1,), cell
         elif a2 & 1:
-            if a1 & 1:
-                yield diffs, a3 >> 1, (a2 >> 1, a1 >> 1), cell
-            else:
-                yield prods, (a3 >> 1, a1 >> 1), (a2 >> 1,), cell
+            if not a1 & 1:
+                yield (a3 >> 1, a1 >> 1), (a2 >> 1,), cell
         elif a1 & 1:
-            yield prods, (a3 >> 1, a2 >> 1), (a1 >> 1,), cell
+            yield (a3 >> 1, a2 >> 1), (a1 >> 1,), cell
 
 
 def _weight(slots: tuple, r: int, dropped: frozenset) -> int:
@@ -180,28 +187,32 @@ def insert_cochain(ainf: AinfTable, r: int,
     orders included; check_point and deformed_table pass the second.
 
     Entries are dispatched on arity and on the degree bits of their codes,
+    by one walk of the table per target (_diff_entries, _product_entries),
     and each target's entries are summed by _insert into monomial codes (see
-    _weight).  Each output code is then decoded once to its index (wbar_j in
-    a differential, w_k in a product), each distinct list of terms once into
-    a Poly, shared by every output that has it, and an output whose value
-    cancels is dropped.  The values other than 0 and the variable itself are
-    substituted into each distinct monomial code once per call, and a cell's
-    value is the sum of its terms' scaled images, summed in place by
-    _add_terms in the term order that Poly.substitute of the finished cell
-    gives.  The differentials are built here; the products when
-    DeformedOps.products is first read, sharing the decoded monomials.
+    _weight; one per distinct tuple of slot indices).  Each output code is
+    then decoded once to its index (wbar_j in a differential, w_k in a
+    product), each distinct list of terms once into a Poly, shared by every
+    output that has it, and an output whose value cancels is dropped.  The
+    values other than 0 and the variable itself are substituted into each
+    distinct monomial code once per call, and a cell's value is the sum of
+    its terms' scaled images, summed in place by _add_terms in the term
+    order that Poly.substitute of the finished cell gives.  The
+    differentials are built here; the products when DeformedOps.products is
+    first read, sharing the slot weights and the decoded monomials.  The
+    walk of the differentials reads no product cell.
 
-    An index of a degree-1 slot outside Z_r is refused here, at dispatch
-    (NotInsertableError).  Every other fault is raised by the pass that
-    reads it: first a summed key outside Z_r, or not a pair in Z_r, even
-    where its entries cancel (NotInsertableError); then an output code
-    outside range(2r) (NotInsertableError) or of the wrong degree
-    (ArithmeticError), checked at its decode, so an output that cancels is
-    not checked.  The differential pass runs here; the product pass at each
-    read of DeformedOps.products until one succeeds, so a product fault is
-    raised by that read.  An entry that a zero-valued slot drops is never
-    read past its slot indices.  The product cells are read from ainf when
-    they are built, so ainf must not change before then.
+    Every fault is raised by the pass that reads it, in this order: an
+    index of a degree-1 slot outside Z_r, at dispatch; a summed key outside
+    Z_r, or not a pair in Z_r, even where its entries cancel (each
+    NotInsertableError); then an output code outside range(2r)
+    (NotInsertableError) or of the wrong degree (ArithmeticError), checked
+    at its decode, so an output that cancels is not checked.  The
+    differential pass runs here; the product pass at each read of
+    DeformedOps.products until one succeeds, so a fault of a product entry,
+    its slot indices included, is raised by that read.  An entry that a
+    zero-valued slot drops is never read past its slot indices.  The
+    product entries are read from ainf when they are built, so ainf must
+    not change before then.
     """
     dropped, keep_s, images = frozenset((0,)), True, {}
     if spec is not None:
@@ -209,14 +220,19 @@ def insert_cochain(ainf: AinfTable, r: int,
         dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
         keep_s = S not in sub or bool(sub[S])
         images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
-    diff_entries, prod_entries = [], []
     weights = {}  # slot indices -> monomial code
-    for target, key, slots, cell in _kept_entries(ainf, diff_entries, prod_entries):
-        w = weights.get(slots)
-        if w is None:
-            w = weights[slots] = _weight(slots, r, dropped)
-        if w >= 0:
-            target += key, w, cell
+
+    def weighted(entries):
+        """The flat key, w, cell list of _insert for the entries a slot
+        valued 0 does not drop."""
+        kept = []
+        for key, slots, cell in entries:
+            w = weights.get(slots)
+            if w is None:
+                w = weights[slots] = _weight(slots, r, dropped)
+            if w >= 0:
+                kept += key, w, cell
+        return kept
 
     monomial = cache(lambda code: _monomial(code, r))
     image = cache(lambda code: Poly.from_nonzero({monomial(code): 1})
@@ -235,7 +251,7 @@ def insert_cochain(ainf: AinfTable, r: int,
         """One target's pass: {key: {index: Poly}} for each of keys, the
         entries summed by _insert, every summed key in keys and every output
         code in codes."""
-        cells = _insert(entries, keep_s)
+        cells = _insert(weighted(entries), keep_s)
         diff = codes is wbars
         for key in cells:
             if key not in keys:
@@ -259,8 +275,8 @@ def insert_cochain(ainf: AinfTable, r: int,
 
     wbars, ws = range(1, 2 * r, 2), range(0, 2 * r, 2)
     return DeformedOps(
-        decoded(diff_entries, range(r), wbars),
-        lambda: decoded(prod_entries,
+        decoded(_diff_entries(ainf), range(r), wbars),
+        lambda: decoded(_product_entries(ainf),
                         dict.fromkeys(product(range(r), repeat=2)), ws))
 
 
@@ -282,12 +298,24 @@ class DiffMatrix:
         return self.rows.get(i, {}).get(j, Poly.zero())
 
     def is_skew(self) -> bool:
-        """entry(i, j) = -entry(j, i) for every stored entry (i, j), its
-        terms compared with the negated terms of its partner; a pair with
-        neither entry stored is 0 = -0, so this is every pair, the diagonal
-        included."""
-        return all(p.terms == {m: -c for m, c in self.entry(j, i).terms.items()}
-                   for i, row in self.rows.items() for j, p in row.items())
+        """entry(i, j) = -entry(j, i) for every stored entry (i, j); a pair
+        with neither entry stored is 0 = -0, so this is every pair, the
+        diagonal included.  Each unordered pair is read once: an entry on
+        the diagonal or without a stored partner must be 0, and a stored
+        pair is compared from its upper entry, term by term."""
+        rows, no_row = self.rows, {}
+        for i, row in rows.items():
+            for j, p in row.items():
+                q = rows.get(j, no_row).get(i) if i != j else None
+                if q is None:
+                    if p.terms:
+                        return False
+                elif i < j:
+                    terms = q.terms
+                    if len(terms) != len(p.terms) or any(
+                            terms.get(m) != -c for m, c in p.terms.items()):
+                        return False
+        return True
 
     def upper_entries(self):
         """[((i, j), entry)] for the stored (nonzero) entries with i < j,
@@ -408,10 +436,11 @@ def check_point(params: SingularityParams, spec: CochainSpec) -> bool:
     """True iff spec annihilates the differential matrix: with the cochain
     of spec inserted, no upper entry is left.  The table read is
     full_ainf restricted to the slots spec leaves nonzero, and only the
-    differentials are built from it; an insertion error of a slot or a
-    differential entry is raised by insert_cochain (no product entry is
-    read), and a broken matrix invariant (ArithmeticError) by diff_matrix.
-    The answer is read off the first row with an upper entry."""
+    differentials are built from it; an insertion error of a differential
+    entry, its slot indices included, is raised by insert_cochain (no
+    product entry is read), and a broken matrix invariant (ArithmeticError)
+    by diff_matrix.  The answer is read off the first row with an upper
+    entry."""
     rows = diff_matrix(params, _spec_ops(params, spec)).rows
     return not any(j > i for i, row in rows.items() for j in row)
 

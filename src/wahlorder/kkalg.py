@@ -366,9 +366,11 @@ class YoungDiagram:
             heights.append(min(heights[-1], -gamma((u, 0), params) % r))
 
     def boxes(self):
+        r = self.params.r
         for x, height in enumerate(self._heights):
+            base = gamma((x, 0), self.params)
             for y in range(height):
-                yield (x, y, gamma((x, y), self.params))
+                yield (x, y, (base + y) % r)
 
     def product(self, j: int, i: int):
         """Product rule: the box rectangle spanned by the factors, from the

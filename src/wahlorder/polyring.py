@@ -211,21 +211,23 @@ def _mono_mul(m1, m2):
 # printing / parsing
 # ---------------------------------------------------------------------------
 
-def _mono_sort_key(m):
-    # graded-lex, descending: higher total degree first, then larger exponent
-    # on the earliest variable (monomials are stored sorted by variable).
-    deg = sum(e for _, e in m)
-    return (-deg, tuple((v, -e) for v, e in m))
+def _term_order(item):
+    # graded-lex, descending, on the monomial of a (monomial, coeff) item:
+    # higher total degree first, then larger exponent on the earliest
+    # variable (monomials are stored sorted by variable).
+    m = item[0]
+    return -sum([e for _, e in m]), [(v, -e) for v, e in m]
 
 
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return '0'
     parts = []
-    for m, c in sorted(p.terms.items(), key=lambda kv: _mono_sort_key(kv[0])):
+    for m, c in sorted(p.terms.items(), key=_term_order):
         factors = []
-        for v, e in m:
-            factors.append(_var_str(v) if e == 1 else f'{_var_str(v)}^{e}')
+        for (kind, i), e in m:
+            name = _NAMES[kind].format(i)
+            factors.append(name if e == 1 else f'{name}^{e}')
         body = ' '.join(factors)
         mag = abs(c)
         if not body:

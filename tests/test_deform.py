@@ -485,6 +485,36 @@ def test_the_flatness_verdict_never_builds_the_products(monkeypatch):
     assert passes == ['d', 'p']
 
 
+class _Unreadable(dict):
+    """A cell that refuses to be read."""
+
+    def items(self):
+        raise RuntimeError('a product cell was read')
+
+
+def test_the_differential_pass_reads_no_product_cell():
+    # every entry with two degree-0 inputs, the ones that land in m_2^b, made
+    # unreadable: the differentials, their matrix and the flat-locus
+    # generators are built all the same, and only a read of the products
+    # reads those cells
+    params = SingularityParams(15, 4)
+    table, whole = full_ainf(params), insert_cochain(full_ainf(params), 15)
+    unreadable = 0
+    for cells in (table.m2, table.m3):
+        for key, cell in cells.items():
+            if sum(not code & 1 for code in key) == 2:
+                cells[key] = _Unreadable(cell)
+                unreadable += 1
+    assert unreadable
+    ops = insert_cochain(table, 15)
+    assert _ordered(ops.differentials) == _ordered(whole.differentials)
+    dm = diff_matrix(params, ops)
+    assert dm.upper_entries() == diff_matrix(params, whole).upper_entries()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match='a product cell was read'):
+            ops.products
+
+
 @pytest.mark.parametrize('r', range(2, 11))
 def test_per_monomial_substitution_is_poly_substitute_of_each_cell(r):
     # insert_cochain substitutes each monomial once and sums the images of
@@ -598,16 +628,21 @@ def test_out_of_range_key_raises_even_when_it_cancels():
     ([(((4, 0), (1, 0)), (1, 0)), (((4, 0),), (1, 1))],
      NotInsertableError, 'differential key 4'),
     ([(((4, 0),), (1, 1)), (((5, 1), (1, 0), (2, 0)), (1, 0))],
+     NotInsertableError, 'differential key 4'),
+    ([(((4, 0),), (1, 1)), (((5, 1), (1, 0)), (1, 1))],
      NotInsertableError, 'cochain slot index 5'),
     ([(((1, 0),), (2, 0)), (((4, 0), (1, 0)), (1, 0))],
      ArithmeticError, 'dw_1 hit w_2 of degree 0'),
     ([(((2, 0), (3, 0)), (1, 1)), (((1, 0),), (2, 0))],
      ArithmeticError, 'dw_1 hit w_2 of degree 0'),
 ], ids=['products-in-table-order', 'differential-key-first', 'slot-first',
-        'keys-before-outputs', 'differentials-before-products'])
+        'differential-slot-first', 'keys-before-outputs',
+        'differentials-before-products'])
 def test_the_first_error_of_a_table_is_raised(entries, error, message):
-    # slot indices are checked at dispatch, then each pass checks its keys
-    # before its outputs; the differential pass runs first
+    # each pass checks the slot indices of its entries at dispatch, then its
+    # keys, then its outputs; the differential pass runs first, so the slot
+    # fault of a product entry (slot-first) comes after the key fault of a
+    # differential, and that of a differential entry before it
     table = AinfTable()
     for slots, out in entries:
         _add(table, slots, out, (1, 0))
@@ -646,17 +681,21 @@ def test_insertion_rejects_an_output_outside_z_r(slots, out, message):
         insertion()
 
 
-@pytest.mark.parametrize('out,error,message', [
-    ((1, 1), ArithmeticError, '^w_2 w_3 hit wbar_1 of degree 1$'),
-    ((5, 0), NotInsertableError, '^w_2 w_3 hit output code 10, not a generator'),
-], ids=['wrong-degree', 'outside-z-r'])
-def test_a_product_fault_is_raised_by_every_read_of_the_products(out, error,
-                                                                 message):
-    # one faulty product output in an otherwise whole table: the call, its
+@pytest.mark.parametrize('slots,out,error,message', [
+    (((2, 0), (3, 0)), (1, 1), ArithmeticError,
+     '^w_2 w_3 hit wbar_1 of degree 1$'),
+    (((2, 0), (3, 0)), (5, 0), NotInsertableError,
+     '^w_2 w_3 hit output code 10, not a generator'),
+    (((5, 1), (2, 0), (3, 0)), (1, 0), NotInsertableError,
+     '^cochain slot index 5 is not in Z_5$'),
+], ids=['wrong-degree', 'outside-z-r', 'slot-outside-z-r'])
+def test_a_product_fault_is_raised_by_every_read_of_the_products(
+        slots, out, error, message):
+    # one faulty product entry in an otherwise whole table: the call, its
     # differentials and their matrix do not read it
     params = SingularityParams(5, 2)
     table = full_ainf(params)
-    _add(table, ((2, 0), (3, 0)), out, (1, 0))
+    _add(table, slots, out, (1, 0))
     ops = insert_cochain(table, 5)
     whole = insert_cochain(full_ainf(params), 5)
     assert _ordered(ops.differentials) == _ordered(whole.differentials)
@@ -700,10 +739,22 @@ def test_diff_matrix_reads_the_rows():
     t1, t2 = Poly.var(tsub(1)), Poly.var(tsub(2))
     params = SingularityParams(4, 1)
     skew_rows = {0: {}, 3: {1: -t2}, 1: {3: t2, 2: t1}, 2: {1: -t1}}
+    zero = Poly.zero()
     for rows, skew in ((skew_rows, True),
                        ({0: {}, 1: {2: t1}, 2: {}}, False),
                        ({0: {}, 1: {}, 2: {1: t1}}, False),
                        ({0: {}, 1: {1: t1}, 2: {}}, False),
+                       # a stored 0 is skew without its partner, on the
+                       # diagonal too
+                       ({0: {}, 1: {2: zero}, 2: {}}, True),
+                       ({0: {}, 1: {}, 2: {1: zero, 2: zero}}, True),
+                       ({0: {}, 1: {2: zero}, 2: {1: t1}}, False),
+                       # one coefficient differs; one side has an extra term
+                       ({0: {}, 1: {2: t1 + t2}, 2: {1: -t1 - t2 * Poly.const(2)}},
+                        False),
+                       ({0: {}, 1: {2: t1 + t2}, 2: {1: -t1}}, False),
+                       ({0: {}, 1: {2: t1}, 2: {1: -t1 - t2}}, False),
+                       ({0: {}, 1: {2: t1 + t2}, 2: {1: -t1 - t2}}, True),
                        ({0: {}, 1: {2: t1}, 2: {1: t1}}, False)):
         dm = diff_matrix(params, DeformedOps(rows, {}))
         assert dm.is_skew() == skew, rows
