@@ -46,21 +46,22 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #                       a = 63,  --table, the slowest spec at the term
 #                                budget (polyring.MAX_TERMS), --format json
 #                                                   2.6-3.4 s, 148 MB
-#   order   n = 10:     q = 1,   --fiber zero       0.2-0.3 s, 26 MB
+#   order   n = 10:     q = 1,   --fiber zero       0.16-0.17 s, 20 MB
 #           --at P/Q, P and Q of 200 digits: n = 10, q = 1 or 9, table or
-#           json, with or without --fiber generic   0.8-1.3 s, 87 MB (the
+#           json, with or without --fiber generic   0.7-1.1 s, 84 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 56: --suite kk                  1.8-3.0 s, 18 MB (eight
-#                                                   runs; r = 48: 1.2-1.7 s)
-#           --max-n 10: --suite deform              2.2-3.0 s, 32 MB (nine
-#                                                   runs; order 2.3-3.5 s,
-#                                                   30 MB; cross 1.6-2.2 s,
-#                                                   31 MB, eleven runs)
+#   verify  --max-r 56: --suite kk                  1.5-1.7 s, 75 MB (the
+#                                                   suite keeps every table
+#                                                   of the range)
+#           --max-n 10: --suite deform              2.2-2.5 s, 32 MB (order
+#                                                   1.5-1.9 s, 22 MB; cross
+#                                                   1.1-1.5 s, 28 MB)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (3.3-5.0 s at the default
-# bounds, six runs; each verify row is three fresh processes or more).
+# --suite all runs the suites one after another (2.4-2.7 s at the default
+# bounds).  The order, --at and verify rows are three fresh processes each,
+# peak RSS the largest of a row.
 MAX_KK_R = 500
 MAX_GAUSS_R = 500_000
 MAX_DEFORM_R = 64

@@ -8,14 +8,16 @@ fibers at t != 0 are full matrix algebras, and whose t = infinity fiber is
 again R_{n^2, nq-1} after the index flip k -> -k.
 
 Every entry of a basis matrix is a signed monomial +-t^e, and the layer keeps
-that form: a basis matrix is a list [(row, col, sign, e)], a product of two is
-a sparse {(row, col): {e: c}} holding nonzero terms only, and Poly appears
-only in the finished constants.  solve_in_basis peels the r x r coefficient
-matrix once into a triangular order with pivots +-t^e and back-substitutes
-each product over its nonzero cells, dividing exactly by t^e: a term below
-t^e proves non-closure, and a residual that ends all zero certifies the
-result.  The pivots also give the determinant +-t^(sum e), which certifies
-the fibers at every t != 0 as Mat_n.
+that form: a basis matrix is a list [(row, col, sign, e)], a Z[t] value in
+the solver is its nonzero terms {e: c}, and Poly appears only in the
+finished constants.  structure_constants peels the r x r coefficient matrix
+once per order into a triangular pivot plan with pivots +-t^e, then sums
+each product N_i . N_j straight into a residual over the cells row * n + col
+and back-substitutes it along the plan, dividing exactly by t^e: a term
+below t^e proves non-closure, and a residual that ends all zero certifies
+the result.  solve_in_basis runs the same per-target routine on a copy of
+each target it is given.  The pivots also give the determinant +-t^(sum e),
+which certifies the fibers at every t != 0 as Mat_n.
 
 Two conventions are frozen here after exhaustive fit against the reference
 matrices (see order_entry and structure_constants).
@@ -26,7 +28,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .resarith import WahlParams
-from .polyring import Poly, T, S, tsub, acoef, format_poly, _add_terms
+from .polyring import Poly, T, S, tsub, acoef, format_poly
 from .kkalg import AlgebraTable, kk_table
 
 _NEG_INF = float('-inf')
@@ -136,98 +138,179 @@ def structure_constants(order: OrderTable) -> dict:
     algebra, and no diagonal sign change repairs it (its w_1^2 is nonzero
     when a = 2, b = 5, r = 9; R_{9,2} has w_1^2 = 0).
 
-    Each product N_i . N_j is formed from the signed monomials into a sparse
-    cell map and solved by solve_in_basis, which also yields the exponent of
-    the determinant +-t^(sum e), kept for certify_full_matrix_fiber.
+    One pass per product: _PivotPlan peels the basis once, then each
+    N_i . N_j is summed by _product straight into the residual that _solve
+    peels, so no product is kept or copied.  The plan's pivots also give
+    the exponent of the determinant +-t^(sum e), kept for
+    certify_full_matrix_fiber.
     """
     if order._constants is not None:
         return order._constants
-    r, a = order.r, order.params.a
+    n, r, a = order.n, order.r, order.params.a
     mats = order.monomial_basis()
     basis = [mats[-a * k % r] for k in range(r)]
-    by_row = []
+    plan = _PivotPlan(basis, n, n)
+    # N_i's entries with the row premultiplied into the cell key, and N_j's
+    # entries by row
+    left = [[(row * n, m, s, e) for row, m, s, e in entries]
+            for entries in basis]
+    right = []
     for entries in basis:
-        rows = {}
-        for i, j, sign, e in entries:
-            rows.setdefault(i, []).append((j, sign, e))
-        by_row.append(rows)
-    targets = {(j, i): _product(basis[i], by_row[j])
-               for j in range(r) for i in range(r)}
-    order._constants, order._det = solve_in_basis(basis, targets)
-    return order._constants
+        rows = [[] for _ in range(n)]
+        for row, col, s, e in entries:
+            rows[row].append((col, s, e))
+        right.append(rows)
+    position = plan.position
+    consts = {}
+    for j in range(r):
+        for i in range(r):
+            residual, heap = _product(left[i], right[j], position)
+            consts[(j, i)] = _solve(plan, (j, i), residual, heap)
+    order._constants, order._det = consts, plan.det
+    return consts
 
 
-def _product(left, right_rows) -> dict:
-    """left . right as {(row, col): {e: c}}, no zero term or empty cell;
-    right_rows[m] lists the entries (col, sign, e) of right's row m."""
-    out = {}
-    for i, m, s1, e1 in left:
-        for j, s2, e2 in right_rows.get(m, ()):
-            _add_terms(out.setdefault((i, j), {}), {e1 + e2: s1 * s2})
-    return {c: v for c, v in out.items() if v}
+def _product(left, right_rows, position):
+    """left . right as a residual {cell: {e: c}} and the peel positions of
+    its cells, unordered.  left is [(row * n, m, sign, e)], right_rows[m]
+    lists the entries (col, sign, e) of right's row m, and a cell is the
+    integer row * n + col.  A cell whose terms cancel stays, empty."""
+    residual, heap = {}, []
+    for rn, m, s1, e1 in left:
+        for col, s2, e2 in right_rows[m]:
+            c = rn + col
+            acc = residual.get(c)
+            if acc is None:
+                residual[c] = {e1 + e2: s1 * s2}
+                p = position[c]
+                if p >= 0:
+                    heap.append(p)
+            else:
+                d = e1 + e2
+                v = acc.get(d, 0) + s1 * s2
+                if v:
+                    acc[d] = v
+                else:
+                    del acc[d]
+    return residual, heap
 
 
 def solve_in_basis(basis, targets):
     """Coordinates in Z[t] of each target over signed-monomial basis matrices.
 
     basis[k] is [(row, col, sign, e)], at most one entry per cell; targets
-    maps a label to {(row, col): {e: c}}, the nonzero terms of each cell.
-    Returns ({label: {k: Poly}}, sum e): each coordinate dict in ascending
-    k, and sum e the exponent of the determinant +-t^(sum e) of the
-    coefficient matrix (cells x unknowns) on the cells _peel pivots; the
-    sign is not kept.
+    maps a label to {(row, col): {e: c}}, the nonzero terms of each cell,
+    and is not changed.  Returns ({label: {k: Poly}}, sum e): each
+    coordinate dict in ascending k, and sum e the exponent of the
+    determinant +-t^(sum e) of the coefficient matrix (cells x unknowns) on
+    the cells _peel pivots; the sign is not kept.  Each target is copied
+    into a residual and solved by _solve, the routine structure_constants
+    runs on its products.
+    """
+    cells = [(row, col) for entries in basis for row, col, _, _ in entries]
+    cells += [c for target in targets.values() for c in target]
+    height = 1 + max((row for row, _ in cells), default=0)
+    width = 1 + max((col for _, col in cells), default=0)
+    plan = _PivotPlan(basis, width, height)
+    position = plan.position
+    consts = {}
+    for label, target in targets.items():
+        residual = {row * width + col: dict(v)
+                    for (row, col), v in target.items()}
+        heap = [position[c] for c in residual if position[c] >= 0]
+        consts[label] = _solve(plan, label, residual, heap)
+    return consts, plan.det
+
+
+class _PivotPlan:
+    """The peel of a basis made ready for _solve, a cell (row, col) keyed as
+    the integer row * width + col.
+
+    steps[p] is (cell, k, sign, e, entries) for the p-th pivot of _peel,
+    entries listing N_k's other entries as (cell, q, sign, shift), q the
+    peel position of that cell if it is pivoted (always later than p), else
+    -1.  position maps each of the height * width cells to its peel
+    position or -1, and det is sum e.  monomials holds each single-term
+    coordinate +-t^e as one shared Poly, made at its first use.
+    """
+
+    __slots__ = ('steps', 'position', 'width', 'det', 'monomials')
+
+    def __init__(self, basis, width: int, height: int):
+        peel, self.det = _peel(basis)
+        self.width, self.monomials = width, {}
+        self.position = position = [-1] * (height * width)
+        for p, ((row, col), _, _, _) in enumerate(peel):
+            position[row * width + col] = p
+        self.steps = []
+        for (row, col), k, sign, e in peel:
+            cell = row * width + col
+            entries = []
+            for i, j, s, shift in basis[k]:
+                c = i * width + j
+                if c != cell:
+                    entries.append((c, position[c], s, shift))
+            self.steps.append((cell, k, sign, e, entries))
+
+
+def _solve(plan, label, residual, heap):
+    """The coordinates {k: Poly} of one target, in ascending k; residual
+    and heap (the peel positions of its cells, in any order) are consumed.
 
     Along the peel order each unknown k has the pivot +-t^e in a cell where
     every other unknown was pivoted before it, so k occurs only in its own
-    pivot cell and in cells pivoted later.  A target is solved over its
-    nonzero cells: take the earliest pivot position whose residual cell is
-    nonzero, divide that cell exactly by +-t^e to get x_k, and subtract
-    x_k N_k from the residual in place, dropping each term that reaches 0;
-    a heap of positions orders the visits.  The solution over Q(t) is
-    unique, so a term below t^e proves the target is not in the Z[t]-span
-    and raises ArithmeticError.  The residual must end all zero, which is
-    target = sum x_k N_k exactly in Z[t]: the certificate of the result.
+    pivot cell and in cells pivoted later.  The earliest pivot position
+    whose residual cell is nonzero is taken next: that cell divided exactly
+    by +-t^e is x_k, and x_k N_k is subtracted from the residual in place,
+    which empties the pivot cell for good and drops each term that reaches
+    0.  The solution over Q(t) is unique, so a term below t^e proves the
+    target is not in the Z[t]-span and raises ArithmeticError.  The
+    residual must end all zero, which is target = sum x_k N_k exactly in
+    Z[t]: the certificate of the result.
     """
-    steps, det = _peel(basis)
-    position = {step[0]: p for p, step in enumerate(steps)}
-    consts = {}
-    for label, target in targets.items():
-        residual = {c: dict(v) for c, v in target.items()}
-        heap = [position[c] for c in residual if c in position]
-        heapify(heap)
-        coords = {}
-        while heap:
-            p = heappop(heap)
-            cell, k, sign, e = steps[p]
-            acc = residual[cell]
-            if not acc:
-                continue  # solved already, or cancelled since it was pushed
-            if min(acc) < e:
-                raise ArithmeticError(
-                    f'product {label}: coordinate {k} is not in Z[t] '
-                    f'(nonzero remainder below t^{e})')
-            x = coords[k] = {d - e: sign * v for d, v in acc.items()}
-            for row, col, s, shift in basis[k]:
-                c = (row, col)
-                acc = residual.setdefault(c, {})
-                for d, v in x.items():
-                    d += shift
-                    v = acc.get(d, 0) - s * v
-                    if v:
-                        acc[d] = v
-                    else:
-                        del acc[d]
-                if acc and position.get(c, -1) > p:
-                    heappush(heap, position[c])
-        bad = next((c for c, v in residual.items() if v), None)
-        if bad is not None:
+    steps, monomials = plan.steps, plan.monomials
+    heapify(heap)
+    coords = {}
+    while heap:
+        p = heappop(heap)
+        cell, k, sign, e, entries = steps[p]
+        acc = residual.pop(cell, None)
+        if not acc:
+            continue  # solved already, or cancelled since it was pushed
+        if min(acc) < e:
             raise ArithmeticError(
-                f'product {label}: exact recombination fails in cell {bad}')
-        consts[label] = {
-            k: Poly.from_nonzero({(((T, d),) if d else ()): v
-                                  for d, v in sorted(coords[k].items())})
-            for k in sorted(coords)}
-    return consts, det
+                f'product {label}: coordinate {k} is not in Z[t] '
+                f'(nonzero remainder below t^{e})')
+        x = {d - e: sign * v for d, v in acc.items()}
+        if len(x) == 1:
+            (key,) = x.items()
+            poly = monomials.get(key)
+            if poly is None:
+                d, v = key
+                poly = monomials[key] = Poly.from_nonzero(
+                    {(((T, d),) if d else ()): v})
+            coords[k] = poly
+        else:
+            coords[k] = Poly.from_nonzero(
+                {(((T, d),) if d else ()): v for d, v in sorted(x.items())})
+        for c, q, s, shift in entries:
+            acc = residual.get(c)
+            if acc is None:
+                acc = residual[c] = {}
+            for d, v in x.items():
+                d += shift
+                v = acc.get(d, 0) - s * v
+                if v:
+                    acc[d] = v
+                else:
+                    del acc[d]
+            if q >= 0 and acc:
+                heappush(heap, q)
+    bad = next((c for c, v in residual.items() if v), None)
+    if bad is not None:
+        raise ArithmeticError(f'product {label}: exact recombination fails '
+                              f'in cell {divmod(bad, plan.width)}')
+    return {k: coords[k] for k in sorted(coords)}
 
 
 def _peel(basis):

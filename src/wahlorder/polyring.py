@@ -272,14 +272,14 @@ MAX_NESTING = 100
 # built and printed:
 #                                          coefficients 1    4096 bits
 #   a = 1:
-#   every t_i = c_i t_i (63 terms)         0.4-0.6 s  92 MB  0.5-0.7 s  95 MB
-#   t_32 a 66-term value, other t_i free   0.5 s     103 MB  0.6 s     116 MB
-#     its coefficients 1..66               0.7-0.9 s 109 MB
-#     the bits over all 128 terms                            0.5 s     118 MB
-#     3700 of them in one coefficient                        0.7 s     106 MB
-#   4, 8 or 16 central values share them   0.5-0.7 s 103 MB  0.5-0.8 s 115 MB
-#   63 values t_i + t_(i+1) (126 terms)    0.5-0.8 s  97 MB
-#   s a 65-term value, every t_i free      0.5-0.6 s  93 MB  0.5-0.6 s  93 MB
+#   every t_i = c_i t_i (63 terms)         0.4-0.5 s  77 MB  0.4 s      80 MB
+#   t_32 a 66-term value, other t_i free   0.5-0.6 s  85 MB  0.7-0.8 s  94 MB
+#     its coefficients 1..66               0.5 s      89 MB
+#     the bits over all 128 terms                            0.5-0.6 s  97 MB
+#     3700 of them in one coefficient                        0.7-0.8 s  92 MB
+#   4, 8 or 16 central values share them   0.5-0.8 s  87 MB  0.5-0.9 s  98 MB
+#   63 values t_i + t_(i+1) (126 terms)    0.5-0.6 s  82 MB
+#   s a 65-term value, every t_i free      0.4-0.6 s  78 MB  0.4 s      78 MB
 #   a = 63, --format json:
 #   every t_i = c_i t_i                                      1.5-2.3 s 131 MB
 #   t_32 a 66-term value, other t_i free   1.7-2.0 s 131 MB  1.5-1.6 s 128 MB
@@ -287,6 +287,10 @@ MAX_NESTING = 100
 #   4 central values share them                              1.5-1.8 s 129 MB
 #   63 values t_i + t_(i+1)                2.4-2.5 s 128 MB
 #   s a 65-term value, every t_i free                        2.6-3.4 s 148 MB
+# In the a = 1 rows the 66-term value is every degree-2 monomial in
+# t_1..t_11 (s drops the last), k central values t_(32-k/2)..t_(31+k/2) take
+# every k-th of them, the last of the 63 values is t_63 + t_1, and a free
+# t_i = t_i spends one of the 4096 bits.
 # Before the verdict came first, the a = 1 rows took up to 2.1 s and 213 MB.
 # The slowest spec is now a flat one, so a higher MAX_TERMS is bounded by the
 # products, not the verdict.

@@ -12,7 +12,9 @@ order and cross max_n) and refuses a bound that the suite does not read.
 The caps sit in the suites: kk stops commutativity at r = 20 and the Gauss
 words at r = 24, and deform stops skew-symmetry at r = 20 and the a = 1
 formula at r = 16.  Deform's other checks have fixed ranges, named in their
-titles (the degree check, r <= 32, is the largest).
+titles (the degree check, r <= 32, is the largest).  Each suite imports the
+layers it reads when it runs, so the kk suite loads none of ainf, deform,
+order and goldens.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from .resarith import SingularityParams, WahlParams, gamma
 from .polyring import Poly, S, T, tsub, acoef, parse_poly
 from .kkalg import (kk_table, young_diagram, gauss_word, dual_relabel,
                     poly_table)
-from .ainf import full_ainf, visible_contributions
-from .deform import (insert_cochain, diff_matrix, check_point, deformed_table,
-                     CochainSpec)
-from .order import (build_order, constants_table,
-                    fiber_zero_report, certify_full_matrix_fiber,
-                    infinity_fiber, wahl_cochain, cross_check, format_cell)
-from .goldens import GOLDEN_MATRICES, EXAMPLE_2_1, EXAMPLE_2_1_SIGN_FLIPS
 
 
 class VerifyCheck:
@@ -112,7 +107,8 @@ def coprime_pairs(max_r: int):
 
 def _kk_pair_check(params: SingularityParams):
     """kk_table, the gap rule, equals the table of the lattice Young diagram
-    (box (x, y) labelled l is w_{gamma(x,0)} w_y = w_l), unital, associative."""
+    (box (x, y) labelled l is w_{gamma(x,0)} w_y = w_l), unital, associative.
+    Returns the table it checked."""
     r, a = params.r, params.a
     table = kk_table(params)
     column = [gamma((x, 0), params) for x in range(r)]
@@ -125,17 +121,27 @@ def _kk_pair_check(params: SingularityParams):
     _require(table.is_unital(), f'({r},{a}): not unital')
     bad = table.associator_violation()
     _require(not bad, f'({r},{a}): associativity fails at {bad}')
+    return table
 
 
 def suite_kk(max_r: int = 32) -> VerifyReport:
     report = VerifyReport('kk')
+    # each pair's table, built once: the first clause keeps the tables it
+    # checked, and a pair it did not reach is built at its first read
+    tables = {}
+
+    def table_of(params):
+        key = params.r, params.a
+        if key not in tables:
+            tables[key] = kk_table(params)
+        return tables[key]
 
     with report.check(f'oracle equivalence + associativity, r <= {max_r}'):
         for params in coprime_pairs(max_r):
-            _kk_pair_check(params)
+            tables[params.r, params.a] = _kk_pair_check(params)
 
     with report.check('reference (9,2) table: w_4 w_i only'):
-        table = kk_table(SingularityParams(9, 2))
+        table = table_of(SingularityParams(9, 2))
         want = {(4, 1): {5: 1}, (4, 2): {6: 1}, (4, 3): {7: 1}, (4, 4): {8: 1}}
         got = dict(table.nontrivial_products())
         _require(got == want, f'(9,2) nontrivial products {got}')
@@ -143,7 +149,7 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
     with report.check('commutativity iff a in {1, r-1}; truncated/square-zero forms'):
         for params in coprime_pairs(min(max_r, 20)):
             r, a = params.r, params.a
-            table = kk_table(params)
+            table = table_of(params)
             commutative = table == table.opposite()
             _require(commutative == (a in (1, r - 1)),
                      f'({r},{a}): commutative={commutative}')
@@ -160,8 +166,8 @@ def suite_kk(max_r: int = 32) -> VerifyReport:
     with report.check(f'opposite duality with index twist k -> [-a k], r <= {max_r}'):
         for params in coprime_pairs(max_r):
             dual = SingularityParams(params.r, params.b)
-            twisted = kk_table(dual).opposite().relabel(dual_relabel(params))
-            _require(twisted == kk_table(params),
+            twisted = table_of(dual).opposite().relabel(dual_relabel(params))
+            _require(twisted == table_of(params),
                      f'duality fails at ({params.r},{params.a})')
 
     with report.check('Gauss word: every nonzero label exactly twice'):
@@ -193,6 +199,11 @@ def a1_diff_expected(r: int):
 
 
 def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
+    from .ainf import full_ainf, visible_contributions
+    from .deform import (insert_cochain, diff_matrix, check_point,
+                         deformed_table, CochainSpec)
+    from .order import (build_order, certify_full_matrix_fiber, wahl_cochain,
+                        cross_check)
     report = VerifyReport('deform')
     max_r_skew, max_r_a1 = min(max_r, 20), min(max_r, 16)
 
@@ -370,6 +381,7 @@ def suite_deform(max_r: int = 20, max_n: int = 6) -> VerifyReport:
 def _component_spec(r: int, zeros, images, s_image) -> CochainSpec:
     """Parametrized component: listed zeros, listed images, s as given, and
     every remaining coefficient kept free (mapped to itself)."""
+    from .deform import CochainSpec
     assignments = {tsub(k): Poly.zero() for k in zeros}
     for k, img in images.items():
         assignments[tsub(k)] = img
@@ -427,6 +439,9 @@ def component_specs_19_7() -> dict:
 # ---------------------------------------------------------------------------
 
 def suite_order(max_n: int = 7) -> VerifyReport:
+    from .order import (build_order, constants_table, fiber_zero_report,
+                        certify_full_matrix_fiber, infinity_fiber, format_cell)
+    from .goldens import GOLDEN_MATRICES, EXAMPLE_2_1, EXAMPLE_2_1_SIGN_FLIPS
     report = VerifyReport('order')
 
     with report.check('golden matrices n = 2..5 term-for-term '
@@ -473,6 +488,7 @@ def suite_order(max_n: int = 7) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 def suite_cross(max_n: int = 6) -> VerifyReport:
+    from .order import cross_check
     report = VerifyReport('cross')
     for (n, q) in wahl_pairs(max_n):
         with report.check(f'deformed table vs order constants ({n},{q})',

@@ -329,10 +329,10 @@ def test_main_entry_in_process(capsys):
 
 
 def test_arithmetic_error_exits_1(monkeypatch, capsys):
-    def not_closed(basis, targets):
+    def not_closed(plan, label, residual, heap):
         raise ArithmeticError('product (1, 1): coordinate 2 is not in Z[t]')
 
-    monkeypatch.setattr(order_mod, 'solve_in_basis', not_closed)
+    monkeypatch.setattr(order_mod, '_solve', not_closed)
     rc = main(['order', '--n', '2', '--q', '1', '--fiber', 'zero'])
     assert rc == 1
     captured = capsys.readouterr()

@@ -51,8 +51,13 @@ def test_import_wahlorder_loads_no_layer():
     (['order', '--n', '2', '--q', '1', '--fiber', 'infinity'], {'order'}),
     (['--format', 'json', 'kk', '--r', '9', '--a', '2'], {'json'}),
     (['order', '--n', '2', '--q', '1', '--at', '1/2'], {'order'} | _FRACTIONS),
-    (['verify', '--suite', 'kk', '--max-r', '4'],
-     {'ainf', 'deform', 'order', 'goldens', 'verify'}),
+    (['verify', '--suite', 'kk', '--max-r', '4'], {'verify'}),
+    (['verify', '--suite', 'order', '--max-n', '2'],
+     {'verify', 'order', 'goldens'}),
+    (['verify', '--suite', 'cross', '--max-n', '2'],
+     {'verify', 'order', 'ainf', 'deform'}),
+    (['verify', '--suite', 'deform', '--max-r', '2', '--max-n', '2'],
+     {'verify', 'order', 'ainf', 'deform'}),
 ])
 def test_a_command_loads_only_its_layers(argv, extra):
     assert _loaded(_main(*argv)) == _CLI | extra

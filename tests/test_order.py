@@ -227,20 +227,27 @@ def _combination(basis, coords, n):
 
 
 def _sparse(matrix):
-    # each cell as {e: c}, the form _product and solve_in_basis use
+    # each cell as {e: c}, the form solve_in_basis takes
     return {(i, j): {(m[0][1] if m else 0): c for m, c in p.terms.items()}
             for i, row in enumerate(matrix)
             for j, p in enumerate(row) if not p.is_zero()}
 
 
-def _rows(matrix):
-    rows = {}
-    for i, j, sign, e in matrix:
-        rows.setdefault(i, []).append((j, sign, e))
-    return rows
+def _product(left, right, n, position):
+    """order._product on two [(row, col, sign, e)] matrices, the way
+    structure_constants calls it; the residual is read back with (row, col)
+    keys and without the cells whose terms cancelled."""
+    rows = [[] for _ in range(n)]
+    for i, j, sign, e in right:
+        rows[i].append((j, sign, e))
+    residual, heap = order_mod._product(
+        [(i * n, m, sign, e) for i, m, sign, e in left], rows, position)
+    assert sorted(heap) == sorted(position[c] for c in residual
+                                  if position[c] >= 0)
+    return {divmod(c, n): v for c, v in residual.items() if v}
 
 
-@pytest.mark.parametrize('n,q', _wahl_pairs(4))
+@pytest.mark.parametrize('n,q', _wahl_pairs(5))
 def test_triangular_constants_match_bareiss_oracle(n, q):
     ordr = build_order(n, q)
     consts = structure_constants(ordr)
@@ -264,8 +271,11 @@ def test_product_matches_poly_matmul():
         left, right = ([(i, j, rng.choice((1, -1)), rng.randint(0, 2))
                         for i, j in rng.sample(cells, rng.randint(0, n * n))]
                        for _ in range(2))
+        # some cells pivoted, at positions in any order
+        position = [rng.choice((-1, p)) for p in range(n * n)]
+        rng.shuffle(position)
         want = _matmul(poly_matrix(left, n), poly_matrix(right, n), n)
-        assert order_mod._product(left, _rows(right)) == _sparse(want)
+        assert _product(left, right, n, position) == _sparse(want)
 
 
 def test_triangular_path_up_to_n_6():
@@ -280,9 +290,10 @@ def test_triangular_path_up_to_n_6():
                    for cell in consts.values() for p in cell.values()
                    for c in p.terms.values()), (n, q)
         basis = _order_basis(ordr)
-        for right in map(_rows, basis):
+        position = [-1] * (n * n)
+        for right in basis:
             assert all(len(v) == 1 for left in basis
-                       for v in order_mod._product(left, right).values()), \
+                       for v in _product(left, right, n, position).values()), \
                 (n, q)
 
 
@@ -368,6 +379,30 @@ def test_residual_outside_the_pivot_cells_raises():
                           ('E22', {(1, 1): {0: 1}})):
         with pytest.raises(ArithmeticError, match='recombination fails'):
             solve_in_basis(basis, {label: target})
+
+
+def test_solve_in_basis_leaves_its_targets_unchanged():
+    ordr = build_order(3, 1)
+    consts = structure_constants(ordr)
+    basis = _order_basis(ordr)
+    targets = {label: _sparse(_combination(basis, cell, 3))
+               for label, cell in consts.items()}
+    before = {label: {c: dict(v) for c, v in target.items()}
+              for label, target in targets.items()}
+    got, det = solve_in_basis(basis, targets)
+    assert targets == before
+    # the per-target routine that structure_constants runs on its products
+    assert {p: list(c.items()) for p, c in got.items()} == \
+        {p: list(c.items()) for p, c in consts.items()}
+    assert det == ordr._det
+    # a target that raises part way through is left unchanged too
+    label = next(p for p, c in consts.items() if len(c) > 1)
+    cell = next(c for c, _, _, e in order_mod._peel(basis)[0] if e >= 1)
+    tampered = {**targets[label], cell: {0: 1}}
+    before = {c: dict(v) for c, v in tampered.items()}
+    with pytest.raises(ArithmeticError, match='remainder below t'):
+        solve_in_basis(basis, {label: tampered})
+    assert tampered == before
 
 
 def test_build_order_invariants_raise_value_error(monkeypatch):

@@ -55,10 +55,10 @@ def test_timed_passes_only_on_none():
 
 
 def test_solver_error_fails_one_check_not_the_suite(monkeypatch):
-    def not_closed(basis, targets):
+    def not_closed(plan, label, residual, heap):
         raise ArithmeticError('not closed')
 
-    monkeypatch.setattr(order_mod, 'solve_in_basis', not_closed)
+    monkeypatch.setattr(order_mod, '_solve', not_closed)
     report = suite_order(max_n=3)
     by_name = {c.name: c for c in report.checks}
     assert by_name['golden matrices n = 2..5 term-for-term '
@@ -118,6 +118,35 @@ def test_kk_pair_check_names_the_disagreement(monkeypatch):
     assert str(info.value) == '(5,2): table/young disagree at (3,1)'
 
 
+def test_kk_suite_builds_each_table_once(monkeypatch):
+    built = []
+    kk_table = verify_mod.kk_table
+
+    def counted(params):
+        built.append((params.r, params.a))
+        return kk_table(params)
+
+    monkeypatch.setattr(verify_mod, 'kk_table', counted)
+    assert verify_mod.suite_kk(max_r=10).passed
+    pairs = [(p.r, p.a) for p in verify_mod.coprime_pairs(10)]
+    assert built == pairs
+    # the first clause fails at (5,2), and the clauses after it build that
+    # table again and every table it did not reach, and still pass
+    young = verify_mod.young_diagram
+
+    def taller(params):
+        diagram = young(params)
+        if (params.r, params.a) == (5, 2):
+            diagram._heights[4] += 1
+        return diagram
+
+    monkeypatch.setattr(verify_mod, 'young_diagram', taller)
+    built.clear()
+    report = verify_mod.suite_kk(max_r=10)
+    assert [c.passed for c in report.checks] == [False, True, True, True, True]
+    assert sorted(built) == sorted(pairs + [(5, 2)])
+
+
 _SABOTAGE = """
 import wahlorder.verify as v
 from wahlorder.kkalg import AlgebraTable
@@ -169,13 +198,15 @@ def test_kk_verdict_survives_python_O(sabotage, verdict):
 
 
 _CODE_SABOTAGE = """
+import wahlorder.ainf as ainf
+import wahlorder.deform  # binds the unpatched full_ainf for its own use
 import wahlorder.verify as v
 from wahlorder.resarith import SingularityParams
 params = SingularityParams(5, 2)
-table = v.full_ainf(params)
+table = ainf.full_ainf(params)
 {sabotage}
 v.coprime_pairs = lambda max_r: iter([params])
-v.full_ainf = lambda p: table
+ainf.full_ainf = lambda p: table  # the name the deform suite imports
 print(v.suite_deform(max_r=2, max_n=2).render(), end='')
 """
 
