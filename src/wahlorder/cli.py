@@ -51,7 +51,7 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.7-1.1 s, 84 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 56: --suite kk                  1.5-1.7 s, 75 MB (the
+#   verify  --max-r 56: --suite kk                  1.4-1.5 s, 43 MB (the
 #                                                   suite keeps every table
 #                                                   of the range)
 #           --max-n 10: --suite deform              2.2-2.5 s, 32 MB (order

@@ -13,7 +13,7 @@ of the slots it leaves nonzero, the only ones its insertion keeps.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 from .resarith import SingularityParams
@@ -43,23 +43,20 @@ class DeformedOps:
     in Z_r; products[(j, i)] = m_2^b(w_j, w_i) as {k: coefficient of w_k},
     for every pair in Z_r.  Coefficients are nonzero Poly.
 
-    products is passed as the dict or as a function of no arguments that
-    builds it; a function is called at the first read of products, and its
-    dict kept; a call that raises keeps the function, so every read raises.
-    insert_cochain passes a function, so that only a caller that reads the
-    products pays for them, even for the dispatch of their entries, and a
-    fault of a product entry, a slot index outside Z_r included, is raised
-    by that read.
+    products is passed as a function of no arguments that builds the dict;
+    it is called at the first read of products, and its dict kept; a call
+    that raises keeps nothing, so every read raises.  Only a caller that
+    reads the products pays for them, even for the dispatch of their
+    entries, and a fault of a product entry, a slot index outside Z_r
+    included, is raised by that read.
     """
 
     def __init__(self, differentials: dict, products):
         self.differentials, self._products = differentials, products
 
-    @property
+    @cached_property
     def products(self) -> dict:
-        if callable(self._products):
-            self._products = self._products()
-        return self._products
+        return self._products()
 
 
 def _diff_entries(ainf: AinfTable):

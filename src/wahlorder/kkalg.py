@@ -26,9 +26,10 @@ class AlgebraTable:
     products maps (j, i) to {k: coeff}; coefficients are ints, Fractions or
     Poly.  Zero coefficients and empty cells are dropped on construction, so
     zero products are simply absent.  The outer dict is always new, but a
-    cell with no zero coefficient is shared with the caller, not copied: a
-    table never mutates a cell, and callers replace a cell rather than
-    edit it in place.
+    cell with no zero coefficient is shared with the caller, not copied, and
+    one cell may serve several keys (kk_table gives every key with the same
+    output one cell): a table never mutates a cell, and callers replace a
+    cell rather than edit it in place.
     """
 
     def __init__(self, dim: int, products=None):
@@ -306,13 +307,15 @@ def kk_table(params: SingularityParams) -> AlgebraTable:
     m(j) is read once per row j off params.gaps, and w_j w_i = w_{j+i} is
     stored for i < m(j) (m(0) = r; every other m(j) is below r).  Keys come
     out in the order (j, i) ascending, the order in which kk_product_closed
-    over all pairs would give them.
+    over all pairs would give them.  Every key with the output l holds the
+    one cell {l: 1}.
     """
     r = params.r
+    cells = [{l: 1} for l in range(r)]
     products = {}
     for j in range(r):
         for i in range(m_of(j, params)):
-            products[(j, i)] = {(j + i) % r: 1}
+            products[(j, i)] = cells[(j + i) % r]
     return AlgebraTable(r, products)
 
 

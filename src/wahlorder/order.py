@@ -15,9 +15,8 @@ once per order into a triangular pivot plan with pivots +-t^e, then sums
 each product N_i . N_j straight into a residual over the cells row * n + col
 and back-substitutes it along the plan, dividing exactly by t^e: a term
 below t^e proves non-closure, and a residual that ends all zero certifies
-the result.  solve_in_basis runs the same per-target routine on a copy of
-each target it is given.  The pivots also give the determinant +-t^(sum e),
-which certifies the fibers at every t != 0 as Mat_n.
+the result.  The pivots also give the determinant +-t^(sum e), which
+certifies the fibers at every t != 0 as Mat_n.
 
 Two conventions are frozen here after exhaustive fit against the reference
 matrices (see order_entry and structure_constants).
@@ -149,7 +148,7 @@ def structure_constants(order: OrderTable) -> dict:
     n, r, a = order.n, order.r, order.params.a
     mats = order.monomial_basis()
     basis = [mats[-a * k % r] for k in range(r)]
-    plan = _PivotPlan(basis, n, n)
+    plan = _PivotPlan(basis, n)
     # N_i's entries with the row premultiplied into the cell key, and N_j's
     # entries by row
     left = [[(row * n, m, s, e) for row, m, s, e in entries]
@@ -195,62 +194,56 @@ def _product(left, right_rows, position):
     return residual, heap
 
 
-def solve_in_basis(basis, targets):
-    """Coordinates in Z[t] of each target over signed-monomial basis matrices.
-
-    basis[k] is [(row, col, sign, e)], at most one entry per cell; targets
-    maps a label to {(row, col): {e: c}}, the nonzero terms of each cell,
-    and is not changed.  Returns ({label: {k: Poly}}, sum e): each
-    coordinate dict in ascending k, and sum e the exponent of the
-    determinant +-t^(sum e) of the coefficient matrix (cells x unknowns) on
-    the cells _peel pivots; the sign is not kept.  Each target is copied
-    into a residual and solved by _solve, the routine structure_constants
-    runs on its products.
-    """
-    cells = [(row, col) for entries in basis for row, col, _, _ in entries]
-    cells += [c for target in targets.values() for c in target]
-    height = 1 + max((row for row, _ in cells), default=0)
-    width = 1 + max((col for _, col in cells), default=0)
-    plan = _PivotPlan(basis, width, height)
-    position = plan.position
-    consts = {}
-    for label, target in targets.items():
-        residual = {row * width + col: dict(v)
-                    for (row, col), v in target.items()}
-        heap = [position[c] for c in residual if position[c] >= 0]
-        consts[label] = _solve(plan, label, residual, heap)
-    return consts, plan.det
-
-
 class _PivotPlan:
-    """The peel of a basis made ready for _solve, a cell (row, col) keyed as
-    the integer row * width + col.
+    """The peel of an n x n basis made ready for _solve, the cell (row, col)
+    keyed as the integer row * n + col; basis[k] lists N_k's entries
+    (row, col, sign, e), at most one per cell.
 
-    steps[p] is (cell, k, sign, e, entries) for the p-th pivot of _peel,
-    entries listing N_k's other entries as (cell, q, sign, shift), q the
-    peel position of that cell if it is pivoted (always later than p), else
-    -1.  position maps each of the height * width cells to its peel
-    position or -1, and det is sum e.  monomials holds each single-term
-    coordinate +-t^e as one shared Poly, made at its first use.
+    Each pivot takes the least cell where exactly one unknown k is not
+    pivoted yet, with coefficient sign * t^e.  Ordered this way the
+    coefficient matrix is triangular, so its determinant is +-t^(sum e),
+    the product of the pivots up to the signs of the two reorderings; det
+    keeps only sum e.  ArithmeticError when the peel stalls: no cell has a
+    single unpivoted unknown.
+
+    steps[p] is (cell, k, sign, e, entries) for the p-th pivot, entries
+    listing N_k's other entries as (cell, q, sign, shift), q the peel
+    position of that cell if it is pivoted (always later than p), else -1.
+    position maps each of the n * n cells to its peel position or -1.
+    monomials holds each single-term coordinate +-t^e as one shared Poly,
+    made at its first use.
     """
 
-    __slots__ = ('steps', 'position', 'width', 'det', 'monomials')
+    __slots__ = ('steps', 'position', 'n', 'det', 'monomials')
 
-    def __init__(self, basis, width: int, height: int):
-        peel, self.det = _peel(basis)
-        self.width, self.monomials = width, {}
-        self.position = position = [-1] * (height * width)
-        for p, ((row, col), _, _, _) in enumerate(peel):
-            position[row * width + col] = p
-        self.steps = []
-        for (row, col), k, sign, e in peel:
-            cell = row * width + col
-            entries = []
-            for i, j, s, shift in basis[k]:
-                c = i * width + j
-                if c != cell:
-                    entries.append((c, position[c], s, shift))
-            self.steps.append((cell, k, sign, e, entries))
+    def __init__(self, basis, n: int):
+        keyed = [[(row * n + col, sign, e) for row, col, sign, e in entries]
+                 for entries in basis]
+        unpivoted = {}  # cell -> {k: (sign, e)} over the unknowns left
+        for k, entries in enumerate(keyed):
+            for c, sign, e in entries:
+                unpivoted.setdefault(c, {})[k] = (sign, e)
+        unpivoted = dict(sorted(unpivoted.items()))
+        self.position = position = [-1] * (n * n)
+        pivots = []
+        while len(pivots) < len(basis):
+            cell = next((c for c, ks in unpivoted.items() if len(ks) == 1),
+                        None)
+            if cell is None:
+                raise ArithmeticError(
+                    f'the basis does not peel into a triangular system: no '
+                    f'cell has a single unsolved unknown after {len(pivots)} '
+                    f'of {len(basis)} pivots')
+            ((k, (sign, e)),) = unpivoted[cell].items()
+            position[cell] = len(pivots)
+            pivots.append((cell, k, sign, e))
+            for c, _, _ in keyed[k]:
+                del unpivoted[c][k]
+        self.steps = [(cell, k, sign, e, [(c, position[c], s, shift)
+                                          for c, s, shift in keyed[k]
+                                          if c != cell])
+                      for cell, k, sign, e in pivots]
+        self.n, self.det, self.monomials = n, sum(p[3] for p in pivots), {}
 
 
 def _solve(plan, label, residual, heap):
@@ -309,39 +302,8 @@ def _solve(plan, label, residual, heap):
     bad = next((c for c, v in residual.items() if v), None)
     if bad is not None:
         raise ArithmeticError(f'product {label}: exact recombination fails '
-                              f'in cell {divmod(bad, plan.width)}')
+                              f'in cell {divmod(bad, plan.n)}')
     return {k: coords[k] for k in sorted(coords)}
-
-
-def _peel(basis):
-    """Pivot order [(cell, k, sign, e)] and sum e.
-
-    Each step pivots unknown k in a cell where it is the only unknown not
-    pivoted yet, with coefficient sign * t^e.  Ordered this way the
-    coefficient matrix is triangular, so its determinant is +-t^(sum e), the
-    product of the pivots up to the signs of the two reorderings; only the
-    exponent is kept.  ArithmeticError when the peel stalls: no cell has a
-    single unpivoted unknown.
-    """
-    rows = {}
-    for k, entries in enumerate(basis):
-        for row, col, sign, e in entries:
-            rows.setdefault((row, col), {})[k] = (sign, e)
-    pending = {c: set(rows[c]) for c in sorted(rows)}
-    steps = []
-    while len(steps) < len(basis):
-        step = next(((c, k) for c, ks in pending.items() if len(ks) == 1
-                     for k in ks), None)
-        if step is None:
-            raise ArithmeticError(
-                f'the basis does not peel into a triangular system: no cell '
-                f'has a single unsolved unknown after {len(steps)} of '
-                f'{len(basis)} pivots')
-        c, k = step
-        steps.append((c, k) + rows[c][k])
-        for ks in pending.values():
-            ks.discard(k)
-    return steps, sum(e for _, _, _, e in steps)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,9 @@ def run_suite(name: str, max_r: int = None, max_n: int = None) -> VerifyReport:
     the suite's default, and a bound the suite does not read is refused."""
     given = {'max_r': max_r, 'max_n': max_n}
     if name != 'all':
+        if name not in SUITES:
+            raise ValueError(f'unknown suite {name!r}: the suites are '
+                             f"{', '.join(SUITES)} and all")
         for axis, value in given.items():
             if value is not None and axis not in SUITES[name][1]:
                 raise ValueError(f'the {name} suite does not read {axis}')

@@ -1,8 +1,8 @@
 """An independent exact solver for the order tests: Bareiss over Z[t].
 
-order.solve_in_basis back-substitutes along signed-monomial pivots and relies
-on the peel; this module eliminates fraction-free over Z[t] and assumes no
-structure at all, so the tests compare the two.  solve_in_span expresses a
+order.structure_constants back-substitutes along signed-monomial pivots
+and relies on the peel; this module eliminates fraction-free over Z[t] and
+assumes no structure at all, so the tests compare the two.  solve_in_span expresses a
 matrix of univariate polynomials in t as a linear combination of basis
 matrices; coordinates come back as normalized rational functions in t
 (RationalCoord).  poly_matrix, _matmul and _solve_bareiss rebuild the

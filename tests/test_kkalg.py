@@ -133,6 +133,21 @@ def test_relabel_rescale_roundtrip():
     assert t.rescale(signs).rescale(signs) == t
 
 
+def test_kk_table_shares_one_cell_per_label():
+    p = SingularityParams(9, 2)
+    t = kk_table(p)
+    # w_0 w_5 and w_4 w_1 both give w_5, from the one cell
+    assert t.products[(0, 5)] is t.products[(4, 1)]
+    assert len({id(cell) for cell in t.products.values()}) == p.r
+    # the derived tables build cells of their own: the shared cells are
+    # left as they were
+    t.opposite()
+    t.relabel([(2 * k) % 9 for k in range(9)])
+    t.rescale([1, -1, 1, -1, 1, -1, 1, -1, 1])
+    assert t == kk_table(p)
+    assert all(cell == {(j + i) % 9: 1} for (j, i), cell in t.products.items())
+
+
 def test_construction_drops_zeros_and_shares_clean_cells():
     # the fiber at t = 0 of the (3, 1) order: zero coefficients dropped
     consts = structure_constants(build_order(3, 1))

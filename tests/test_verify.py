@@ -85,6 +85,12 @@ def test_run_suite_rejects_an_unknown_bound():
         verify_mod.run_suite('cross', max_m=2)
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'bogus': the suites "
+                                         "are kk, deform, order, cross and all"):
+        verify_mod.run_suite('bogus')
+
+
 def test_each_suite_takes_the_bounds_it_is_listed_with():
     for name, (suite, axes) in verify_mod.SUITES.items():
         assert tuple(inspect.signature(suite).parameters) == axes, name
