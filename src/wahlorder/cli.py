@@ -51,7 +51,7 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #           json, with or without --fiber generic   0.7-1.1 s, 84 MB (the
 #           largest t-degree, 18, keeps each value under 3600 digits; Python
 #           refuses to print an int of more than 4300)
-#   verify  --max-r 56: --suite kk                  1.4-1.5 s, 43 MB (the
+#   verify  --max-r 72: --suite kk                  1.6-1.7 s, 76 MB (the
 #                                                   suite keeps every table
 #                                                   of the range)
 #           --max-n 10: --suite deform              2.2-2.5 s, 32 MB (order
@@ -68,7 +68,7 @@ MAX_DEFORM_R = 64
 MAX_ORDER_N = 10
 MAX_TAU_DIGITS = 200
 MAX_TAU_LITERAL = 640  # Python's least int-string limit
-MAX_VERIFY_R = 56
+MAX_VERIFY_R = 72
 MAX_VERIFY_N = 10
 # an integer option longer than this is refused unread: every budget above
 # has at most 6 digits, and int() would echo a longer value whole

@@ -7,6 +7,9 @@ R_{r,a} has basis w_0..w_{r-1} with w_0 the unit and
 where m is the gap function of resarith; kk_table builds R_{r,a} by it.
 YoungDiagram reads the same products off the lattice, its column heights
 from gamma, not from the gap table; verify compares the two as one table.
+Every cell of kk_table is {(j + i) % r: 1}, so AlgebraTable's associator
+reads such a table as row supports, int bitmasks: it is associative iff
+the two sides of each entry are nonzero at the same triples.
 kk_product_closed and kk_product_rect (the gap rule, and a lattice
 rectangle with no orange point but the origin, one product at a time)
 have no caller in the package; the benchmark reads them.
@@ -55,7 +58,8 @@ class AlgebraTable:
         return True
 
     def generating_rows(self) -> list:
-        """The ascending rows G that associator_violation reads.
+        """The ascending rows G that the coded loop of associator_violation
+        reads, its only caller; a graded table is read without them.
 
         Indices are taken in ascending order: one not yet reached joins G
         and is reached, and then, until nothing changes, a product w_x w_y
@@ -111,8 +115,28 @@ class AlgebraTable:
         """First triple (k, j, i) with (w_k w_j) w_i != w_k (w_j w_i), or None.
 
         Triples are ordered lexicographically with k, j, i in range(dim),
-        and the answer is that of the triple-by-triple definition, although
-        only the rows k in generating_rows() are read:
+        and the answer is that of the triple-by-triple definition.
+
+        A graded table, one whose every key (j, i) lies in range(dim)^2 and
+        holds the one cell {(j + i) % dim: 1} (kk_table gives such tables,
+        and so does the empty table), is read off row supports.  Let S_m
+        be the set of i with (m, i) stored.  Each side of the entry
+        (k, j, i) is then w_{(k+j+i) % dim} with coefficient 1, or 0:
+        (w_k w_j) w_i is nonzero iff j in S_k and i in S_{(k+j) % dim}, and
+        w_k (w_j w_i) iff i in S_j and (j + i) % dim in S_k.  So the sides
+        agree for every i iff these two sets of i are equal.  With S_m
+        kept as the int bitmask masks[m], the first set is masks[(k + j) %
+        dim] if bit j of masks[k] is set and 0 otherwise, the second is
+        masks[j] & (masks[k] rotated down by j), and the least i where they
+        differ is the lowest set bit of their XOR; k and j are taken in
+        order, so the first (k, j) that differs gives the least triple.
+        Every row k is read, not only those of generating_rows().  One
+        scan over the cells builds the masks and stops at the first cell
+        off the form (a key or output outside the basis, a second output, a
+        coefficient other than 1, including a Poly 1 or a stored 0); such a
+        table is read by the coded loop below.
+
+        The coded loop reads only the rows k in generating_rows():
 
         - The left nucleus N = {x : (x, y, z) = 0 for all y, z} is a
           subspace closed under products, by the Teichmueller identity
@@ -148,7 +172,23 @@ class AlgebraTable:
         Fraction denominators), so the loop only ever multiplies ints; a
         table of ints and Fractions is read as it is.
         """
-        span = range(self.dim)
+        d = self.dim
+        span = range(d)
+        masks = [0] * d
+        for (j, i), cell in self.products.items():
+            if j not in span or i not in span or cell != {(j + i) % d: 1}:
+                break
+            masks[j] |= 1 << i
+        else:
+            for k, row in enumerate(masks):
+                twice = row | row << d  # bit i + j of twice: bit (i + j) % d of row
+                for j in span:
+                    left = masks[(k + j) % d] if row >> j & 1 else 0
+                    right = masks[j] & twice >> j
+                    if left != right:
+                        diff = left ^ right
+                        return (k, j, (diff & -diff).bit_length() - 1)
+            return None
         rows, by_row = {}, {}
         for (m, i), cell in _integer_coded(self.products).items():
             by_row.setdefault(m, {})[i] = cell

@@ -706,3 +706,144 @@ def test_a_corrupt_cell_outside_the_read_rows_fails_under_python_O():
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the graded reading: every cell {(j + i) % dim: 1}
+# ---------------------------------------------------------------------------
+
+def _coded_loop_calls(monkeypatch):
+    """The tables whose associator the coded loop reads, as a list that
+    grows with each call: generating_rows has no other caller."""
+    calls = []
+    rows = AlgebraTable.generating_rows
+
+    def counted(self):
+        calls.append(self)
+        return rows(self)
+
+    monkeypatch.setattr(AlgebraTable, 'generating_rows', counted)
+    return calls
+
+
+def test_graded_reading_matches_dense_reference_on_graded_mutants(monkeypatch):
+    coded = _coded_loop_calls(monkeypatch)
+    rng = random.Random(20261021)
+    pool = [p for p in coprime_params(13) if p.r >= 3]
+    found = 0
+    for _ in range(400):
+        # one graded cell added or dropped
+        p = rng.choice(pool)
+        table = kk_table(p)
+        j, i = rng.randrange(p.r), rng.randrange(p.r)
+        if (j, i) in table.products:
+            del table.products[(j, i)]
+        else:
+            table.products[(j, i)] = {(j + i) % p.r: 1}
+        want = dense_associator_violation(table)
+        assert table.associator_violation() == want, (p, j, i)
+        found += want is not None
+    assert found > 200
+    # two failing i for the same (k, j): with w_5 w_2 = 0, (w_5 w_2) w_i
+    # is 0 and w_5 (w_2 w_i) = w_5 w_{2+i} is stored for i = 1 and 2 only
+    table = kk_table(SingularityParams(13, 5))
+    del table.products[(5, 2)]
+    assert [i for i in range(13) if (2, i) in table.products
+            and (5, (2 + i) % 13) in table.products] == [1, 2]
+    assert dense_associator_violation(table) == (5, 2, 1)
+    assert table.associator_violation() == (5, 2, 1)
+    assert coded == []
+
+
+def test_tables_just_off_the_graded_form_take_the_coded_loop(monkeypatch):
+    coded = _coded_loop_calls(monkeypatch)
+    p = SingularityParams(9, 2)
+    keys = list(kk_table(p).products)
+    tables = [poly_table(kk_table(p))]
+    # each fault at the first cell the scan reads and at the last
+    for j, i in (keys[0], keys[-1], (4, 4)):
+        l = (j + i) % 9
+        for cell in ({l: 2}, {l: -1}, {l: 1, (l + 1) % 9: 0}, {l: 0},
+                     {(l + 1) % 9: 1}, {l + 9: 1}, {l: 1, (l + 3) % 9: 1}):
+            table = kk_table(p)
+            table.products[(j, i)] = cell
+            tables.append(table)
+    # keys outside range(9) whose output is still (j + i) % 9
+    for key in ((9, 0), (-1, 1), (2, 9)):
+        table = kk_table(p)
+        table.products[key] = {sum(key) % 9: 1}
+        tables.append(table)
+    failing = 0
+    for n, table in enumerate(tables, 1):
+        want = dense_associator_violation(table)
+        assert table.associator_violation() == want, table.products
+        assert len(coded) == n
+        failing += want is not None
+    assert failing > 10
+    # an empty table is graded, trivially: read off its empty row supports
+    for d in (0, 3):
+        assert dense_associator_violation(AlgebraTable(d)) is None
+        assert AlgebraTable(d).associator_violation() is None
+    assert len(coded) == len(tables)
+
+
+def test_every_kk_table_takes_the_graded_reading(monkeypatch):
+    # a kk_table cell off the form would fall back to the coded loop, about
+    # twice as slow, and would pass every other associativity test
+    coded = _coded_loop_calls(monkeypatch)
+    for p in coprime_params(32):
+        assert kk_table(p).associator_violation() is None
+    assert coded == []
+
+
+_GRADED_SABOTAGE = """
+import sys
+import wahlorder.verify as v
+from wahlorder.resarith import SingularityParams, gamma
+{oracle}
+kk_table, young_diagram = v.kk_table, v.young_diagram
+table = kk_table(SingularityParams(16, 3))
+table.products[(10, 7)] = {{1: 1}}
+want = dense_associator_violation(table)
+if want is None or table.associator_violation() != want:
+    sys.exit(1)
+
+
+def sabotaged(p):
+    t = kk_table(p)
+    if (p.r, p.a) == (16, 3):
+        t.products[(10, 7)] = {{1: 1}}
+    return t
+
+
+class Diagram:
+    # the diagram of p, with a box certifying w_10 w_7 = w_1 at (16, 3)
+    def __init__(self, p):
+        self.p, self.young = p, young_diagram(p)
+
+    def boxes(self):
+        yield from self.young.boxes()
+        if (self.p.r, self.p.a) == (16, 3):
+            yield (next(x for x in range(16) if gamma((x, 0), self.p) == 10), 7, 1)
+
+
+v.kk_table, v.young_diagram = sabotaged, Diagram
+print(want)
+print(v.suite_kk(max_r=16).render(), end='')
+"""
+
+
+def test_a_graded_corrupt_cell_fails_under_python_O():
+    # w_10 w_7 = w_1 keeps the table graded, and breaks (w_5 w_5) w_7 =
+    # w_5 (w_5 w_7); the diagram gets the same box, so that the suite's
+    # associator is what fails, with asserts compiled out
+    src = Path(wahlorder.__file__).resolve().parents[1]
+    script = _GRADED_SABOTAGE.format(
+        oracle=inspect.getsource(dense_associator_violation))
+    proc = subprocess.run([sys.executable, '-O', '-c', script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('(5, 5, 7)\n')
+    assert '[(16,3): associativity fails at (5, 5, 7)]' in proc.stdout
+    assert proc.stdout.endswith('suite kk: FAIL\n')
