@@ -7,14 +7,16 @@ appears here.  diff_matrix reads m_1^b as the skew differential matrix,
 whose vanishing cuts out the flat locus, and check_point and deformed_table
 read it and m_2^b at the locus of a spec.  The universal cochain is
 inserted into the whole table of ainf.full_ainf; a spec, into the entries
-of the slots it leaves nonzero, the only ones its insertion keeps.
+of the slots it leaves nonzero, the only ones its insertion keeps.  Each of
+m_1^b and m_2^b is one pass, one loop over the table's entries that
+dispatches, weighs and sums each entry where it reads it.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache, cached_property
-from itertools import product
+from itertools import chain, product
 
 from .resarith import SingularityParams
 from .polyring import (Poly, S, tsub, format_poly, parse_poly, read_int,
@@ -59,79 +61,78 @@ class DeformedOps:
         return self._products()
 
 
-def _diff_entries(ainf: AinfTable):
-    """Yield (key, slots, cell) for every entry whose insertion can land in
-    m_1^b(x): key is the input index x, slots the indices of its degree-1
-    slots in slot order.  Dispatch is on arity and on the parity (degree)
-    bit of each code; no other entry is read past its key."""
-    for (x,), cell in ainf.m1.items():
-        if not x & 1:
-            yield x >> 1, (), cell
-    for (a2, a1), cell in ainf.m2.items():
-        if a2 & 1:
-            if not a1 & 1:
-                yield a1 >> 1, (a2 >> 1,), cell
-        elif a1 & 1:
-            yield a2 >> 1, (a1 >> 1,), cell
-    for (a3, a2, a1), cell in ainf.m3.items():
-        if a3 & 1:
-            if a2 & 1:
-                if not a1 & 1:
-                    yield a1 >> 1, (a3 >> 1, a2 >> 1), cell
-            elif a1 & 1:
-                yield a2 >> 1, (a3 >> 1, a1 >> 1), cell
-        elif a2 & 1 and a1 & 1:
-            yield a3 >> 1, (a2 >> 1, a1 >> 1), cell
-
-
-def _product_entries(ainf: AinfTable):
-    """_diff_entries for m_2^b(x, y): key is the pair (x, y)."""
-    for (a2, a1), cell in ainf.m2.items():
-        if not a2 & 1 and not a1 & 1:
-            yield (a2 >> 1, a1 >> 1), (), cell
-    for (a3, a2, a1), cell in ainf.m3.items():
-        if a3 & 1:
-            if not a2 & 1 and not a1 & 1:
-                yield (a2 >> 1, a1 >> 1), (a3 >> 1,), cell
-        elif a2 & 1:
-            if not a1 & 1:
-                yield (a3 >> 1, a1 >> 1), (a2 >> 1,), cell
-        elif a1 & 1:
-            yield (a3 >> 1, a2 >> 1), (a1 >> 1,), cell
-
-
-def _weight(slots: tuple, r: int, dropped: frozenset) -> int:
-    """The monomial code of prod t_i over slots, or -1 when a slot's value is
-    zero (slot index in dropped).  The code of s^e t_lo t_hi (lo <= hi, an
-    absent index read as 0) is (lo * r + hi) << 1 | e."""
-    for i in slots:
-        if not 0 <= i < r:
-            raise NotInsertableError(f"cochain slot index {i!r} is not in Z_{r}")
-    if not dropped.isdisjoint(slots):
-        return -1
-    lo, hi = sorted((0, 0) + slots)[-2:]
-    return (lo * r + hi) << 1
-
-
-def _monomial(code: int, r: int) -> tuple:
-    """The Poly monomial of a code made by _weight, s-flag included."""
-    lo, hi = divmod(code >> 1, r)
-    mono = _S_MONO if code & 1 else ()
-    if lo and lo == hi:
-        return mono + ((tsub(lo), 2),)
-    return mono + tuple((tsub(i), 1) for i in (lo, hi) if i)
-
-
-def _insert(entries: list, keep_s: bool) -> dict:
-    """{key: {output code: {monomial code: int}}}, the sum of the entries,
-    a flat list key, w, cell, key, w, cell, ...: each output of cell counts
-    at the monomial code w and its s-part at w | 1 (dropped unless keep_s).
-    A term or an output is dropped as soon as it reaches zero, so every dict
-    keeps the order that Poly arithmetic gives it; a key stays, with an
-    empty cell, when all of its outputs cancel."""
+def _summed(ainf: AinfTable, weight: dict, r: int, keep_s: bool,
+            diff: bool) -> dict:
+    """One target's pass, one walk of the table: {key: {output code:
+    {monomial code: int}}}, the sum of the entries that land in m_1^b(x)
+    (diff, key x) or in m_2^b(x, y) (key (x, y)).  Dispatch is on arity and
+    on the parity (degree) bit of each code; no other entry is read past its
+    key.  weight[i] is the monomial code of t_i, i << 1, or -1 when t_i = 0,
+    which drops the entry; an entry without slots has the code 0, one with
+    two (lo * r + hi) << 1, and a slot index outside Z_r, which weight lacks,
+    raises NotInsertableError at its entry.  Each output's s-part counts at
+    w | 1 (dropped unless keep_s).  A term or an output is dropped as soon
+    as it reaches zero, so every dict keeps the order that Poly arithmetic
+    gives it; a key stays, with an empty cell, when all of its outputs
+    cancel."""
     cells = {}
-    it = iter(entries)
-    for key, w, cell in zip(it, it, it):
+    for codes, cell in chain(ainf.m1.items() if diff else (),
+                             ainf.m2.items(), ainf.m3.items()):
+        try:
+            if len(codes) == 3:
+                a3, a2, a1 = codes
+                if diff:
+                    if a3 & 1:
+                        if a2 & 1:
+                            if a1 & 1:
+                                continue
+                            key, i, j = a1, a3, a2
+                        elif a1 & 1:
+                            key, i, j = a2, a3, a1
+                        else:
+                            continue
+                    elif a2 & 1 and a1 & 1:
+                        key, i, j = a3, a2, a1
+                    else:
+                        continue
+                    key, wi, wj = key >> 1, weight[i >> 1], weight[j >> 1]
+                    w = (-1 if wi < 0 or wj < 0 else
+                         wi * r + wj if wi <= wj else wj * r + wi)
+                elif a3 & 1:
+                    if a2 & 1 or a1 & 1:
+                        continue
+                    key, w = (a2 >> 1, a1 >> 1), weight[a3 >> 1]
+                elif a2 & 1:
+                    if a1 & 1:
+                        continue
+                    key, w = (a3 >> 1, a1 >> 1), weight[a2 >> 1]
+                elif a1 & 1:
+                    key, w = (a3 >> 1, a2 >> 1), weight[a1 >> 1]
+                else:
+                    continue
+            elif len(codes) == 2:
+                a2, a1 = codes
+                if not diff:
+                    if a2 & 1 or a1 & 1:
+                        continue
+                    key, w = (a2 >> 1, a1 >> 1), 0
+                elif a2 & 1:
+                    if a1 & 1:
+                        continue
+                    key, w = a1 >> 1, weight[a2 >> 1]
+                elif a1 & 1:
+                    key, w = a2 >> 1, weight[a1 >> 1]
+                else:
+                    continue
+            elif codes[0] & 1:
+                continue
+            else:
+                key, w = codes[0] >> 1, 0
+        except KeyError as exc:  # weight holds the slot indices in Z_r only
+            raise NotInsertableError(
+                f"cochain slot index {exc.args[0]!r} is not in Z_{r}") from None
+        if w < 0:
+            continue
         dest = cells.get(key)
         if dest is None:
             dest = cells[key] = {}
@@ -154,6 +155,16 @@ def _insert(entries: list, keep_s: bool) -> dict:
             if not terms:
                 del dest[out]
     return cells
+
+
+def _monomial(code: int, r: int) -> tuple:
+    """The Poly monomial of a code made by _summed, s-flag included."""
+    lo, hi = divmod(code >> 1, r)
+    mono = _S_MONO if code & 1 else ()
+    if not lo:
+        return mono + ((tsub(hi), 1),) if hi else mono
+    return mono + (((tsub(lo), 2),) if lo == hi else
+                   ((tsub(lo), 1), (tsub(hi), 1)))
 
 
 def _substitution(spec: CochainSpec, r: int) -> dict:
@@ -183,20 +194,22 @@ def insert_cochain(ainf: AinfTable, r: int,
     the slots that spec leaves nonzero give the same result, dict and term
     orders included; check_point and deformed_table pass the second.
 
-    Entries are dispatched on arity and on the degree bits of their codes,
-    by one walk of the table per target (_diff_entries, _product_entries),
-    and each target's entries are summed by _insert into monomial codes (see
-    _weight; one per distinct tuple of slot indices).  Each output code is
-    then decoded once to its index (wbar_j in a differential, w_k in a
-    product), each distinct list of terms once into a Poly, shared by every
-    output that has it, and an output whose value cancels is dropped.  The
-    values other than 0 and the variable itself are substituted into each
-    distinct monomial code once per call, and a cell's value is the sum of
-    its terms' scaled images, summed in place by _add_terms in the term
-    order that Poly.substitute of the finished cell gives.  The
-    differentials are built here; the products when DeformedOps.products is
-    first read, sharing the slot weights and the decoded monomials.  The
-    walk of the differentials reads no product cell.
+    Each target is one pass, _summed: one walk of m_1, m_2 and m_3 that
+    dispatches each entry on arity and on the degree bits of its codes,
+    reads its monomial code off the per-index slot weights and sums its
+    outputs straight into {key: {output code: {monomial code: int}}}.  Each
+    output code is then decoded once to its index (wbar_j in a differential,
+    w_k in a product), and an output whose value cancels is dropped.  The
+    universal differentials, whose lists of terms rarely repeat, are decoded
+    term by term; the other cells once per distinct list of terms into a
+    Poly, shared by every output that has it.  The values other than 0 and
+    the variable itself are substituted into each distinct monomial code
+    once per call, and a cell's value is the sum of its terms' scaled
+    images, summed in place by _add_terms in the term order that
+    Poly.substitute of the finished cell gives.  The differentials are
+    built here; the products when DeformedOps.products is first read,
+    sharing the slot weights and the decoded monomials.  The walk of the
+    differentials reads no product cell.
 
     Every fault is raised by the pass that reads it, in this order: an
     index of a degree-1 slot outside Z_r, at dispatch; a summed key outside
@@ -211,32 +224,19 @@ def insert_cochain(ainf: AinfTable, r: int,
     product entries are read from ainf when they are built, so ainf must
     not change before then.
     """
-    dropped, keep_s, images = frozenset((0,)), True, {}
+    dropped, keep_s, images = {0}, True, {}
     if spec is not None:
         sub = _substitution(spec, r)
-        dropped = frozenset(i for i in range(r) if not sub[tsub(i)])
+        dropped = {i for i in range(r) if not sub[tsub(i)]}
         keep_s = S not in sub or bool(sub[S])
         images = {v: p for v, p in sub.items() if p and p != Poly.var(v)}
-    weights = {}  # slot indices -> monomial code
-
-    def weighted(entries):
-        """The flat key, w, cell list of _insert for the entries a slot
-        valued 0 does not drop."""
-        kept = []
-        for key, slots, cell in entries:
-            w = weights.get(slots)
-            if w is None:
-                w = weights[slots] = _weight(slots, r, dropped)
-            if w >= 0:
-                kept += key, w, cell
-        return kept
-
+    weight = {i: -1 if i in dropped else i << 1 for i in range(r)}
     monomial = cache(lambda code: _monomial(code, r))
     image = cache(lambda code: Poly.from_nonzero({monomial(code): 1})
                   .substitute(images))
 
-    @cache
-    def poly(items):
+    def decode(items):
+        """The Poly of the terms (monomial code, int) of one output."""
         if not images:
             return Poly.from_nonzero({monomial(m): c for m, c in items})
         out = {}
@@ -244,12 +244,15 @@ def insert_cochain(ainf: AinfTable, r: int,
             _add_terms(out, image(m).terms, c)
         return Poly.from_nonzero(out)
 
-    def decoded(entries, keys, codes):
-        """One target's pass: {key: {index: Poly}} for each of keys, the
-        entries summed by _insert, every summed key in keys and every output
-        code in codes."""
-        cells = _insert(weighted(entries), keep_s)
-        diff = codes is wbars
+    shared = cache(decode)
+
+    def decoded(diff):
+        """One target: {key: {index: Poly}} for every key of the target,
+        from _summed, every summed key and every output code checked."""
+        cells = _summed(ainf, weight, r, keep_s, diff)
+        direct = diff and not images
+        keys = range(r) if diff else dict.fromkeys(product(range(r), repeat=2))
+        codes = range(1, 2 * r, 2) if diff else range(0, 2 * r, 2)
         for key in cells:
             if key not in keys:
                 raise NotInsertableError(
@@ -266,15 +269,12 @@ def insert_cochain(ainf: AinfTable, r: int,
                             f"{name} hit output code {out}, not a generator over Z_{r}")
                     raise ArithmeticError(
                         f"{name} hit w{'bar' * (out & 1)}_{out >> 1} of degree {out & 1}")
-                if (p := poly(tuple(terms.items()))).terms:
+                p = decode(terms.items()) if direct else shared(tuple(terms.items()))
+                if p.terms:
                     out_cell[out >> 1] = p
         return table
 
-    wbars, ws = range(1, 2 * r, 2), range(0, 2 * r, 2)
-    return DeformedOps(
-        decoded(_diff_entries(ainf), range(r), wbars),
-        lambda: decoded(_product_entries(ainf),
-                        dict.fromkeys(product(range(r), repeat=2)), ws))
+    return DeformedOps(decoded(True), lambda: decoded(False))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,10 @@ class AlgebraTable:
     cell with no zero coefficient is shared with the caller, not copied, and
     one cell may serve several keys (kk_table gives every key with the same
     output one cell): a table never mutates a cell, and callers replace a
-    cell rather than edit it in place.
+    cell rather than edit it in place.  opposite, relabel and rescale build
+    their cells from this table's, which hold no zero, and do not scan them
+    again; opposite keeps the cells and relabel maps each distinct cell
+    once, so both keep the sharing of their source.
     """
 
     def __init__(self, dim: int, products=None):
@@ -215,16 +218,27 @@ class AlgebraTable:
                     return (k, j, min(bad))
         return None
 
+    def _derived(self, products: dict) -> 'AlgebraTable':
+        """A table of this dim on products, cells made from this table's:
+        they hold no zero either, so they are not scanned again."""
+        table = AlgebraTable(self.dim)
+        table.products = products
+        return table
+
     def opposite(self) -> 'AlgebraTable':
-        return AlgebraTable(self.dim,
-                            {(i, j): cell for (j, i), cell in self.products.items()})
+        return self._derived({(i, j): cell for (j, i), cell in self.products.items()})
 
     def relabel(self, sigma) -> 'AlgebraTable':
-        """Push forward along w_k -> w_{sigma(k)} (sigma a bijection list)."""
-        out = {}
+        """Push forward along w_k -> w_{sigma(k)} (sigma a bijection list).
+        Each distinct cell is mapped once, by identity, so keys that share
+        a cell share its image."""
+        images, out = {}, {}
         for (j, i), cell in self.products.items():
-            out[(sigma[j], sigma[i])] = {sigma[k]: c for k, c in cell.items()}
-        return AlgebraTable(self.dim, out)
+            image = images.get(id(cell))
+            if image is None:
+                image = images[id(cell)] = {sigma[k]: c for k, c in cell.items()}
+            out[(sigma[j], sigma[i])] = image
+        return self._derived(out)
 
     def rescale(self, signs) -> 'AlgebraTable':
         """Diagonal basis change w_k -> signs[k] * w_k with signs in {+1,-1}."""
@@ -233,7 +247,7 @@ class AlgebraTable:
             s = signs[j] * signs[i]
             out[(j, i)] = {k: c if s == signs[k] else -c
                            for k, c in cell.items()}
-        return AlgebraTable(self.dim, out)
+        return self._derived(out)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraTable) and self.dim == other.dim

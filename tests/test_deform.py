@@ -448,16 +448,45 @@ def test_products_read_after_the_differentials_match_the_reference(r):
             assert ops.products is ops.products  # built once, then kept
 
 
+# sha256 of repr((r, a, _ordered(differentials), _ordered(products))) over
+# every coprime (r, a) with r <= 18, under the universal cochain and under
+# the spec of _digest_spec; recorded before the insertion summed each target
+# in one loop, so it pins every key, output and term order it had
+_INSERTION_DIGESTS = {
+    'universal': '51c384e7c07b3b0696824542e40013967abad2cca087df6a651973e71cb66826',
+    'spec': '883524004f106aafe50800f2dd078f56a8baa2beff22d32aa4a4288614078c16',
+}
+
+
+def _digest_spec(r):
+    """t_i = t_(r-i) - i t and s = s + t: every value nonzero and none the
+    variable itself, so every monomial is substituted."""
+    t = Poly.var(T)
+    return _nonzero_spec(r, lambda i: Poly.var(S) + t if i == 0 else
+                         Poly.var(tsub(r - i)) - t * Poly.const(i))
+
+
+def test_insertion_matches_its_recorded_digest():
+    digests = {name: hashlib.sha256() for name in _INSERTION_DIGESTS}
+    for params in coprime_pairs(18):
+        r, ainf = params.r, full_ainf(params)
+        for name, spec in (('universal', None), ('spec', _digest_spec(r))):
+            ops = insert_cochain(ainf, r, spec)
+            digests[name].update(repr((r, params.a, _ordered(ops.differentials),
+                                       _ordered(ops.products))).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == _INSERTION_DIGESTS
+
+
 def _spy_on_insertion(monkeypatch):
     """A list that gets one item per insertion pass: 'd' for the
     differentials, 'p' for the products."""
-    passes, real = [], deform_mod._insert
+    passes, real = [], deform_mod._summed
 
-    def spy(entries, keep_s):
-        passes.append('p' if entries and isinstance(entries[0], tuple) else 'd')
-        return real(entries, keep_s)
+    def spy(ainf, weight, r, keep_s, diff):
+        passes.append('d' if diff else 'p')
+        return real(ainf, weight, r, keep_s, diff)
 
-    monkeypatch.setattr(deform_mod, '_insert', spy)
+    monkeypatch.setattr(deform_mod, '_summed', spy)
     return passes
 
 
@@ -650,6 +679,29 @@ def test_the_first_error_of_a_table_is_raised(entries, error, message):
     with pytest.raises(error) as exc:
         insertion()
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize('faults', [
+    [(((1, 0),), (4, 1), 'dw_1 hit output code 9'),
+     (((4, 0),), (1, 1), 'differential key 4'),
+     (((5, 1), (1, 1), (2, 0)), (1, 1), 'cochain slot index 5')],
+    [(((1, 0), (2, 0)), (4, 0), 'w_1 w_2 hit output code 8'),
+     (((4, 0), (1, 0)), (1, 0), 'product key (4, 1)'),
+     (((5, 1), (1, 0), (2, 0)), (1, 0), 'cochain slot index 5')],
+], ids=['differential-pass', 'product-pass'])
+def test_slot_then_key_then_output_faults_are_raised(faults):
+    # an output fault, a key fault and a slot fault (slots, output, message),
+    # in that table order: the slot fault is raised; without it, the key
+    # fault; without both, the output fault.  The differential pass raises
+    # at the call, the product pass at the read of the products
+    product_fault = faults[0][2].startswith('w_')
+    for kept in (3, 2, 1):
+        table = AinfTable()
+        for slots, out, _ in faults[:kept]:
+            _add(table, slots, out, (1, 0))
+        with pytest.raises(NotInsertableError) as exc:
+            _insertion(table, product_fault)()
+        assert str(exc.value).startswith(faults[kept - 1][2])
 
 
 @pytest.mark.parametrize('slots,out,message', [

@@ -19,7 +19,7 @@ from wahlorder.kkalg import (kk_product_closed, kk_product_rect, kk_table,
                              _integer_coded)
 from wahlorder.deform import CochainSpec, _spec_ops, deformed_table
 from wahlorder.order import build_order, fiber_at, structure_constants, wahl_cochain
-from wahlorder.verify import CheckFailed, _kk_pair_check
+from wahlorder.verify import CheckFailed, _kk_pair_check, coprime_pairs
 
 
 def naive_rect_product(params, j, i):
@@ -146,6 +146,16 @@ def test_kk_table_shares_one_cell_per_label():
     t.rescale([1, -1, 1, -1, 1, -1, 1, -1, 1])
     assert t == kk_table(p)
     assert all(cell == {(j + i) % 9: 1} for (j, i), cell in t.products.items())
+
+
+def test_the_dual_table_keeps_one_cell_per_label():
+    # relabel maps each distinct cell once, so the dual of a kk_table, as
+    # verify builds it, still holds one cell per label, equal to the table
+    for params in coprime_pairs(16):
+        dual = SingularityParams(params.r, params.b)
+        twisted = kk_table(dual).opposite().relabel(dual_relabel(params))
+        assert twisted == kk_table(params)
+        assert len({id(cell) for cell in twisted.products.values()}) == params.r
 
 
 def test_construction_drops_zeros_and_shares_clean_cells():
