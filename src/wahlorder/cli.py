@@ -42,7 +42,7 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   kk      r = 500:    a = 499, --format json      1.1 s, 142 MB (r^2 cells)
 #                                --format svg       0.8 s, 148 MB
 #   gauss   r = 500000: a = 7,   --format json      0.9 s, 142 MB (linear)
-#   deform  r = 64:     a = 1,   --ideal            0.4 s, 82 MB (json 0.4 s)
+#   deform  r = 64:     a = 1,   --ideal            0.4 s, 79 MB (json 0.4-0.7 s)
 #                       a = 63,  --table, the slowest spec at the term
 #                                budget (polyring.MAX_TERMS), --format json
 #                                                   2.6-3.4 s, 148 MB
@@ -54,12 +54,12 @@ def _write_table(args, table, params: SingularityParams, header: str,
 #   verify  --max-r 72: --suite kk                  1.6-1.7 s, 76 MB (the
 #                                                   suite keeps every table
 #                                                   of the range)
-#           --max-n 10: --suite deform              2.2-2.5 s, 32 MB (order
+#           --max-n 10: --suite deform              1.5-1.8 s, 32 MB (order
 #                                                   1.5-1.9 s, 22 MB; cross
-#                                                   1.1-1.5 s, 28 MB)
+#                                                   0.9-1.0 s, 28 MB)
 # For verify the slowest single suite is measured: --max-r raises the r bound
 # past 20 only in kk, and --max-n bounds n in deform, order and cross.
-# --suite all runs the suites one after another (2.4-2.7 s at the default
+# --suite all runs the suites one after another (1.8-2.1 s at the default
 # bounds).  The order, --at and verify rows are three fresh processes each,
 # peak RSS the largest of a row.
 MAX_KK_R = 500

@@ -44,7 +44,7 @@ def _hidden(params):
     """The hidden part of the A-infinity table alone: the units, the
     per-crossing triples and the word-pair families of every slot."""
     table = AinfTable()
-    ainf_mod._accumulate(ainf_mod._hidden_entries(params, table, [True] * params.r))
+    ainf_mod._store_hidden(params, table, [True] * params.r)
     return table
 
 
@@ -212,18 +212,58 @@ def test_full_ainf_is_hidden_plus_visible(r, a):
     assert _as_poly(full) == want
 
 
-# sha256 of repr([list(_permitted_rectangles(SingularityParams(r, a))) ...])
+# sha256 of repr([[(c, X, Y, ne_orange) for each permitted rectangle] ...])
 # over every coprime (r, a) with r <= 24, recorded before the enumeration's
-# never-taken guards were deleted
+# never-taken guards were deleted, and kept since the walk yields runs
 _RECTANGLES_DIGEST = (
     '7aedefdbc1bb7f1615a8ae1e28ea4e667c2fb37109bb4324f43a9061e7fbd17b')
 
 
+def _expanded(runs):
+    """The rectangles of runs (c, X, top, ne_Y) as (c, X, Y, ne_orange), in
+    walk order: heights 1 .. top - 1, then ne_Y with its NE corner orange."""
+    return [rect for c, X, top, ne_Y in runs
+            for rect in chain(((c, X, Y, False) for Y in range(1, top)),
+                              [(c, X, ne_Y, True)] if ne_Y else ())]
+
+
 def test_permitted_rectangles_are_pinned():
-    rects = [list(ainf_mod._permitted_rectangles(SingularityParams(r, a)))
+    rects = [_expanded(ainf_mod._rectangle_runs(SingularityParams(r, a)))
              for r in range(2, 25) for a in range(1, r) if gcd(a, r) == 1]
     digest = hashlib.sha256(repr(rects).encode()).hexdigest()
     assert digest == _RECTANGLES_DIGEST
+
+
+# sha256 of repr([[list of (key, list(cell.items())) for m1, m2, m3] ...])
+# of full_ainf over the instances of each case, recorded before m2 and m3
+# were stored without accumulation: keys, outputs, coefficients and every
+# dict order
+_TABLE_DIGESTS = {
+    'universal': '7995f596fbc558c614dec2a8f7db16161769b3bbec3679f76d4c7855cadf1f25',
+    'odd': '4c2cbf181170e884b64e0f2429f05d512fa06dc8560b05b65a4c6ffa470ae823',
+    'wahl': '41b8deb32359d25f79d7b95774b51a28e3737171d07f917c8e647f429e829d4c',
+}
+
+
+def _table_instances(case):
+    """(params, live) of a digest case: every coprime (r, a) with r <= 24,
+    with every slot live or the odd slots only; or every Wahl pair with
+    n <= 5, with the multiples of n live, the slots of wahl_cochain."""
+    if case == 'wahl':
+        return [(SingularityParams(n * n, n * q - 1), set(range(0, n * n, n)))
+                for n, q in wahl_pairs(5)]
+    return [(params, None if case == 'universal' else set(range(1, params.r, 2)))
+            for params in coprime_pairs(24)]
+
+
+@pytest.mark.parametrize('case', sorted(_TABLE_DIGESTS))
+def test_full_ainf_tables_are_pinned(case):
+    tables = [[[(key, list(cell.items())) for key, cell in cells.items()]
+               for cells in (table.m1, table.m2, table.m3)]
+              for table in (full_ainf(params, live)
+                            for params, live in _table_instances(case))]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == _TABLE_DIGESTS[case]
 
 
 def _restricted(table, live):
@@ -818,10 +858,24 @@ def test_diff_matrix_reads_the_rows():
 def test_misread_rectangle_raises_arithmetic_error(monkeypatch):
     # (5,2) has b = 3: the rectangle [0,1] x [1,2] has its NE corner at
     # label 4, so it cannot be an NE-orange rectangle
-    monkeypatch.setattr(ainf_mod, '_permitted_rectangles',
-                        lambda params: iter([(1, 1, 1, True)]))
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(ainf_mod, '_rectangle_runs',
+                        lambda params: iter([(1, 1, 1, 1)]))
+    with pytest.raises(ArithmeticError, match='misread orange corner'):
         full_ainf(SingularityParams(5, 2))
+
+
+def test_misread_rectangle_the_live_walk_skips_raises(monkeypatch):
+    # (5,2) has b = 3: the rectangle [0,1] x [4,5] has its NW corner at the
+    # orange label 0.  Its SW and NE labels, 4 and 2, are dead for a spec
+    # with t_1 and t_3 alone nonzero, so the live walk reads nothing of it,
+    # and still checks its corners
+    monkeypatch.setattr(ainf_mod, '_rectangle_runs',
+                        lambda params: iter([(4, 1, 2, 0)]))
+    params, t1, t3 = SingularityParams(5, 2), Poly.var(tsub(1)), Poly.var(tsub(3))
+    spec = CochainSpec(5, {tsub(1): t1, tsub(3): t3})
+    for call in (check_point, deformed_table):
+        with pytest.raises(ArithmeticError, match='misread orange corner'):
+            call(params, spec)
 
 
 def test_insert_cochain_zero_is_identity():

@@ -258,6 +258,54 @@ def test_degree_check_reads_codes_under_python_O(sabotage, tail):
     assert out.endswith(tail)
 
 
+_KEY_SABOTAGE = """
+import wahlorder.ainf as ainf
+import wahlorder.verify as v
+from wahlorder.resarith import SingularityParams
+params = SingularityParams(5, 2)
+gauss_word = ainf.gauss_word
+{sabotage}
+try:
+    ainf.full_ainf(params)
+except ArithmeticError as exc:
+    print('full_ainf:', exc)
+v.coprime_pairs = lambda max_r: iter([params])
+print(v.suite_deform(max_r=2, max_n=2).render(), end='')
+"""
+
+
+@pytest.mark.parametrize('sabotage,verdict', [
+    # the first label of the Gauss word twice in its first half: the
+    # first-half entry (wbar_y, w_x, wbar_x) at x = y = 4 takes the key of
+    # the per-crossing triple (wbar_4, w_4, wbar_4)
+    ('ainf.gauss_word = lambda p: (lambda w: w[:1] * 2 + w[2:])(gauss_word(p))',
+     'FAIL'),
+    ('', 'PASS'),
+], ids=['repeated-label', 'clean'])
+def test_a_shared_key_fails_the_deform_suite_under_python_O(sabotage, verdict):
+    # two m_2/m_3 readings stored under one key leave fewer keys than
+    # stores: full_ainf raises ArithmeticError even with assert statements
+    # compiled out, and the suite fails the clauses that build the table
+    # instead of aborting
+    src = Path(wahlorder.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, '-O', '-c', _KEY_SABOTAGE.format(sabotage=sabotage)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f'suite deform: {verdict}'
+    degree = [line for line in lines if 'no degree-2 generators' in line]
+    assert len(degree) == 1 and degree[0].startswith(verdict)
+    if verdict == 'FAIL':
+        assert re.match(r'full_ainf: \d+ m_2/m_3 readings stored under \d+ '
+                        r'keys: two readings share a key$', lines[0])
+        message = lines[0].removeprefix('full_ainf: ')
+        assert degree[0].endswith(f'[ArithmeticError: {message}]')
+    else:
+        assert not lines[0].startswith('full_ainf:')
+
+
 def test_the_package_holds_no_assert_statement():
     # python -O compiles assert statements out, so a check written as one
     # would vanish; every check in the package raises instead
